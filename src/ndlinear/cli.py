@@ -16,7 +16,6 @@ import math
 import statistics
 import sys
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,14 +53,6 @@ def _write_json(path: str | None, payload: dict) -> None:
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _single_thread():
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return nullcontext()
-    return threadpool_limits(limits=1)
-
-
 # ---------------------------------------------------------------- verify
 
 def _check_block(trials, tolerance: float) -> dict:
@@ -77,6 +68,8 @@ def _check_block(trials, tolerance: float) -> dict:
 
 
 def cmd_verify(args) -> int:
+    if args.seeds < 1:
+        raise UsageError(f"need --seeds >= 1, got {args.seeds}")
     checks = {
         "equivalence": _check_block(
             oracle.equivalence_trials(args.seeds, args.max_rank, args.max_dim),
@@ -180,18 +173,16 @@ def run_bench(in_dims, out_dims, batch: int, trials: int = 30, warmup: int = 5,
             f"instrumented count {f_instr} disagrees with formula {f_nd}")
 
     dense_entries = math.prod(in_dims) * math.prod(out_dims)
-    with _single_thread():
-        wall_nd = _median_wall_ns(lambda: layer_mod.forward_only(lyr, x),
-                                  trials, warmup)
-        wall_dense = None
-        if dense_entries * 8 <= mem_cap_bytes:
-            w_full = oracle.materialize_full_weight(lyr, size_cap=dense_entries)
-            b_full = None
-            if with_bias:
-                b_full = layer_mod.forward_zero_input_bias(lyr).reshape(-1)
-            wall_dense = _median_wall_ns(
-                lambda: layer_mod.dense_equivalent_forward(w_full, b_full, x, out_dims),
-                trials, warmup)
+    wall_nd = _median_wall_ns(lambda: layer_mod.forward_only(lyr, x), trials, warmup)
+    wall_dense = None
+    if dense_entries * 8 <= mem_cap_bytes:
+        w_full = oracle.materialize_full_weight(lyr, size_cap=dense_entries)
+        b_full = None
+        if with_bias:
+            b_full = layer_mod.forward_zero_input_bias(lyr).reshape(-1)
+        wall_dense = _median_wall_ns(
+            lambda: layer_mod.dense_equivalent_forward(w_full, b_full, x, out_dims),
+            trials, warmup)
 
     speedup = (wall_dense / wall_nd) if wall_dense is not None else None
     config = {

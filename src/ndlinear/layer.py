@@ -12,13 +12,16 @@ flattened features this stores sum(D_k * H_k) weights instead of
 prod(D_k) * prod(H_k), at the price of only representing maps whose
 flattened matrix factors as W_1 (x) ... (x) W_N (Kronecker structure).
 
-The backward pass is written out by hand. Each mode step is an ordinary
-matrix product in its unfolded 2-D view (Y_mat = X_mat W_k + b_k), so
-for k = N..1 with the cached pre-step activation Z_{k-1}:
+Each mode step is one 2-D gemm on a rotating unfolding. The input is
+transposed once to (D_1..D_N, B). Step k reads its buffer as the
+(D_k, rest) matrix Z and computes Z^T W_k + b_k, laid out as
+(D_{k+1}..D_N, B, H_1..H_k): the next mode leads, and step N leaves Y
+in (B, H_1..H_N). The hand-written backward walks the same buffers;
+with G the (rest, H_k) gradient of step k, for k = N..1:
 
-    dW_k = X_mat^T dY_mat
-    db_k = column sums of dY_mat
-    dX_mat = dY_mat W_k^T
+    dW_k = Z G,    db_k = column sums of G,    G <- W_k G^T
+
+W_k G^T is already in Z's layout, and one transpose returns dL/dX.
 """
 
 from __future__ import annotations
@@ -34,10 +37,8 @@ from . import ndt
 from .tensor import (
     FlopCounter,
     ShapeError,
-    _mode_axes,
     checked_u64,
     matmul,
-    mode_k_product,
     permute,
     rand_uniform,
     reshape,
@@ -108,7 +109,9 @@ class LayerCache:
     """Intermediates Z_0 = X, Z_1, ..., Z_N = Y kept for backward.
 
     Z_k has shape (B, H_1..H_k, D_{k+1}..D_N): the running tensor after
-    transforming mode k (bias included).
+    transforming mode k (bias included). ``forward`` stores transposed
+    views of its step buffers (D_{k+1}..D_N, B, H_1..H_k), which
+    ``backward`` reads without a copy; any other array costs one copy.
     """
 
     intermediates: list[np.ndarray] = field(default_factory=list)
@@ -154,33 +157,41 @@ def _check_input(layer: NdLinearLayer, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _bias_broadcast(b: np.ndarray, rank: int, k: int) -> np.ndarray:
-    shape = [1] * rank
-    shape[k] = b.shape[0]
-    return b.reshape(shape)
+def _step_axes(rank: int, k: int) -> tuple[int, ...]:
+    """Axis order taking Z_k to its step layout (D_{k+1}..D_N, B, H_1..H_k)."""
+    return tuple(range(k + 1, rank)) + tuple(range(k + 1))
+
+
+def _run_steps(layer: NdLinearLayer, x: np.ndarray, cache: LayerCache | None) -> np.ndarray:
+    """Apply every mode step to a checked input, appending Z_0..Z_N to ``cache``."""
+    n = layer.n_modes
+    batch = x.shape[0]
+    # Z_0 in step layout (D_1..D_N, B). A 2-D input's transposed view is
+    # already that layout, which keeps N = 1 bitwise equal to x @ W_1 + b_1.
+    z = x.T if n == 1 else permute(x, _step_axes(n + 1, 0))
+    for k, w in enumerate(layer.weights):
+        if cache is not None:
+            shape = (*layer.in_dims[k:], batch, *layer.out_dims[:k])
+            cache.intermediates.append(
+                z.reshape(shape).transpose(np.argsort(_step_axes(n + 1, k))))
+        z = matmul(z.reshape(w.shape[0], -1).T, w)
+        if layer.biases is not None:
+            z += layer.biases[k]
+    y = z.reshape(batch, *layer.out_dims)
+    if cache is not None:
+        cache.intermediates.append(y)
+    return y
 
 
 def forward(layer: NdLinearLayer, x: np.ndarray) -> tuple[np.ndarray, LayerCache]:
     """Apply all mode transforms, keeping every intermediate for backward."""
-    x = _check_input(layer, x)
-    cache = LayerCache([x])
-    z = x
-    for k in range(1, layer.n_modes + 1):
-        z = mode_k_product(z, layer.weights[k - 1], k)
-        if layer.biases is not None:
-            z = z + _bias_broadcast(layer.biases[k - 1], z.ndim, k)
-        cache.intermediates.append(z)
-    return z, cache
+    cache = LayerCache()
+    return _run_steps(layer, _check_input(layer, x), cache), cache
 
 
 def forward_only(layer: NdLinearLayer, x: np.ndarray) -> np.ndarray:
-    """Inference path: same pipeline, intermediates dropped as we go."""
-    z = _check_input(layer, x)
-    for k in range(1, layer.n_modes + 1):
-        z = mode_k_product(z, layer.weights[k - 1], k)
-        if layer.biases is not None:
-            z = z + _bias_broadcast(layer.biases[k - 1], z.ndim, k)
-    return z
+    """Inference path: the same steps, intermediates dropped as we go."""
+    return _run_steps(layer, _check_input(layer, x), None)
 
 
 def _expected_cache_shape(layer: NdLinearLayer, batch: int, k: int) -> tuple[int, ...]:
@@ -206,26 +217,19 @@ def backward(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray) -> NdLine
 
     d_weights: list[np.ndarray | None] = [None] * n
     d_biases: list[np.ndarray | None] | None = [None] * n if layer.with_bias else None
-    d_z = d_y
+    g = d_y
     for k in range(n, 0, -1):
-        z_prev = cache.intermediates[k - 1]
-        d_k, h_k = layer.weights[k - 1].shape
-        axes = _mode_axes(z_prev.ndim, k)
-        rows = z_prev.size // d_k
-
-        x_mat = reshape(permute(z_prev, axes), (rows, d_k))
-        dy_moved = permute(d_z, axes)
-        dy_mat = reshape(dy_moved, (rows, h_k))
-
-        d_weights[k - 1] = matmul(x_mat.T, dy_mat)
+        w = layer.weights[k - 1]
+        g = g.reshape(-1, w.shape[1])
+        # one operand layout for any cache; free for forward's views (N >= 2)
+        z = np.ascontiguousarray(cache.intermediates[k - 1].transpose(_step_axes(n + 1, k - 1)))
+        d_weights[k - 1] = matmul(z.reshape(w.shape[0], -1), g)
         if d_biases is not None:
-            d_biases[k - 1] = dy_mat.sum(axis=0)
+            d_biases[k - 1] = g.sum(axis=0)
+        g = matmul(w, g.T)
 
-        dx_mat = matmul(dy_mat, layer.weights[k - 1].T)
-        dx_moved = reshape(dx_mat, dy_moved.shape[:-1] + (d_k,))
-        d_z = permute(dx_moved, tuple(np.argsort(axes)))
-
-    return NdLinearGrads(d_weights, d_biases, d_z)
+    g = g.reshape(*layer.in_dims, batch)
+    return NdLinearGrads(d_weights, d_biases, permute(g, np.argsort(_step_axes(n + 1, 0))))
 
 
 def param_count(in_dims, out_dims, with_bias: bool) -> int:

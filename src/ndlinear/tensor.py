@@ -4,9 +4,10 @@ Conventions used throughout the package:
 
 - Tensors are ``numpy.ndarray`` objects with dtype float64 and C
   (row-major, last axis fastest) memory order.
-- Operations are pure: inputs are never mutated, and anything that
-  rearranges axes materializes a contiguous copy. No lazy views leave
-  this module.
+- Operations are pure: inputs are never mutated. ``permute`` and
+  ``mode_k_product`` materialize contiguous results; ``matmul`` takes
+  its operands as they come, so a transposed view reaches BLAS as a
+  transpose flag instead of being copied first.
 - Shapes are tuples of positive ints. ``validate_shape`` enforces the
   rank >= 1 / dims >= 1 / no-overflow invariants.
 - Randomness comes from ``make_rng``, a seeded 64-bit PCG64 generator.
@@ -132,10 +133,12 @@ def reshape(t: np.ndarray, new_shape) -> np.ndarray:
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rank-2 matrix product with f64 accumulation.
 
-    Feeds the active FlopCounter, if any, with m*k*n multiply-adds.
+    Operands may be strided views: a transposed one reaches BLAS as a
+    transpose flag, not a copy. Feeds the active FlopCounter, if any,
+    with m*k*n multiply-adds.
     """
-    a = _as_f64(a)
-    b = _as_f64(b)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:

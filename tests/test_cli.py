@@ -65,6 +65,15 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert json.loads(json.dumps(report)) == report
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_nonpositive_seeds_usage_error(self, tmp_path, capsys, seeds):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--seeds", seeds, "--json", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "--seeds" in captured.err
+        assert "PASS" not in captured.out
+        assert not out.exists()
+
 
 class TestBench:
     def test_degenerate_n1(self, tmp_path):

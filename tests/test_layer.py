@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ndlinear import layer, oracle
+from ndlinear import cli, layer, oracle
 from ndlinear.layer import (
+    LayerCache,
     NdLinearLayer,
     backward,
     dense_flop_count,
@@ -111,13 +114,15 @@ class TestForward:
         assert np.array_equal(forward_only(lyr, x), forward(lyr, x)[0])
 
     def test_degenerates_to_dense_bitwise(self):
-        rng = make_rng(9)
-        w = rng.standard_normal((5, 7))
-        b = rng.standard_normal(7)
-        x = rng.standard_normal((3, 5))
-        lyr = NdLinearLayer((5,), (7,), [w], [b])
-        y, _ = forward(lyr, x)
-        assert np.array_equal(y, x @ w + b)
+        # (6, 20, 4) rounds differently when x reaches BLAS transposed
+        for batch, d, h in [(3, 5, 7), (6, 20, 4)]:
+            rng = make_rng(9)
+            w = rng.standard_normal((d, h))
+            b = rng.standard_normal(h)
+            x = rng.standard_normal((batch, d))
+            lyr = NdLinearLayer((d,), (h,), [w], [b])
+            y, _ = forward(lyr, x)
+            assert np.array_equal(y, x @ w + b)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_affine_in_input(self, seed):
@@ -130,6 +135,51 @@ class TestForward:
         lhs = lin(alpha * x + beta * y)
         rhs = alpha * lin(x) + beta * lin(y)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+@st.composite
+def layer_cases(draw):
+    """A layer with N 1..4 and dims 1..5, an input of batch 1..3 and a d_y."""
+    n = draw(st.integers(1, 4))
+    dims = st.lists(st.integers(1, 5), min_size=n, max_size=n).map(tuple)
+    in_dims, out_dims = draw(dims), draw(dims)
+    batch = draw(st.integers(1, 3))
+    with_bias = draw(st.booleans())
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    lyr = init_xavier(in_dims, out_dims, with_bias, rng)
+    if with_bias:
+        lyr = NdLinearLayer(in_dims, out_dims, lyr.weights,
+                            [rng.uniform(-1, 1, size=h) for h in out_dims])
+    x = rng.standard_normal((batch, *in_dims))
+    d_y = rng.standard_normal((batch, *out_dims))
+    return lyr, x, d_y
+
+
+def grad_arrays(g):
+    return [g.d_input, *g.d_weights, *(g.d_biases or [])]
+
+
+class TestKernelProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(layer_cases())
+    def test_forward_backward_contract(self, case):
+        lyr, x, d_y = case
+        y, cache = forward(lyr, x)
+        assert np.array_equal(forward_only(lyr, x), y)
+        dense = oracle.probe_full_map(lyr)
+        assert np.max(np.abs(y - oracle.flat_forward(dense, x))) < cli.EQUIVALENCE_TOL
+
+        grads = backward(lyr, cache, d_y)
+        batch = x.shape[0]
+        d_x_dense = d_y.reshape(batch, -1) @ dense.w_full.T
+        assert np.max(np.abs(grads.d_input.reshape(batch, -1) - d_x_dense)) \
+            < cli.EQUIVALENCE_TOL
+        # the kernel's cache holds views of its step buffers; plain
+        # contiguous arrays of the same values must give the same bits
+        copied = LayerCache([np.ascontiguousarray(z) for z in cache.intermediates])
+        again = backward(lyr, copied, d_y)
+        for got, want in zip(grad_arrays(again), grad_arrays(grads), strict=True):
+            assert np.array_equal(got, want)
 
 
 class TestBackward:
@@ -228,6 +278,10 @@ class TestCounts:
         with FlopCounter() as fc:
             forward_only(lyr, x)
         assert 2 * fc.multiply_adds == flop_count(batch, lyr.in_dims, lyr.out_dims)
+        with FlopCounter() as fc:
+            y, cache = forward(lyr, x)
+            backward(lyr, cache, y)
+        assert 2 * fc.multiply_adds == 3 * flop_count(batch, lyr.in_dims, lyr.out_dims)
 
 
 class TestSerialization:
