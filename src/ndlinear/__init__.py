@@ -14,12 +14,14 @@ from .layer import (
     backward,
     dense_flop_count,
     dense_param_count,
+    effective_bias,
     flop_count,
     forward,
     forward_only,
     init_xavier,
     load_layer,
     param_count,
+    plan_modes,
     save_layer,
 )
 from .oracle import flat_forward, materialize_full_weight, probe_full_map
@@ -31,7 +33,7 @@ __all__ = [
     "tensor", "ndt", "layer", "oracle", "nn", "lora", "cli",
     "NdLinearLayer", "FlopCounter", "init_xavier", "forward", "forward_only",
     "backward", "param_count", "dense_param_count", "flop_count",
-    "dense_flop_count", "save_layer", "load_layer",
+    "dense_flop_count", "plan_modes", "effective_bias", "save_layer", "load_layer",
     "materialize_full_weight", "probe_full_map", "flat_forward",
     "make_rng", "mode_k_product", "ShapeError",
     "__version__",

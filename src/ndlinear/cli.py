@@ -106,6 +106,7 @@ def cmd_verify(args) -> int:
 @dataclass
 class BenchReport:
     config: dict
+    mode_order: list[int]
     param_count_nd: int
     param_count_dense: int
     flop_formula_nd: int
@@ -118,6 +119,7 @@ class BenchReport:
     def as_dict(self) -> dict:
         return {
             "config": self.config,
+            "mode_order": self.mode_order,
             "param_count_nd": self.param_count_nd,
             "param_count_dense": self.param_count_dense,
             "flop_formula_nd": self.flop_formula_nd,
@@ -154,7 +156,8 @@ def run_bench(in_dims, out_dims, batch: int, trials: int = 30, warmup: int = 5,
 
     The dense baseline is materialized (as the layer's exact flattened
     equivalent) only when its weight matrix fits the memory cap;
-    otherwise its timing and the speedup are null.
+    otherwise its timing and the speedup are null. ``mode_order`` lists
+    the modes ``forward_only`` applies, in order, numbered from 1.
     """
     rng = make_rng(seed)
     lyr = layer_mod.init_xavier(in_dims, out_dims, with_bias, rng)
@@ -176,13 +179,10 @@ def run_bench(in_dims, out_dims, batch: int, trials: int = 30, warmup: int = 5,
     wall_nd = _median_wall_ns(lambda: layer_mod.forward_only(lyr, x), trials, warmup)
     wall_dense = None
     if dense_entries * 8 <= mem_cap_bytes:
-        w_full = oracle.materialize_full_weight(lyr, size_cap=dense_entries)
-        b_full = None
-        if with_bias:
-            b_full = layer_mod.forward_zero_input_bias(lyr).reshape(-1)
-        wall_dense = _median_wall_ns(
-            lambda: layer_mod.dense_equivalent_forward(w_full, b_full, x, out_dims),
-            trials, warmup)
+        dense = oracle.FlatAffineMap(
+            oracle.materialize_full_weight(lyr, size_cap=dense_entries),
+            layer_mod.effective_bias(lyr).reshape(-1), lyr.in_dims, lyr.out_dims)
+        wall_dense = _median_wall_ns(lambda: oracle.flat_forward(dense, x), trials, warmup)
 
     speedup = (wall_dense / wall_nd) if wall_dense is not None else None
     config = {
@@ -190,7 +190,8 @@ def run_bench(in_dims, out_dims, batch: int, trials: int = 30, warmup: int = 5,
         "with_bias": with_bias, "trials": trials, "warmup": warmup, "seed": seed,
         "mem_cap_bytes": mem_cap_bytes,
     }
-    return BenchReport(config, p_nd, p_dense, f_nd, f_instr, f_dense,
+    mode_order = [k + 1 for k in layer_mod.plan_modes(lyr.in_dims, lyr.out_dims)]
+    return BenchReport(config, mode_order, p_nd, p_dense, f_nd, f_instr, f_dense,
                        wall_nd, wall_dense, speedup)
 
 
@@ -222,6 +223,9 @@ def _write_csv(path: str, report: BenchReport) -> None:
 def cmd_bench(args) -> int:
     in_dims = _parse_dims(args.in_dims)
     out_dims = _parse_dims(args.out_dims)
+    if len(in_dims) != len(out_dims):
+        raise UsageError(f"--in-dims has {len(in_dims)} modes but --out-dims has "
+                         f"{len(out_dims)}; give one output dim per input dim")
     if args.batch < 1 or args.trials < 1 or args.warmup < 0:
         raise UsageError("need batch >= 1, trials >= 1, warmup >= 0")
     report = run_bench(in_dims, out_dims, args.batch, args.trials, args.warmup,
@@ -235,6 +239,7 @@ def cmd_bench(args) -> int:
               f"vs {report.param_count_dense} (dense)")
         print(f"flops:       {report.flop_formula_nd} formula, "
               f"{report.flop_instrumented_nd} instrumented, {report.flop_dense} dense")
+        print(f"mode order:  {','.join(str(k) for k in report.mode_order)}")
         print(f"wall ns:     {report.wall_ns_nd:.0f} (factorized) vs "
               + (f"{report.wall_ns_dense:.0f} (dense)" if report.wall_ns_dense is not None
                  else "n/a (dense above memory cap)"))

@@ -2,7 +2,7 @@
 
 A layer over inputs of shape (B, D_1, ..., D_N) holds one weight matrix
 W_k of shape (D_k, H_k) per feature mode, plus optional per-mode bias
-vectors b_k. The forward pass applies the modes in declaration order:
+vectors b_k. The layer computes
 
     Y = ((X x_1 W_1 + b_1) x_2 W_2 + b_2) ... x_N W_N + b_N
 
@@ -12,9 +12,10 @@ flattened features this stores sum(D_k * H_k) weights instead of
 prod(D_k) * prod(H_k), at the price of only representing maps whose
 flattened matrix factors as W_1 (x) ... (x) W_N (Kronecker structure).
 
-Each mode step is one 2-D gemm on a rotating unfolding. The input is
-transposed once to (D_1..D_N, B). Step k reads its buffer as the
-(D_k, rest) matrix Z and computes Z^T W_k + b_k, laid out as
+Training (``forward``/``backward``) applies the modes in declaration
+order. Each mode step is one 2-D gemm on a rotating unfolding. The
+input is transposed once to (D_1..D_N, B). Step k reads its buffer as
+the (D_k, rest) matrix Z and computes Z^T W_k + b_k, laid out as
 (D_{k+1}..D_N, B, H_1..H_k): the next mode leads, and step N leaves Y
 in (B, H_1..H_N). The hand-written backward walks the same buffers;
 with G the (rest, H_k) gradient of step k, for k = N..1:
@@ -22,6 +23,14 @@ with G the (rest, H_k) gradient of step k, for k = N..1:
     dW_k = Z G,    db_k = column sums of G,    G <- W_k G^T
 
 W_k G^T is already in Z's layout, and one transpose returns dL/dX.
+
+Inference (``forward_only``) applies the modes in the order with the
+fewest FLOPs (``plan_modes``). Mode products on different axes commute,
+so only the biases depend on the order, and they add up to the closed
+form ``effective_bias``, the layer's output on the zero input. When the
+plan is declaration order, inference runs the training steps without a
+cache. Otherwise each step consumes the trailing axis and prepends its
+output axis, and one transpose at the end restores (B, H_1..H_N).
 """
 
 from __future__ import annotations
@@ -29,6 +38,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +52,7 @@ from .tensor import (
     matmul,
     permute,
     rand_uniform,
-    reshape,
     validate_shape,
-    zeros,
 )
 
 __all__ = [
@@ -55,6 +64,8 @@ __all__ = [
     "forward",
     "forward_only",
     "backward",
+    "plan_modes",
+    "effective_bias",
     "param_count",
     "dense_param_count",
     "flop_count",
@@ -189,9 +200,58 @@ def forward(layer: NdLinearLayer, x: np.ndarray) -> tuple[np.ndarray, LayerCache
     return _run_steps(layer, _check_input(layer, x), cache), cache
 
 
+def _run_planned(layer: NdLinearLayer, x: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
+    """Apply the modes of a checked input in ``order``, then the effective bias."""
+    n = layer.n_modes
+    batch = x.shape[0]
+    # (B, D_order[-1]..D_order[0]): the first mode to run trails. For the
+    # reverse of declaration order that is the caller's own layout.
+    axes = (0, *(1 + k for k in reversed(order)))
+    z = x if axes == tuple(range(n + 1)) else permute(x, axes)
+    for k in order:
+        w = layer.weights[k]
+        # (rest, D_k) -> (H_k, rest): the trailing axis is consumed and
+        # the new one leads, so no step copies.
+        z = matmul(w.T, z.reshape(-1, w.shape[0]).T)
+    z = z.reshape(*(layer.out_dims[k] for k in reversed(order)), batch)
+    y = permute(z, (n, *(n - 1 - order.index(k) for k in range(n))))
+    if layer.biases is not None:
+        y += effective_bias(layer)
+    return y
+
+
 def forward_only(layer: NdLinearLayer, x: np.ndarray) -> np.ndarray:
-    """Inference path: the same steps, intermediates dropped as we go."""
-    return _run_steps(layer, _check_input(layer, x), None)
+    """Inference path: modes in the ``plan_modes`` order, no cache kept.
+
+    Equals ``forward``'s output up to rounding, and bitwise when the plan
+    is declaration order (always for N = 1 and for equal in/out dims).
+    """
+    x = _check_input(layer, x)
+    order = plan_modes(layer.in_dims, layer.out_dims)
+    if order == tuple(range(layer.n_modes)):
+        return _run_steps(layer, x, None)
+    return _run_planned(layer, x, order)
+
+
+def effective_bias(layer: NdLinearLayer) -> np.ndarray:
+    """The layer's output on the zero input, of shape out_dims.
+
+    Bias b_k is carried through the later modes on an all-ones fiber,
+    which W_j maps to its column sums c_j, so
+
+        B_eff = sum_k 1_{H_1..H_{k-1}} (x) b_k (x) c_{k+1} (x) ... (x) c_N.
+
+    Zero for a layer without biases. Costs O(N prod(H)) and is not
+    cached: optimizers update weights and biases in place.
+    """
+    total = np.zeros(layer.out_dims)
+    if layer.biases is None:
+        return total
+    tail = np.ones(())  # c_{k+1} (x) ... (x) c_N
+    for w, b in zip(reversed(layer.weights), reversed(layer.biases)):
+        total += np.multiply.outer(b, tail)
+        tail = np.multiply.outer(w.sum(axis=0), tail)
+    return total
 
 
 def _expected_cache_shape(layer: NdLinearLayer, batch: int, k: int) -> tuple[int, ...]:
@@ -256,14 +316,53 @@ def dense_param_count(in_dims, out_dims, with_bias: bool) -> int:
     return checked_u64(total, "dense param count")
 
 
-def flop_count(batch: int, in_dims, out_dims) -> int:
+def _order_cost(in_dims: tuple[int, ...], out_dims: tuple[int, ...], order) -> int:
+    """Multiply-adds per sample of applying the modes in ``order``."""
+    size = math.prod(in_dims)
+    total = 0
+    for k in order:
+        size = size // in_dims[k] * out_dims[k]
+        total = checked_u64(total + size * in_dims[k], "flop count term sum")
+    return total
+
+
+def plan_modes(in_dims, out_dims) -> tuple[int, ...]:
+    """Mode order (indices into in_dims) with the fewest forward FLOPs.
+
+    With R the product of H_j / D_j over the modes already applied,
+    mode k costs R prod(D) H_k multiply-adds per sample. Swapping
+    adjacent modes a, b changes the cost by R prod(D) H_a H_b
+    (key(b) - key(a)), where key = 1/H - 1/D. So an order is optimal
+    exactly when its keys never increase, and a stable sort on the key
+    finds one at any N. Ties keep declaration order, which is returned
+    whenever it is optimal. The plan depends on the dims alone, so it
+    is cached per shape.
+    """
+    return _plan(tuple(in_dims), tuple(out_dims))
+
+
+@lru_cache(maxsize=1024)
+def _plan(in_dims: tuple[int, ...], out_dims: tuple[int, ...]) -> tuple[int, ...]:
+    in_dims = validate_shape(in_dims)
+    out_dims = validate_shape(out_dims)
+    if len(in_dims) != len(out_dims):
+        raise ShapeError(f"rank mismatch: {in_dims} vs {out_dims}")
+    return tuple(sorted(range(len(in_dims)), reverse=True,
+                        key=lambda k: Fraction(in_dims[k] - out_dims[k],
+                                               in_dims[k] * out_dims[k])))
+
+
+def flop_count(batch: int, in_dims, out_dims, order=None) -> int:
     """FLOPs for one forward pass, counting a multiply-add as 2.
 
-    Mode k multiplies a (B * prod_{j<k} H_j * prod_{j>k} D_j, D_k)
-    matrix by W_k, so the total is
+    Applying the modes in ``order``, a mode multiplies a
+    (B * prod(dims of the other modes, H if applied else D), D_k) matrix
+    by W_k. In declaration order (``order=range(N)``, as in training)
+    the total is
 
         2 B * sum_k [ prod_{j<k} H_j * prod_{j>k} D_j * D_k * H_k ].
 
+    The default order is ``plan_modes``', the one ``forward_only`` runs.
     Bias additions are excluded from the count.
     """
     in_dims = validate_shape(in_dims)
@@ -272,12 +371,12 @@ def flop_count(batch: int, in_dims, out_dims) -> int:
         raise ShapeError(f"rank mismatch: {in_dims} vs {out_dims}")
     if batch < 1:
         raise ShapeError(f"batch must be >= 1, got {batch}")
-    total = 0
-    for k in range(len(in_dims)):
-        term = math.prod(out_dims[:k]) * math.prod(in_dims[k + 1:])
-        term *= in_dims[k] * out_dims[k]
-        total = checked_u64(total + term, "flop count term sum")
-    return checked_u64(2 * batch * total, "flop count")
+    if order is None:
+        order = plan_modes(in_dims, out_dims)
+    elif sorted(order) != list(range(len(in_dims))):
+        raise ShapeError(f"order {tuple(order)} is not a permutation of the "
+                         f"{len(in_dims)} modes")
+    return checked_u64(2 * batch * _order_cost(in_dims, out_dims, order), "flop count")
 
 
 def dense_flop_count(batch: int, in_dims, out_dims) -> int:
@@ -287,22 +386,6 @@ def dense_flop_count(batch: int, in_dims, out_dims) -> int:
     if batch < 1:
         raise ShapeError(f"batch must be >= 1, got {batch}")
     return checked_u64(2 * batch * math.prod(in_dims) * math.prod(out_dims), "dense flop count")
-
-
-def dense_equivalent_forward(w_full: np.ndarray, b_full: np.ndarray | None,
-                             x: np.ndarray, out_dims) -> np.ndarray:
-    """Forward through an explicit flattened weight matrix.
-
-    Used by benchmarks as the baseline the factorized layer is measured
-    against: flatten features, one big matmul, reshape back.
-    """
-    out_dims = validate_shape(out_dims)
-    batch = x.shape[0]
-    x_flat = reshape(x, (batch, x.size // batch))
-    y_flat = matmul(x_flat, w_full)
-    if b_full is not None:
-        y_flat = y_flat + b_full
-    return reshape(y_flat, (batch, *out_dims))
 
 
 _META_NAME = "meta.json"
@@ -337,12 +420,3 @@ def load_layer(path) -> NdLinearLayer:
     if meta["with_bias"]:
         biases = [ndt.read(root / f"b_{k}.ndt") for k in range(1, n + 1)]
     return NdLinearLayer(in_dims, out_dims, weights, biases)
-
-
-def forward_zero_input_bias(layer: NdLinearLayer, batch: int = 1) -> np.ndarray:
-    """Output on an all-zero input: the layer's effective bias.
-
-    Earlier biases are themselves transformed by later weights, so this
-    is generally not any single b_k broadcast.
-    """
-    return forward_only(layer, zeros((batch, *layer.in_dims)))

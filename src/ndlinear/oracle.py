@@ -7,10 +7,12 @@ Two independent constructions of the dense map a layer realizes:
   Under row-major flattening and the row-vector convention
   y_flat = x_flat @ W_full + b_full this is exact in mode order.
 - ``probe_full_map`` treats the layer as a black box and identifies the
-  affine map by evaluating it on the zero input and on every standard
-  basis vector. It is exact for any affine map and knows nothing about
-  the Kronecker convention, so the two constructions cross-check each
-  other.
+  affine map by evaluating the training ``forward`` (declaration order)
+  on the zero input and on every standard basis vector. It is exact for
+  any affine map and knows nothing about the Kronecker convention, so
+  the two constructions cross-check each other. Probing ``forward``, not
+  ``forward_only``, keeps inference's planned mode order from being
+  judged against itself.
 
 ``finite_diff_grads`` supplies the numerical gradient oracle the
 hand-written backward pass is validated against.
@@ -67,12 +69,13 @@ def probe_full_map(layer: NdLinearLayer, size_cap: int = DEFAULT_SIZE_CAP) -> Fl
 
     b_full is the output on the zero input; row j of w_full is the
     output on basis vector e_j minus b_full. The basis probes run as a
-    single batch of size prod(in_dims).
+    single batch of size prod(in_dims) through ``forward``, whose cache
+    is dropped.
     """
     p, q = _check_cap(layer, size_cap)
-    b_full = layer_mod.forward_only(layer, zeros((1, *layer.in_dims))).reshape(q)
+    b_full = layer_mod.forward(layer, zeros((1, *layer.in_dims)))[0].reshape(q)
     basis = np.eye(p, dtype=np.float64).reshape(p, *layer.in_dims)
-    responses = layer_mod.forward_only(layer, basis).reshape(p, q)
+    responses = layer_mod.forward(layer, basis)[0].reshape(p, q)
     w_full = responses - b_full
     return FlatAffineMap(w_full, b_full, layer.in_dims, layer.out_dims)
 
@@ -205,12 +208,12 @@ def _random_layer(rng: np.random.Generator, n: int, max_dim: int,
 
 
 def equivalence_trial(seed: int, n: int, with_bias: bool, max_dim: int = 5) -> TrialResult:
-    """Max |forward - dense probe| on one random config."""
+    """Max |forward_only - dense probe of forward| on one random config."""
     rng = make_rng(seed)
     lyr = _random_layer(rng, n, max_dim, with_bias)
     batch = int(rng.integers(1, 4))
     x = rng.standard_normal((batch, *lyr.in_dims))
-    y_layer, _ = layer_mod.forward(lyr, x)
+    y_layer = layer_mod.forward_only(lyr, x)
     y_flat = flat_forward(probe_full_map(lyr), x)
     return TrialResult("equivalence", seed, n, lyr.in_dims, lyr.out_dims,
                        with_bias, batch, max_abs_diff(y_layer, y_flat))

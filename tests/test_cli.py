@@ -114,7 +114,7 @@ class TestBench:
         assert list(row) == cli.CSV_COLUMNS
         assert row["in_dims"] == "2x3"
         assert int(row["param_count_nd"]) == report["param_count_nd"]
-        assert int(row["flop_formula_nd"]) == report["flop_formula_nd"] == 336
+        assert int(row["flop_formula_nd"]) == report["flop_formula_nd"] == 280
         assert float(row["wall_ns_nd"]) == report["wall_ns_nd"]
 
     def test_json_round_trips(self, tmp_path):
@@ -127,6 +127,23 @@ class TestBench:
     def test_bad_dims_usage_error(self, capsys):
         assert main(["bench", "--in-dims", "banana", "--quiet"]) == 2
         assert "dims" in capsys.readouterr().err
+
+    def test_rank_mismatch_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--in-dims", "2,2", "--out-dims", "2",
+                     "--json", str(out)]) == 2
+        assert "--out-dims" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_skewed_layer_reports_planned_order(self, tmp_path):
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--in-dims", "16,256", "--out-dims", "64,4", "--bias",
+                     "--batch", "2", "--trials", "2", "--warmup", "0",
+                     "--json", str(out), "--quiet"]) == 0
+        report = json.loads(out.read_text())
+        assert report["mode_order"] == [2, 1]
+        assert report["flop_formula_nd"] == report["flop_instrumented_nd"] \
+            == 2 * 2 * (16 * 256 * 4 + 4 * 16 * 64)
 
 
 class TestTrain:

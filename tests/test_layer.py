@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,12 +13,14 @@ from ndlinear.layer import (
     backward,
     dense_flop_count,
     dense_param_count,
+    effective_bias,
     flop_count,
     forward,
     forward_only,
     init_xavier,
     load_layer,
     param_count,
+    plan_modes,
     save_layer,
 )
 from ndlinear.tensor import FlopCounter, ShapeError, make_rng
@@ -36,6 +39,14 @@ def random_layer(seed, n=None, max_dim=4, with_bias=None):
         lyr = NdLinearLayer(in_dims, out_dims, lyr.weights,
                             [rng.uniform(-1, 1, size=h) for h in out_dims])
     return rng, lyr
+
+
+def assert_matches_forward(lyr, got, want):
+    """Bitwise when forward_only's plan is declaration order, else within tol."""
+    if plan_modes(lyr.in_dims, lyr.out_dims) == tuple(range(lyr.n_modes)):
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) < cli.EQUIVALENCE_TOL
 
 
 class TestInit:
@@ -111,7 +122,7 @@ class TestForward:
     def test_forward_only_matches_forward(self):
         rng, lyr = random_layer(7)
         x = rng.standard_normal((2, *lyr.in_dims))
-        assert np.array_equal(forward_only(lyr, x), forward(lyr, x)[0])
+        assert_matches_forward(lyr, forward_only(lyr, x), forward(lyr, x)[0])
 
     def test_degenerates_to_dense_bitwise(self):
         # (6, 20, 4) rounds differently when x reaches BLAS transposed
@@ -138,10 +149,10 @@ class TestForward:
 
 
 @st.composite
-def layer_cases(draw):
-    """A layer with N 1..4 and dims 1..5, an input of batch 1..3 and a d_y."""
+def layer_cases(draw, max_dim=5):
+    """A layer with N 1..4 and dims 1..max_dim, an input of batch 1..3 and a d_y."""
     n = draw(st.integers(1, 4))
-    dims = st.lists(st.integers(1, 5), min_size=n, max_size=n).map(tuple)
+    dims = st.lists(st.integers(1, max_dim), min_size=n, max_size=n).map(tuple)
     in_dims, out_dims = draw(dims), draw(dims)
     batch = draw(st.integers(1, 3))
     with_bias = draw(st.booleans())
@@ -165,7 +176,7 @@ class TestKernelProperties:
     def test_forward_backward_contract(self, case):
         lyr, x, d_y = case
         y, cache = forward(lyr, x)
-        assert np.array_equal(forward_only(lyr, x), y)
+        assert_matches_forward(lyr, forward_only(lyr, x), y)
         dense = oracle.probe_full_map(lyr)
         assert np.max(np.abs(y - oracle.flat_forward(dense, x))) < cli.EQUIVALENCE_TOL
 
@@ -180,6 +191,56 @@ class TestKernelProperties:
         again = backward(lyr, copied, d_y)
         for got, want in zip(grad_arrays(again), grad_arrays(grads), strict=True):
             assert np.array_equal(got, want)
+
+
+def brute_force_min_cost(in_dims, out_dims):
+    """Fewest forward FLOPs per sample over all N! mode orders."""
+    return min(flop_count(1, in_dims, out_dims, order=o)
+               for o in itertools.permutations(range(len(in_dims))))
+
+
+def check_planned_forward(lyr, x):
+    """forward_only against the planner's cost, the FlopCounter and forward."""
+    n, batch = lyr.n_modes, x.shape[0]
+    planned = flop_count(batch, lyr.in_dims, lyr.out_dims)
+    assert planned <= flop_count(batch, lyr.in_dims, lyr.out_dims, order=range(n))
+    assert planned == batch * brute_force_min_cost(lyr.in_dims, lyr.out_dims)
+    with FlopCounter() as fc:
+        y = forward_only(lyr, x)
+    assert 2 * fc.multiply_adds == planned
+    assert_matches_forward(lyr, y, forward(lyr, x)[0])
+    return y
+
+
+class TestModePlan:
+    @settings(max_examples=150, deadline=None)
+    @given(layer_cases(max_dim=6))
+    def test_planned_forward_is_cheapest_and_exact(self, case):
+        lyr, x, _ = case
+        y = check_planned_forward(lyr, x)
+        b_eff = effective_bias(lyr)
+        assert np.max(np.abs(b_eff.reshape(-1) - oracle.probe_full_map(lyr).b_full)) \
+            < cli.EQUIVALENCE_TOL
+        kron = oracle.FlatAffineMap(oracle.materialize_full_weight(lyr), b_eff.reshape(-1),
+                                    lyr.in_dims, lyr.out_dims)
+        assert np.max(np.abs(y - oracle.flat_forward(kron, x))) < cli.EQUIVALENCE_TOL
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_seven_modes(self, with_bias):
+        rng = make_rng(77)
+        in_dims, out_dims = (2, 5, 1, 6, 3, 4, 2), (6, 1, 3, 2, 5, 2, 4)
+        lyr = init_xavier(in_dims, out_dims, with_bias, rng)
+        if with_bias:
+            lyr = NdLinearLayer(in_dims, out_dims, lyr.weights,
+                                [rng.uniform(-1, 1, size=h) for h in out_dims])
+        check_planned_forward(lyr, rng.standard_normal((2, *in_dims)))
+        zero = np.zeros((1, *in_dims))
+        assert np.max(np.abs(effective_bias(lyr) - forward(lyr, zero)[0][0])) \
+            < cli.EQUIVALENCE_TOL
+
+    def test_ties_keep_declaration_order(self):
+        assert plan_modes((32, 32, 32), (32, 32, 32)) == (0, 1, 2)
+        assert plan_modes((8, 8), (16, 16)) == (0, 1)
 
 
 class TestBackward:
@@ -260,8 +321,13 @@ class TestCounts:
         assert dense_flop_count(1, dims, dims) == 2 * 32**6
 
     def test_flop_term_by_term(self):
-        # k=1: D2*(D1*H1) = 3*8 = 24; k=2: H1*(D2*H2) = 4*15 = 60
-        assert flop_count(2, (2, 3), (4, 5)) == 2 * 2 * (24 + 60) == 336
+        # declaration order, k=1: D2*(D1*H1) = 3*8 = 24; k=2: H1*(D2*H2) = 4*15 = 60
+        assert flop_count(2, (2, 3), (4, 5), order=range(2)) == 2 * 2 * (24 + 60) == 336
+        # planned order 2, 1: D1*(D2*H2) = 2*15 = 30; then H2*(D1*H1) = 5*8 = 40
+        assert plan_modes((2, 3), (4, 5)) == (1, 0)
+        assert flop_count(2, (2, 3), (4, 5)) == 2 * 2 * (30 + 40) == 280
+        with pytest.raises(ShapeError):
+            flop_count(2, (2, 3), (4, 5), order=(0, 0))
 
     def test_flop_n1_degeneracy(self):
         assert flop_count(3, (17,), (5,)) == dense_flop_count(3, (17,), (5,))
@@ -281,7 +347,8 @@ class TestCounts:
         with FlopCounter() as fc:
             y, cache = forward(lyr, x)
             backward(lyr, cache, y)
-        assert 2 * fc.multiply_adds == 3 * flop_count(batch, lyr.in_dims, lyr.out_dims)
+        declared = flop_count(batch, lyr.in_dims, lyr.out_dims, order=range(lyr.n_modes))
+        assert 2 * fc.multiply_adds == 3 * declared
 
 
 class TestSerialization:
