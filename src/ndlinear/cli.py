@@ -268,14 +268,30 @@ def _parse_data_spec(text: str, split: float, rng) -> nn.TrainSplit:
             if not eq or key not in opts:
                 raise UsageError(f"bad data option {item!r} for {kind}; "
                                  f"known keys: {sorted(opts)}")
-            opts[key] = type(opts[key])(value)
-    if kind == "separable":
-        return nn.gen_separable_regression(
-            rng, int(opts["n"]), (opts["d1"], opts["d2"]), (opts["h1"], opts["h2"]),
-            noise_sigma=opts["sigma"], split=split)
-    return nn.gen_blob_classification(
-        rng, int(opts["n"]), features=int(opts["features"]), sep=opts["sep"],
-        split=split)
+            opts[key] = _data_value(key, value, type(opts[key]))
+    try:
+        if kind == "separable":
+            return nn.gen_separable_regression(
+                rng, opts["n"], (opts["d1"], opts["d2"]), (opts["h1"], opts["h2"]),
+                noise_sigma=opts["sigma"], split=split)
+        return nn.gen_blob_classification(
+            rng, opts["n"], features=opts["features"], sep=opts["sep"], split=split)
+    except ValueError as exc:  # a split that leaves no train or no test samples
+        raise UsageError(f"--data {text}: {exc}")
+
+
+def _data_value(key: str, value: str, kind: type):
+    """Parse one --data option: ints (sizes) must be >= 1, floats
+    (noise sigma, blob separation) finite and >= 0."""
+    try:
+        parsed = kind(value)
+    except ValueError:
+        raise UsageError(f"data option {key}: expected {kind.__name__}, got {value!r}")
+    if kind is int and parsed < 1:
+        raise UsageError(f"data option {key}: must be >= 1, got {parsed}")
+    if kind is float and not (math.isfinite(parsed) and parsed >= 0):
+        raise UsageError(f"data option {key}: must be finite and >= 0, got {parsed}")
+    return parsed
 
 
 def cmd_train(args) -> int:
@@ -304,6 +320,12 @@ def cmd_train(args) -> int:
     data = _parse_data_spec(args.data, args.split, rng)
     if (model.loss == "cross_entropy") != (data.task == "classification"):
         raise UsageError(f"loss {model.loss!r} does not fit {data.task} data")
+    if data.x_train.shape[1:] != model.in_dims:
+        raise UsageError(f"data samples {data.x_train.shape[1:]} do not fit "
+                         f"model input {model.in_dims}")
+    if data.task == "regression" and data.y_train.shape[1:] != model.out_shape:
+        raise UsageError(f"data targets {data.y_train.shape[1:]} do not fit "
+                         f"model output {model.out_shape}")
 
     optimizer = {
         "sgd": lambda: nn.SGD(args.lr, momentum=0.9),

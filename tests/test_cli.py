@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ndlinear import cli
 from ndlinear import layer as layer_mod
@@ -17,6 +19,35 @@ MODEL_CONFIG = {
     ],
     "loss": "cross_entropy",
 }
+
+
+REGRESSION_CONFIG = {
+    "layers": [{"type": "ndlinear", "in": [8, 8], "out": [8, 8], "bias": True}],
+    "loss": "mse",
+}
+
+_DATA_KEYS = {"separable": ("d1", "d2", "h1", "h2", "n", "sigma"),
+              "blobs": ("features", "n", "sep")}
+
+
+@st.composite
+def data_specs(draw):
+    """--data strings over the known keys with arbitrary values. Values
+    that parse as ints are capped so every run stays small."""
+    kind = draw(st.sampled_from(sorted(_DATA_KEYS)))
+    keys = draw(st.lists(st.sampled_from(_DATA_KEYS[kind]), max_size=4))
+    value = st.one_of(st.integers(-3, 40).map(str),
+                      st.floats().map(repr),
+                      st.text(st.characters(exclude_characters=","), max_size=6))
+    items = []
+    for key in keys:
+        v = draw(value)
+        try:
+            v = str(min(int(v), 40 if key == "n" else 12))
+        except ValueError:
+            pass
+        items.append(f"{key}={v}")
+    return kind + (":" + ",".join(items) if items else "")
 
 
 def write_config(tmp_path, config=MODEL_CONFIG):
@@ -158,7 +189,10 @@ class TestTrain:
         records = [json.loads(line) for line in log.read_text().splitlines()]
         assert len(records) == 40
         assert records[0]["epoch"] == 1
-        assert {"train_loss", "test_loss", "train_accuracy", "test_accuracy"} <= set(records[-1])
+        assert {"train_loss", "test_loss", "train_accuracy", "test_accuracy",
+                "epoch_wall_ns"} <= set(records[-1])
+        for rec in records:
+            assert type(rec["epoch_wall_ns"]) is int and rec["epoch_wall_ns"] > 0
 
     def test_deterministic_logs(self, tmp_path):
         config = write_config(tmp_path)
@@ -169,7 +203,11 @@ class TestTrain:
                          "--epochs", "3", "--seed", "5",
                          "--log", str(tmp_path / name), "--quiet"])
             assert code == 0
-            logs.append((tmp_path / name).read_bytes())
+            lines = (tmp_path / name).read_text().splitlines()
+            # every field but the wall clock repeats exactly
+            logs.append([json.dumps({k: v for k, v in json.loads(line).items()
+                                     if k != "epoch_wall_ns"}, sort_keys=True)
+                         for line in lines])
         assert logs[0] == logs[1]
 
     def test_regression_pipeline(self, tmp_path):
@@ -221,6 +259,44 @@ class TestTrain:
         config = write_config(tmp_path)
         assert main(["train", "--config", str(config), "--data", "mnist",
                      "--quiet"]) == 2
+
+    @pytest.mark.parametrize("spec, key", [
+        ("separable:n=abc", "n"),
+        ("separable:n=-5", "n"),
+        ("separable:n=0", "n"),
+        ("separable:d1=1.5", "d1"),
+        ("separable:h2=0", "h2"),
+        ("separable:sigma=-0.1", "sigma"),
+        ("separable:sigma=nan", "sigma"),
+        ("separable:sigma=inf", "sigma"),
+        ("separable:sigma=", "sigma"),
+        ("blobs:features=0", "features"),
+        ("blobs:n=1e3", "n"),
+        ("blobs:sep=-inf", "sep"),
+        ("blobs:sep=four", "sep"),
+    ])
+    def test_bad_data_value_usage_error(self, tmp_path, capsys, spec, key):
+        config = write_config(tmp_path, REGRESSION_CONFIG)
+        assert main(["train", "--config", str(config), "--data", spec,
+                     "--epochs", "1", "--quiet"]) == 2
+        assert f"data option {key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["separable:n=1", "separable:d1=4", "separable:h1=3"])
+    def test_data_that_cannot_train_usage_error(self, tmp_path, capsys, spec):
+        config = write_config(tmp_path, REGRESSION_CONFIG)
+        assert main(["train", "--config", str(config), "--data", spec,
+                     "--epochs", "1", "--quiet"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(spec=data_specs())
+    def test_any_data_spec_exits_cleanly(self, tmp_path, spec):
+        config = write_config(tmp_path,
+                              MODEL_CONFIG if spec.startswith("blobs") else REGRESSION_CONFIG)
+        code = main(["train", "--config", str(config), "--data", spec,
+                     "--epochs", "1", "--quiet"])
+        assert code in (0, 1, 2)
 
 
 class TestLoraDemo:

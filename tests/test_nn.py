@@ -159,8 +159,10 @@ class TestTraining:
             model = nn.Model(
                 [nn.NdLinear(layer.init_xavier((3, 2), (2, 3), False, make_rng(1)))],
                 "mse", (3, 2))
-            return nn.train(model, self._data(), nn.TrainConfig(epochs=4, seed=9),
-                            nn.Adam(1e-2)).log
+            log = nn.train(model, self._data(), nn.TrainConfig(epochs=4, seed=9),
+                           nn.Adam(1e-2)).log
+            # every field but the wall clock repeats exactly
+            return [{k: v for k, v in rec.items() if k != "epoch_wall_ns"} for rec in log]
         assert run() == run()
 
     def test_separable_classification_sanity(self):
@@ -252,6 +254,105 @@ class TestMatchedBaseline:
     def test_unmatchable(self):
         with pytest.raises(ValueError):
             nn.matched_dense_width(10, 64, 64)
+
+
+def biased_ndlinear(in_dims, out_dims, rng):
+    lyr = layer.init_xavier(in_dims, out_dims, True, rng)
+    biases = [rng.uniform(-1.0, 1.0, size=h) for h in out_dims]
+    return nn.NdLinear(layer.NdLinearLayer(lyr.in_dims, lyr.out_dims, lyr.weights, biases))
+
+
+def skewed_mse_model(seed=0):
+    """ndlinear -> relu -> ndlinear; the first layer's plan is (1, 0)."""
+    rng = make_rng(seed)
+    model = nn.Model([biased_ndlinear((2, 16), (16, 2), rng), nn.ReLU(),
+                      biased_ndlinear((16, 2), (3, 5), rng)], "mse", (2, 16))
+    assert layer.plan_modes((2, 16), (16, 2)) == (1, 0)
+    assert layer.plan_modes((16, 2), (3, 5)) == (0, 1)
+    return model
+
+
+def dense_ce_model(width, seed=0):
+    rng = make_rng(seed)
+    return nn.Model([nn.init_dense(6, width, True, rng), nn.ReLU(),
+                     nn.Dense(rng.standard_normal((width, 3)), rng.standard_normal(3)),
+                     nn.Reshape((3,))], "cross_entropy", (2, 3))
+
+
+def block_rows(model):
+    return max(1, nn._EVAL_BLOCK_BYTES // (8 * model.widest))
+
+
+class TestEvaluate:
+    def _data(self, model, n, seed=1):
+        rng = make_rng(seed)
+        x = rng.standard_normal((n, *model.in_dims))
+        if model.loss == "mse":
+            return x, rng.standard_normal((n, *model.out_shape))
+        return x, rng.integers(0, model.out_shape[0], size=n)
+
+    @pytest.mark.parametrize("make, extra", [
+        (skewed_mse_model, 300),
+        (lambda: dense_ce_model(width=40), 5),
+        (lambda: dense_ce_model(width=70_000), 4),  # widest row alone > budget
+    ])
+    def test_blocked_equals_one_batch(self, monkeypatch, make, extra):
+        model = make()
+        rows = block_rows(model)
+        n = (rows if rows > 1 else 0) + extra
+        x, t = self._data(model, n)
+        y, _ = nn.model_forward(model, x)
+        want_loss, _ = nn._apply_loss(model, y, t)
+
+        seen = []
+        last = model.layers[-1]
+        original = last.infer
+
+        def spy(z):
+            seen.append(len(z))
+            return original(z)
+
+        monkeypatch.setattr(last, "infer", spy)
+        loss, acc = nn.evaluate(model, x, t)
+        assert seen == [rows] * (n // rows) + ([n % rows] if n % rows else [])
+        assert len(seen) >= 2
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        if model.loss == "mse":
+            assert acc is None
+        else:
+            assert acc == float((y.argmax(axis=1) == t).mean())
+
+    def test_block_rows_follow_widest_activation(self):
+        assert skewed_mse_model().widest == 32
+        assert block_rows(skewed_mse_model()) == 2048
+        assert dense_ce_model(width=70_000).widest == 70_000
+        assert block_rows(dense_ce_model(width=70_000)) == 1
+
+    def test_no_training_forward_or_cache(self, monkeypatch):
+        model = skewed_mse_model()
+        x, t = self._data(model, 50)
+        want = nn.evaluate(model, x, t)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate must not run the training path")
+
+        monkeypatch.setattr(layer, "forward", refuse)
+        monkeypatch.setattr(layer, "LayerCache", refuse)
+        assert nn.evaluate(model, x, t) == want
+
+    def test_parameters_unchanged(self):
+        for model in (skewed_mse_model(), dense_ce_model(width=40)):
+            before = [p.copy() for p in model.params()]
+            nn.evaluate(model, *self._data(model, 30))
+            assert all(np.array_equal(a, b) for a, b in zip(before, model.params()))
+
+    def test_shape_errors(self):
+        model = skewed_mse_model()
+        x, t = self._data(model, 4)
+        with pytest.raises(ShapeError, match="in_dims"):
+            nn.evaluate(model, x[:, :1], t)
+        with pytest.raises(ShapeError, match="target"):
+            nn.evaluate(model, x, t[:3])
 
 
 class TestModelConfig:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ndlinear import layer, oracle
+from ndlinear import cli, layer, oracle
 from ndlinear.layer import NdLinearLayer, dense_param_count, init_xavier, param_count
 from ndlinear.oracle import (
     SizeCapError,
@@ -56,6 +56,17 @@ class TestProbe:
         lyr = init_xavier((2, 3), (4, 2), False, make_rng(2))
         err = max_abs_diff(probe_full_map(lyr).w_full, materialize_full_weight(lyr))
         assert err < 1e-12
+
+    def test_chunked_probe_matches_kronecker(self):
+        # 400 basis vectors: one full chunk and a partial one
+        rng = make_rng(5)
+        lyr = init_xavier((20, 20), (3, 5), True, rng)
+        lyr = NdLinearLayer(lyr.in_dims, lyr.out_dims, lyr.weights,
+                            [rng.standard_normal(3), rng.standard_normal(5)])
+        assert 400 % oracle.PROBE_CHUNK != 0 and 400 > oracle.PROBE_CHUNK
+        m = probe_full_map(lyr)
+        assert max_abs_diff(m.w_full, materialize_full_weight(lyr)) < cli.EQUIVALENCE_TOL
+        assert max_abs_diff(m.b_full, layer.effective_bias(lyr).reshape(-1)) < cli.EQUIVALENCE_TOL
 
     def test_n1_bias_recovered(self):
         rng = make_rng(3)
