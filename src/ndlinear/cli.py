@@ -278,6 +278,10 @@ def _parse_data_spec(text: str, split: float, rng) -> nn.TrainSplit:
             rng, opts["n"], features=opts["features"], sep=opts["sep"], split=split)
     except ValueError as exc:  # a split that leaves no train or no test samples
         raise UsageError(f"--data {text}: {exc}")
+    except MemoryError:
+        features = opts["d1"] * opts["d2"] if kind == "separable" else opts["features"]
+        raise UsageError(f"--data {text}: cannot allocate {8 * opts['n'] * features:,} "
+                         f"bytes for {opts['n']:,} samples of {features:,} float64 features")
 
 
 def _data_value(key: str, value: str, kind: type):
@@ -326,6 +330,11 @@ def cmd_train(args) -> int:
     if data.task == "regression" and data.y_train.shape[1:] != model.out_shape:
         raise UsageError(f"data targets {data.y_train.shape[1:]} do not fit "
                          f"model output {model.out_shape}")
+    if data.task == "classification":
+        classes = int(max(data.y_train.max(), data.y_test.max())) + 1
+        if model.out_shape[0] < classes:
+            raise UsageError(f"model emits {model.out_shape[0]} logits but the data has "
+                             f"{classes} classes")
 
     optimizer = {
         "sgd": lambda: nn.SGD(args.lr, momentum=0.9),

@@ -288,6 +288,29 @@ class TestTrain:
                      "--epochs", "1", "--quiet"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_fewer_logits_than_classes_usage_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, {
+            "layers": [{"type": "ndlinear", "in": [11, 1], "out": [1, 1]},
+                       {"type": "dense", "in": 1, "out": 1}],
+            "loss": "cross_entropy",
+        })
+        assert main(["train", "--config", str(config), "--data", "blobs",
+                     "--epochs", "1", "--quiet"]) == 2
+        assert "model emits 1 logits but the data has 2 classes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, requested", [
+        ("separable:n=1000000000000000", "512,000,000,000,000,000 bytes"),
+        ("blobs:n=1000000000000000", "88,000,000,000,000,000 bytes"),
+    ])
+    def test_unallocatable_data_usage_error(self, tmp_path, capsys, spec, requested):
+        # numpy refuses allocations this large before touching any memory
+        config = write_config(tmp_path,
+                              MODEL_CONFIG if spec.startswith("blobs") else REGRESSION_CONFIG)
+        assert main(["train", "--config", str(config), "--data", spec,
+                     "--epochs", "1", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"--data {spec}: cannot allocate {requested}" in err
+
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(spec=data_specs())

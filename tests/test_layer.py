@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndlinear import cli, layer, oracle
+from ndlinear import cli, layer, ndt, oracle
 from ndlinear.layer import (
     LayerCache,
     NdLinearLayer,
@@ -375,3 +375,28 @@ class TestSerialization:
                         "with_bias": True, "N": 2}
         names = sorted(p.name for p in (tmp_path / "lyr").iterdir())
         assert names == ["W_1.ndt", "W_2.ndt", "b_1.ndt", "b_2.ndt", "meta.json"]
+
+    @pytest.mark.parametrize("meta, problem", [
+        (b'{"N": 2,', "not valid JSON"),
+        (b"\xff\xfe", "not valid JSON"),
+        (b"[2, 3]", "expected an object"),
+        (b'{"in_dims": [2, 3], "out_dims": [4, 5], "with_bias": true}', "missing keys ['N']"),
+        (b'{"N": "2", "in_dims": [2, 3], "out_dims": [4, 5], "with_bias": true}',
+         "N must be an integer"),
+        (b'{"N": 2, "in_dims": [2, 3.5], "out_dims": [4, 5], "with_bias": true}',
+         "in_dims must be"),
+        (b'{"N": 2, "in_dims": [2, 3], "out_dims": 45, "with_bias": true}',
+         "out_dims must be"),
+        (b'{"N": 2, "in_dims": [2, 3], "out_dims": [4, 0], "with_bias": true}',
+         "out_dims must be"),
+        (b'{"N": 2, "in_dims": [2, 3], "out_dims": [4, 5], "with_bias": 1}',
+         "with_bias must be a bool"),
+        (b'{"N": 3, "in_dims": [2, 3], "out_dims": [4, 5], "with_bias": true}',
+         "N = 3 but in_dims has 2 modes"),
+    ])
+    def test_malformed_meta_is_a_format_error(self, tmp_path, meta, problem):
+        save_layer(init_xavier((2, 3), (4, 5), True, make_rng(0)), tmp_path / "lyr")
+        (tmp_path / "lyr" / "meta.json").write_bytes(meta)
+        with pytest.raises(ndt.FormatError) as info:
+            load_layer(tmp_path / "lyr")
+        assert problem in str(info.value)

@@ -1,7 +1,10 @@
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndlinear import ndt
 from ndlinear.tensor import make_rng
@@ -64,3 +67,32 @@ def test_rejects_zero_dim():
     bad = good[:12] + struct.pack("<QQ", 0, 2) + good[28:]
     with pytest.raises(ndt.FormatError):
         ndt.load_bytes(bad)
+
+
+def _ndt_blobs():
+    """Byte strings from arbitrary through structurally plausible: random
+    bytes, a valid header over random dims and payload, and a valid file
+    with one byte overwritten or the tail cut."""
+    header = st.builds(lambda rank, rest: ndt._HEADER.pack(ndt.MAGIC, ndt.VERSION,
+                                                         ndt.DTYPE_F64, 0, rank) + rest,
+                       st.integers(0, 2**32 - 1) | st.integers(0, 4),
+                       st.binary(max_size=96))
+    valid = st.builds(lambda shape: ndt.dump_bytes(np.arange(math.prod(shape), dtype=float)
+                                                    .reshape(shape)),
+                      st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    mutated = st.builds(lambda blob, i, byte: blob[:i % len(blob)] + bytes([byte])
+                        + blob[i % len(blob) + 1:], valid, st.integers(0, 200),
+                        st.integers(0, 255))
+    cut = st.builds(lambda blob, i: blob[:i % len(blob)], valid, st.integers(0, 200))
+    return st.binary(max_size=64) | header | mutated | cut
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=_ndt_blobs())
+def test_any_bytes_parse_or_raise_format_error(blob):
+    try:
+        t = ndt.load_bytes(blob)
+    except ndt.FormatError:
+        return
+    assert t.dtype == np.float64 and t.ndim >= 1
+    assert ndt.dump_bytes(t) == blob

@@ -212,6 +212,109 @@ class TestTraining:
             assert res.log[-1]["train_loss"] < res.log[0]["train_loss"]
 
 
+class _LoopSGD:
+    """Per-parameter SGD with momentum: the reference for ``nn.SGD``."""
+
+    def __init__(self, lr, momentum):
+        self.lr, self.momentum = lr, momentum
+        self.velocity = None
+
+    def step(self, params, grads):
+        if self.velocity is None:
+            self.velocity = [np.zeros_like(p) for p in params]
+        for p, g, v in zip(params, grads, self.velocity):
+            v *= self.momentum
+            v += g
+            p -= self.lr * v
+
+    def state(self):
+        return {"_velocity": self.velocity}
+
+
+class _LoopAdam:
+    """Per-parameter Adam, with decoupled weight decay first when
+    ``weight_decay`` is set: the reference for ``nn.Adam``/``nn.AdamW``."""
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr, weight_decay=None):
+        self.lr, self.weight_decay = lr, weight_decay
+        self.m = self.v = None
+        self.t = 0
+
+    def step(self, params, grads):
+        if self.weight_decay is not None:
+            for p in params:
+                p -= self.lr * self.weight_decay * p
+        if self.m is None:
+            self.m = [np.zeros_like(p) for p in params]
+            self.v = [np.zeros_like(p) for p in params]
+        self.t += 1
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m += (1.0 - self.beta1) * (g - m)
+            v += (1.0 - self.beta2) * (g * g - v)
+            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+
+    def state(self):
+        return {"_m": self.m, "_v": self.v}
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+OPTIMIZER_PAIRS = {
+    "sgd": (lambda: nn.SGD(0.05, momentum=0.9), lambda: _LoopSGD(0.05, 0.9)),
+    "adam": (lambda: nn.Adam(0.01), lambda: _LoopAdam(0.01)),
+    "adamw": (lambda: nn.AdamW(0.01), lambda: _LoopAdam(0.01, weight_decay=0.01)),
+}
+
+
+class TestFlatOptimizers:
+    @pytest.mark.parametrize("name", sorted(OPTIMIZER_PAIRS))
+    def test_steps_bitwise_equal_per_parameter_loop(self, name):
+        make, make_ref = OPTIMIZER_PAIRS[name]
+        opt, ref = make(), make_ref()
+        rng = make_rng(7)
+        params = [rng.standard_normal(s) for s in [(3, 4), (4,), (2, 5), (5,), (1, 1)]]
+        arrays = list(params)
+        ref_params = [p.copy() for p in params]
+        for step in range(5):
+            if step == 2:  # the caller edits a parameter between steps
+                params[2][0] = ref_params[2][0] = 3.0
+            grads = [rng.standard_normal(p.shape) for p in params]
+            opt.step(params, grads)
+            ref.step(ref_params, [g.copy() for g in grads])
+            assert all(p is a for p, a in zip(params, arrays))
+            assert all(_same_bits(p, q) for p, q in zip(params, ref_params))
+            for attr, ref_state in ref.state().items():
+                assert _same_bits(getattr(opt, attr), np.concatenate(ref_state, axis=None))
+
+    @pytest.mark.parametrize("name", sorted(OPTIMIZER_PAIRS))
+    def test_changed_parameter_layout_raises(self, name):
+        opt = OPTIMIZER_PAIRS[name][0]()
+        params = [np.zeros((2, 3)), np.zeros(3)]
+        opt.step(params, [np.ones_like(p) for p in params])
+        for other in ([np.zeros((3, 2)), np.zeros(3)], params[:1],
+                      [*params, np.zeros(1)]):
+            with pytest.raises(ValueError, match="shapes"):
+                opt.step(other, [np.ones_like(p) for p in other])
+        with pytest.raises(ValueError, match="shapes"):
+            opt.step(params, [np.ones(6), np.ones(3)])
+
+    @pytest.mark.parametrize("name", sorted(OPTIMIZER_PAIRS))
+    def test_model_without_parameters_trains(self, name):
+        model = nn.Model([nn.ReLU()], "mse", (3,))
+        rng = make_rng(0)
+        x = rng.standard_normal((8, 3))
+        data = nn.TrainSplit(x[:6], x[:6], x[6:], x[6:], "regression")
+        res = nn.train(model, data, nn.TrainConfig(epochs=2, batch_size=4),
+                       OPTIMIZER_PAIRS[name][0]())
+        assert res.final["train_loss"] == res.log[0]["train_loss"]
+
+
 class TestData:
     def test_identity_factors_copy_input(self):
         data = nn.gen_separable_regression(
