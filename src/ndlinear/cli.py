@@ -16,14 +16,15 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import layer as layer_mod
 from . import lora, nn, oracle
-from .tensor import FlopCounter, make_rng
+from .tensor import INDEX_MAX, FlopCounter, make_rng
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -53,6 +54,19 @@ def _write_json(path: str | None, payload: dict) -> None:
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+@contextmanager
+def _allocating(option: str, nbytes: int, purpose: str):
+    """Run a block that allocates ``nbytes``; if it cannot, raise a usage error naming
+    ``option``. numpy turns away sizes past the address space or the machine at once."""
+    error = UsageError(f"{option}: cannot allocate {nbytes:,} bytes for {purpose}")
+    if nbytes > INDEX_MAX:
+        raise error
+    try:
+        yield
+    except MemoryError:
+        raise error from None
+
+
 # ---------------------------------------------------------------- verify
 
 def _check_block(trials, tolerance: float) -> dict:
@@ -68,8 +82,14 @@ def _check_block(trials, tolerance: float) -> dict:
 
 
 def cmd_verify(args) -> int:
-    if args.seeds < 1:
-        raise UsageError(f"need --seeds >= 1, got {args.seeds}")
+    # max_dim ** (2 max_rank) bounds a trial's dense-map entries; an exponent
+    # of cap.bit_length() takes any max_dim >= 2 past the cap
+    cap = oracle.DEFAULT_SIZE_CAP
+    if (min(args.seeds, args.max_rank, args.max_dim) < 1
+            or args.max_dim ** min(2 * args.max_rank, cap.bit_length()) > cap):
+        raise UsageError(f"need --seeds, --max-rank and --max-dim >= 1, and max_dim ** "
+                         f"(2 max_rank) <= {cap}, the oracle's cap on dense-map entries; "
+                         f"got {args.seeds}, {args.max_rank} and {args.max_dim}")
     checks = {
         "equivalence": _check_block(
             oracle.equivalence_trials(args.seeds, args.max_rank, args.max_dim),
@@ -94,7 +114,6 @@ def cmd_verify(args) -> int:
             print(f"{name:12s} {status}: {len(block['trials'])} trials, "
                   f"max error {block['max_error']:.3e} (tol {block['tolerance']:.0e})")
         print("verify:", "PASS" if passed else "FAIL")
-    if not passed and not args.quiet:
         for name, block in checks.items():
             for t in block["failing_trials"]:
                 print(f"  failing {name} trial: {t}", file=sys.stderr)
@@ -117,18 +136,7 @@ class BenchReport:
     speedup: float | None
 
     def as_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "mode_order": self.mode_order,
-            "param_count_nd": self.param_count_nd,
-            "param_count_dense": self.param_count_dense,
-            "flop_formula_nd": self.flop_formula_nd,
-            "flop_instrumented_nd": self.flop_instrumented_nd,
-            "flop_dense": self.flop_dense,
-            "wall_ns_nd": self.wall_ns_nd,
-            "wall_ns_dense": self.wall_ns_dense,
-            "speedup": self.speedup,
-        }
+        return asdict(self)
 
 
 CSV_COLUMNS = [
@@ -196,24 +204,15 @@ def run_bench(in_dims, out_dims, batch: int, trials: int = 30, warmup: int = 5,
 
 
 def _write_csv(path: str, report: BenchReport) -> None:
-    cfg = report.config
-    row = {
-        "in_dims": "x".join(str(d) for d in cfg["in_dims"]),
-        "out_dims": "x".join(str(d) for d in cfg["out_dims"]),
-        "batch": cfg["batch"],
-        "with_bias": cfg["with_bias"],
-        "trials": cfg["trials"],
-        "warmup": cfg["warmup"],
-        "seed": cfg["seed"],
-        "param_count_nd": report.param_count_nd,
-        "param_count_dense": report.param_count_dense,
-        "flop_formula_nd": report.flop_formula_nd,
-        "flop_instrumented_nd": report.flop_instrumented_nd,
-        "flop_dense": report.flop_dense,
-        "wall_ns_nd": report.wall_ns_nd,
-        "wall_ns_dense": "" if report.wall_ns_dense is None else report.wall_ns_dense,
-        "speedup": "" if report.speedup is None else report.speedup,
-    }
+    """One row of ``CSV_COLUMNS`` from the report and its config: dims
+    joined with x, and empty cells where the JSON has null."""
+    fields = {**report.as_dict(), **report.config}
+    row = {}
+    for column in CSV_COLUMNS:
+        value = fields[column]
+        if isinstance(value, list):
+            value = "x".join(str(d) for d in value)
+        row[column] = "" if value is None else value
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
@@ -226,11 +225,20 @@ def cmd_bench(args) -> int:
     if len(in_dims) != len(out_dims):
         raise UsageError(f"--in-dims has {len(in_dims)} modes but --out-dims has "
                          f"{len(out_dims)}; give one output dim per input dim")
-    if args.batch < 1 or args.trials < 1 or args.warmup < 0:
-        raise UsageError("need batch >= 1, trials >= 1, warmup >= 0")
-    report = run_bench(in_dims, out_dims, args.batch, args.trials, args.warmup,
-                       args.seed, args.bias,
-                       mem_cap_bytes=int(args.mem_cap_gib * (1 << 30)))
+    if (args.batch < 1 or args.trials < 1 or args.warmup < 0
+            or not (math.isfinite(args.mem_cap_gib) and args.mem_cap_gib >= 0)):
+        raise UsageError("need --batch >= 1, --trials >= 1, --warmup >= 0 "
+                         "and a finite --mem-cap-gib >= 0")
+    mem_cap_bytes = int(args.mem_cap_gib * (1 << 30))
+    # the weights, input and output, and the dense weight if it is timed
+    dense_bytes = 8 * math.prod(in_dims) * math.prod(out_dims)
+    nbytes = (8 * sum(d * h for d, h in zip(in_dims, out_dims))
+              + 8 * args.batch * (math.prod(in_dims) + math.prod(out_dims))
+              + (dense_bytes if dense_bytes <= mem_cap_bytes else 0))
+    with _allocating(f"--in-dims {args.in_dims} --out-dims {args.out_dims}", nbytes,
+                     f"the layer and a batch of {args.batch}"):
+        report = run_bench(in_dims, out_dims, args.batch, args.trials, args.warmup,
+                           args.seed, args.bias, mem_cap_bytes)
     _write_json(args.json, report.as_dict())
     if args.csv:
         _write_csv(args.csv, report)
@@ -269,19 +277,18 @@ def _parse_data_spec(text: str, split: float, rng) -> nn.TrainSplit:
                 raise UsageError(f"bad data option {item!r} for {kind}; "
                                  f"known keys: {sorted(opts)}")
             opts[key] = _data_value(key, value, type(opts[key]))
+    features = opts["d1"] * opts["d2"] if kind == "separable" else opts["features"]
     try:
-        if kind == "separable":
-            return nn.gen_separable_regression(
-                rng, opts["n"], (opts["d1"], opts["d2"]), (opts["h1"], opts["h2"]),
-                noise_sigma=opts["sigma"], split=split)
-        return nn.gen_blob_classification(
-            rng, opts["n"], features=opts["features"], sep=opts["sep"], split=split)
+        with _allocating(f"--data {text}", 8 * opts["n"] * features,
+                         f"{opts['n']:,} samples of {features:,} float64 features"):
+            if kind == "separable":
+                return nn.gen_separable_regression(
+                    rng, opts["n"], (opts["d1"], opts["d2"]), (opts["h1"], opts["h2"]),
+                    noise_sigma=opts["sigma"], split=split)
+            return nn.gen_blob_classification(
+                rng, opts["n"], features=opts["features"], sep=opts["sep"], split=split)
     except ValueError as exc:  # a split that leaves no train or no test samples
         raise UsageError(f"--data {text}: {exc}")
-    except MemoryError:
-        features = opts["d1"] * opts["d2"] if kind == "separable" else opts["features"]
-        raise UsageError(f"--data {text}: cannot allocate {8 * opts['n'] * features:,} "
-                         f"bytes for {opts['n']:,} samples of {features:,} float64 features")
 
 
 def _data_value(key: str, value: str, kind: type):
@@ -366,12 +373,13 @@ def cmd_train(args) -> int:
 # ------------------------------------------------------------- lora-demo
 
 def cmd_lora_demo(args) -> int:
-    if args.d < 1 or args.h < 1:
-        raise UsageError("need --d >= 1 and --h >= 1")
-    if args.rank < 1:
-        raise UsageError("need --rank >= 1")
+    if min(args.d, args.h, args.rank) < 1:
+        raise UsageError("need --d, --h and --rank >= 1")
     import warnings as _warnings
-    with _warnings.catch_warnings(record=True) as caught:
+    # the 2d x d inputs, the 2d x h targets and three d x h maps
+    nbytes = 8 * args.d * (2 * args.d + 5 * args.h)
+    with (_allocating(f"--d {args.d} --h {args.h}", nbytes, "the demo's data and weights"),
+          _warnings.catch_warnings(record=True) as caught):
         _warnings.simplefilter("always")
         report = lora.recovery_experiment(args.d, args.h, args.rank, args.seed,
                                           args.steps, args.lr, args.target)
@@ -459,6 +467,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     try:
+        if args.seed < 0:
+            raise UsageError(f"need --seed >= 0, got {args.seed}")
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -49,6 +50,7 @@ from .tensor import (
     FlopCounter,
     ShapeError,
     checked_u64,
+    is_positive_int,
     matmul,
     permute,
     rand_uniform,
@@ -85,14 +87,10 @@ class NdLinearLayer:
     biases: list[np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        self.in_dims = validate_shape(self.in_dims)
-        self.out_dims = validate_shape(self.out_dims)
+        self.in_dims, self.out_dims = _mode_dims(self.in_dims, self.out_dims)
         n = len(self.in_dims)
-        if len(self.out_dims) != n or len(self.weights) != n:
-            raise ShapeError(
-                f"need equally many in_dims, out_dims and weights, "
-                f"got {len(self.in_dims)}/{len(self.out_dims)}/{len(self.weights)}"
-            )
+        if len(self.weights) != n:
+            raise ShapeError(f"expected {n} weights, got {len(self.weights)}")
         for k, w in enumerate(self.weights):
             want = (self.in_dims[k], self.out_dims[k])
             if w.shape != want:
@@ -137,16 +135,22 @@ class NdLinearGrads:
     d_input: np.ndarray
 
 
+def _mode_dims(in_dims, out_dims) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Both dim lists validated, with one output dim per input dim."""
+    in_dims = validate_shape(in_dims)
+    out_dims = validate_shape(out_dims)
+    if len(in_dims) != len(out_dims):
+        raise ShapeError(f"rank mismatch: {in_dims} vs {out_dims}")
+    return in_dims, out_dims
+
+
 def init_xavier(in_dims, out_dims, with_bias: bool, rng: np.random.Generator) -> NdLinearLayer:
     """Layer with W_k ~ Uniform(+-sqrt(6/(D_k+H_k))) and zero biases.
 
     Each mode's weight sees fan-in D_k and fan-out H_k, so the bound is
     computed per mode, not from the flattened sizes.
     """
-    in_dims = validate_shape(in_dims)
-    out_dims = validate_shape(out_dims)
-    if len(in_dims) != len(out_dims):
-        raise ShapeError(f"rank mismatch: {in_dims} vs {out_dims}")
+    in_dims, out_dims = _mode_dims(in_dims, out_dims)
     weights = []
     for d, h in zip(in_dims, out_dims):
         bound = math.sqrt(6.0 / (d + h))
@@ -261,10 +265,6 @@ def effective_bias(layer: NdLinearLayer) -> np.ndarray:
     return total
 
 
-def _expected_cache_shape(layer: NdLinearLayer, batch: int, k: int) -> tuple[int, ...]:
-    return (batch, *layer.out_dims[:k], *layer.in_dims[k:])
-
-
 def backward(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray) -> NdLinearGrads:
     """Propagate dL/dY back through every mode step.
 
@@ -278,9 +278,9 @@ def backward(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray) -> NdLine
         raise ShapeError(f"cache holds {len(cache.intermediates)} tensors, expected {n + 1}")
     batch = cache.intermediates[0].shape[0]
     for k, z in enumerate(cache.intermediates):
-        if z.shape != _expected_cache_shape(layer, batch, k):
-            raise ShapeError(f"cache entry {k} has shape {z.shape}, layer expects "
-                             f"{_expected_cache_shape(layer, batch, k)}")
+        want = (batch, *layer.out_dims[:k], *layer.in_dims[k:])
+        if z.shape != want:
+            raise ShapeError(f"cache entry {k} has shape {z.shape}, layer expects {want}")
     d_y = np.ascontiguousarray(np.asarray(d_y, dtype=np.float64))
     if d_y.shape != cache.intermediates[-1].shape:
         raise ShapeError(f"d_y shape {d_y.shape} != output shape {cache.intermediates[-1].shape}")
@@ -304,10 +304,7 @@ def backward(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray) -> NdLine
 
 def param_count(in_dims, out_dims, with_bias: bool) -> int:
     """Trainable scalars in the factorized layer: sum(D_k H_k [+ H_k])."""
-    in_dims = validate_shape(in_dims)
-    out_dims = validate_shape(out_dims)
-    if len(in_dims) != len(out_dims):
-        raise ShapeError(f"rank mismatch: {in_dims} vs {out_dims}")
+    in_dims, out_dims = _mode_dims(in_dims, out_dims)
     total = sum(d * h for d, h in zip(in_dims, out_dims))
     if with_bias:
         total += sum(out_dims)
@@ -353,10 +350,7 @@ def plan_modes(in_dims, out_dims) -> tuple[int, ...]:
 
 @lru_cache(maxsize=1024)
 def _plan(in_dims: tuple[int, ...], out_dims: tuple[int, ...]) -> tuple[int, ...]:
-    in_dims = validate_shape(in_dims)
-    out_dims = validate_shape(out_dims)
-    if len(in_dims) != len(out_dims):
-        raise ShapeError(f"rank mismatch: {in_dims} vs {out_dims}")
+    in_dims, out_dims = _mode_dims(in_dims, out_dims)
     return tuple(sorted(range(len(in_dims)), reverse=True,
                         key=lambda k: Fraction(in_dims[k] - out_dims[k],
                                                in_dims[k] * out_dims[k])))
@@ -375,10 +369,7 @@ def flop_count(batch: int, in_dims, out_dims, order=None) -> int:
     The default order is ``plan_modes``', the one ``forward_only`` runs.
     Bias additions are excluded from the count.
     """
-    in_dims = validate_shape(in_dims)
-    out_dims = validate_shape(out_dims)
-    if len(in_dims) != len(out_dims):
-        raise ShapeError(f"rank mismatch: {in_dims} vs {out_dims}")
+    in_dims, out_dims = _mode_dims(in_dims, out_dims)
     if batch < 1:
         raise ShapeError(f"batch must be >= 1, got {batch}")
     if order is None:
@@ -391,32 +382,43 @@ def flop_count(batch: int, in_dims, out_dims, order=None) -> int:
 
 def dense_flop_count(batch: int, in_dims, out_dims) -> int:
     """FLOPs of the dense layer on flattened features: 2 B prod(D) prod(H)."""
-    in_dims = validate_shape(in_dims)
-    out_dims = validate_shape(out_dims)
+    weights = dense_param_count(in_dims, out_dims, with_bias=False)
     if batch < 1:
         raise ShapeError(f"batch must be >= 1, got {batch}")
-    return checked_u64(2 * batch * math.prod(in_dims) * math.prod(out_dims), "dense flop count")
+    return checked_u64(2 * batch * weights, "dense flop count")
 
 
 _META_NAME = "meta.json"
 
 
 def save_layer(layer: NdLinearLayer, path) -> None:
-    """Write a layer as a directory: meta.json + W_k.ndt (+ b_k.ndt)."""
+    """Write a layer as a directory: meta.json + W_k.ndt (+ b_k.ndt).
+
+    The files go into a new sibling directory that then replaces ``path``,
+    so a failed save leaves an earlier layer there intact, and no file of
+    an earlier layer (say a ``b_k.ndt``) outlives a save.
+    """
     root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "in_dims": list(layer.in_dims),
-        "out_dims": list(layer.out_dims),
-        "with_bias": layer.with_bias,
-        "N": layer.n_modes,
-    }
-    (root / _META_NAME).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    for k, w in enumerate(layer.weights, start=1):
-        ndt.write(root / f"W_{k}.ndt", w)
-    if layer.biases is not None:
-        for k, b in enumerate(layer.biases, start=1):
-            ndt.write(root / f"b_{k}.ndt", b)
+    root.parent.mkdir(parents=True, exist_ok=True)
+    # the scratch directory, and the earlier layer once moved into it, go on exit
+    with tempfile.TemporaryDirectory(prefix=f".{root.name}.", dir=root.parent) as scratch:
+        new = Path(scratch) / "new"
+        new.mkdir()
+        meta = {
+            "in_dims": list(layer.in_dims),
+            "out_dims": list(layer.out_dims),
+            "with_bias": layer.with_bias,
+            "N": layer.n_modes,
+        }
+        (new / _META_NAME).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        for k, w in enumerate(layer.weights, start=1):
+            ndt.write(new / f"W_{k}.ndt", w)
+        if layer.biases is not None:
+            for k, b in enumerate(layer.biases, start=1):
+                ndt.write(new / f"b_{k}.ndt", b)
+        if root.is_dir():
+            root.rename(Path(scratch) / "old")
+        new.rename(root)
 
 
 def _read_meta(path: Path) -> tuple[int, tuple[int, ...], tuple[int, ...], bool]:
@@ -436,8 +438,7 @@ def _read_meta(path: Path) -> tuple[int, tuple[int, ...], tuple[int, ...], bool]
     if type(n) is not int:
         raise ndt.FormatError(f"{path}: N must be an integer, got {n!r}")
     for key, dims in (("in_dims", in_dims), ("out_dims", out_dims)):
-        if not (isinstance(dims, list) and dims
-                and all(type(d) is int and d >= 1 for d in dims)):
+        if not (isinstance(dims, list) and dims and all(is_positive_int(d) for d in dims)):
             raise ndt.FormatError(f"{path}: {key} must be a non-empty list of positive "
                                   f"integers, got {dims!r}")
         if len(dims) != n:

@@ -20,38 +20,31 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import layer as layer_mod
 from . import oracle
 from .layer import NdLinearLayer
-from .nn import Adam, mse_loss
+from .nn import Adam, Dense, mse_loss
 from .tensor import ShapeError, make_rng
 
 
 @dataclass
 class FrozenDense:
-    """Fixed base map y = x w0 + b0. Never trained."""
+    """Fixed base map y = x w0 + b0, an ``nn.Dense`` with read-only arrays."""
 
     w0: np.ndarray
     b0: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.w0.ndim != 2:
-            raise ShapeError(f"base weight must be a matrix, got {self.w0.shape}")
-        if self.b0 is not None and self.b0.shape != (self.w0.shape[1],):
-            raise ShapeError(f"base bias shape {self.b0.shape} != ({self.w0.shape[1]},)")
-        self.w0.setflags(write=False)
-        if self.b0 is not None:
-            self.b0.setflags(write=False)
+        self._dense = Dense(self.w0, self.b0)  # checks the shapes
+        for arr in self._dense.params():
+            arr.setflags(write=False)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        y = x @ self.w0
-        if self.b0 is not None:
-            y = y + self.b0
-        return y
+        return self._dense.infer(x)
 
 
 @dataclass
@@ -161,14 +154,7 @@ class AdapterParamReport:
     ratio: float
 
     def as_dict(self) -> dict:
-        return {
-            "d": self.d, "h": self.h, "rank": self.rank,
-            "in_factors": list(self.in_factors),
-            "out_factors": list(self.out_factors),
-            "lora_params": self.lora_params,
-            "ndlora_params": self.ndlora_params,
-            "ratio": self.ratio,
-        }
+        return asdict(self)
 
 
 def adapter_param_counts(d: int, h: int, rank: int,
@@ -219,11 +205,11 @@ def recovery_experiment(d: int, h: int, rank: int = 8, seed: int = 0,
     if target not in ("random-kron", "random-dense"):
         raise ValueError(f"unknown target kind {target!r}")
     rng = make_rng(seed)
-    in_factors = choose_factors(d)
-    out_factors = choose_factors(h)
-
+    # the base comes before the O(sqrt(d)) factor search: a size too big to hold fails fast
     base = FrozenDense(rng.standard_normal((d, h)) / math.sqrt(d),
                        rng.standard_normal(h) * 0.1)
+    in_factors = choose_factors(d)
+    out_factors = choose_factors(h)
     if target == "random-kron":
         g1 = rng.standard_normal((in_factors[0], out_factors[0]))
         g2 = rng.standard_normal((in_factors[1], out_factors[1]))

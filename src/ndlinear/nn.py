@@ -35,7 +35,7 @@ import numpy as np
 
 from . import layer as layer_mod
 from .layer import NdLinearLayer
-from .tensor import ShapeError, make_rng, validate_shape
+from .tensor import ShapeError, is_positive_int, make_rng, validate_shape
 
 LOSSES = ("mse", "cross_entropy")
 
@@ -49,6 +49,16 @@ class TrainingDiverged(RuntimeError):
 
 
 # ---------------------------------------------------------------- layers
+
+class _Layer:
+    """Model layer defaults: no parameters, and ``infer`` is ``forward`` less its cache."""
+
+    def params(self):
+        return []
+
+    def infer(self, x):
+        return self.forward(x)[0]
+
 
 class NdLinear:
     """Model layer wrapping a factorized N-D linear layer."""
@@ -81,7 +91,7 @@ class NdLinear:
         return g.d_input, grads
 
 
-class Dense:
+class Dense(_Layer):
     """Plain affine layer; flattens feature axes row-major on the way in."""
 
     def __init__(self, w: np.ndarray, b: np.ndarray | None = None):
@@ -109,9 +119,6 @@ class Dense:
             y = y + self.b
         return y, (x_flat, x.shape)
 
-    def infer(self, x):
-        return self.forward(x)[0]
-
     def backward(self, cache, d_y):
         x_flat, in_shape = cache
         d_w = x_flat.T @ d_y
@@ -121,12 +128,9 @@ class Dense:
         return d_x, [d_w, d_y.sum(axis=0)]
 
 
-class ReLU:
+class ReLU(_Layer):
     def out_shape(self, in_shape):
         return tuple(in_shape)
-
-    def params(self):
-        return []
 
     def forward(self, x):
         mask = x > 0  # ties at 0 get gradient 0
@@ -139,7 +143,7 @@ class ReLU:
         return d_y * cache, []
 
 
-class Reshape:
+class Reshape(_Layer):
     """Rearranges feature axes; flat data order is untouched."""
 
     def __init__(self, dims):
@@ -150,14 +154,8 @@ class Reshape:
             raise ShapeError(f"cannot reshape features {tuple(in_shape)} to {self.dims}")
         return self.dims
 
-    def params(self):
-        return []
-
     def forward(self, x):
         return np.ascontiguousarray(x).reshape(x.shape[0], *self.dims), x.shape
-
-    def infer(self, x):
-        return self.forward(x)[0]
 
     def backward(self, cache, d_y):
         return np.ascontiguousarray(d_y).reshape(cache), []
@@ -220,14 +218,11 @@ def model_backward(model: Model, caches: list, d_y: np.ndarray):
     model.params(), gradient w.r.t. the model input)."""
     if len(caches) != len(model.layers):
         raise ShapeError(f"got {len(caches)} caches for {len(model.layers)} layers")
-    grads_rev = []
+    flat = []
     d_z = d_y
     for lyr, cache in zip(reversed(model.layers), reversed(caches)):
         d_z, grads = lyr.backward(cache, d_z)
-        grads_rev.append(grads)
-    flat = []
-    for grads in reversed(grads_rev):
-        flat += grads
+        flat = grads + flat
     return flat, d_z
 
 
@@ -623,14 +618,14 @@ class ConfigError(ValueError):
 def _cfg_dims(entry: dict, key: str, where: str) -> tuple[int, ...]:
     value = entry.get(key)
     if (not isinstance(value, list) or not value
-            or not all(isinstance(d, int) and d >= 1 for d in value)):
+            or not all(is_positive_int(d) for d in value)):
         raise ConfigError(f"{where}.{key}: expected a list of positive ints, got {value!r}")
     return tuple(value)
 
 
 def _cfg_int(entry: dict, key: str, where: str) -> int:
     value = entry.get(key)
-    if not isinstance(value, int) or value < 1:
+    if not is_positive_int(value):
         raise ConfigError(f"{where}.{key}: expected a positive int, got {value!r}")
     return value
 
@@ -659,23 +654,20 @@ def build_model(config: dict, rng: np.random.Generator) -> Model:
         if not isinstance(entry, dict):
             raise ConfigError(f"{where}: expected an object")
         kind = entry.get("type")
+        bias = entry.get("bias", True)
+        if kind in ("ndlinear", "dense") and not isinstance(bias, bool):
+            raise ConfigError(f"{where}.bias: expected a bool, got {bias!r}")
         if kind == "ndlinear":
             dims_in = _cfg_dims(entry, "in", where)
             dims_out = _cfg_dims(entry, "out", where)
             if len(dims_in) != len(dims_out):
                 raise ConfigError(f"{where}: in and out must have the same rank")
-            bias = entry.get("bias", True)
-            if not isinstance(bias, bool):
-                raise ConfigError(f"{where}.bias: expected a bool, got {bias!r}")
             layers.append(NdLinear(layer_mod.init_xavier(dims_in, dims_out, bias, rng)))
             if in_dims is None:
                 in_dims = dims_in
         elif kind == "dense":
             d = _cfg_int(entry, "in", where)
             h = _cfg_int(entry, "out", where)
-            bias = entry.get("bias", True)
-            if not isinstance(bias, bool):
-                raise ConfigError(f"{where}.bias: expected a bool, got {bias!r}")
             layers.append(init_dense(d, h, bias, rng))
             if in_dims is None:
                 in_dims = (d,)

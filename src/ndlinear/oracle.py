@@ -21,14 +21,14 @@ hand-written backward pass is validated against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 
 import numpy as np
 
 from . import layer as layer_mod
 from .layer import NdLinearGrads, NdLinearLayer
-from .tensor import ShapeError, make_rng, reshape, validate_shape, zeros
+from .tensor import ShapeError, make_rng
 
 DEFAULT_SIZE_CAP = 1 << 24
 REL_ERR_FLOOR = 1e-8
@@ -77,7 +77,7 @@ def probe_full_map(layer: NdLinearLayer, size_cap: int = DEFAULT_SIZE_CAP) -> Fl
     vectors, so memory stays bounded for wide layers.
     """
     p, q = _check_cap(layer, size_cap)
-    b_full = layer_mod.forward(layer, zeros((1, *layer.in_dims)))[0].reshape(q)
+    b_full = layer_mod.forward(layer, np.zeros((1, *layer.in_dims)))[0].reshape(q)
     w_full = np.empty((p, q))
     for start in range(0, p, PROBE_CHUNK):
         rows = min(PROBE_CHUNK, p - start)
@@ -98,7 +98,7 @@ def flat_forward(m: FlatAffineMap, x: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"flattened input width {width} != map width {m.w_full.shape[0]}"
         )
-    x_flat = reshape(x, (batch, width))
+    x_flat = x.reshape(batch, width)
     y_flat = x_flat @ m.w_full + m.b_full
     return y_flat.reshape(batch, *m.out_dims)
 
@@ -186,16 +186,7 @@ class TrialResult:
     max_error: float
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "n_modes": self.n_modes,
-            "in_dims": list(self.in_dims),
-            "out_dims": list(self.out_dims),
-            "with_bias": self.with_bias,
-            "batch": self.batch,
-            "max_error": self.max_error,
-        }
+        return asdict(self)
 
 
 def _random_dims(rng: np.random.Generator, n: int, max_dim: int) -> tuple[int, ...]:

@@ -55,6 +55,11 @@ def validate_shape(dims) -> tuple[int, ...]:
     return dims
 
 
+def is_positive_int(value) -> bool:
+    """True for an int >= 1. Bools and floats, which JSON also yields, are not."""
+    return type(value) is int and value >= 1
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded 64-bit PRNG (PCG64) used for every random draw here."""
     return np.random.Generator(np.random.PCG64(seed))
@@ -95,39 +100,17 @@ class FlopCounter:
 _active_counter: FlopCounter | None = None
 
 
-def _as_f64(t: np.ndarray) -> np.ndarray:
-    arr = np.asarray(t, dtype=np.float64)
-    return np.ascontiguousarray(arr)
-
-
-def zeros(shape) -> np.ndarray:
-    """All-zero tensor of the given shape."""
-    return np.zeros(validate_shape(shape), dtype=np.float64)
-
-
 def permute(t: np.ndarray, axes) -> np.ndarray:
     """Reorder axes so output axis i is input axis ``axes[i]``.
 
     Always materializes a fresh contiguous copy, including for the
     identity permutation.
     """
-    t = _as_f64(t)
+    t = np.ascontiguousarray(t, dtype=np.float64)
     axes = tuple(int(a) for a in axes)
     if sorted(axes) != list(range(t.ndim)):
         raise ShapeError(f"axes {axes} is not a permutation of 0..{t.ndim - 1}")
     return np.transpose(t, axes).copy(order="C")
-
-
-def reshape(t: np.ndarray, new_shape) -> np.ndarray:
-    """Reinterpret the flat data under a new shape (same element count)."""
-    t = _as_f64(t)
-    new_shape = validate_shape(new_shape)
-    if math.prod(new_shape) != t.size:
-        raise ShapeError(
-            f"cannot reshape {t.size} elements into {new_shape} "
-            f"({math.prod(new_shape)} elements)"
-        )
-    return t.reshape(new_shape)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,11 +133,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def _mode_axes(rank: int, k: int) -> tuple[int, ...]:
-    """Permutation moving feature axis k (batch at 0) to the last slot."""
-    return tuple(a for a in range(rank) if a != k) + (k,)
-
-
 def mode_k_product(t: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
     """Transform feature mode k of a batched tensor by matrix ``w``.
 
@@ -164,8 +142,8 @@ def mode_k_product(t: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
     w.shape[1]. Computed as the permute -> reshape -> matmul ->
     reshape -> inverse-permute sequence, so the result is contiguous.
     """
-    t = _as_f64(t)
-    w = _as_f64(w)
+    t = np.ascontiguousarray(t, dtype=np.float64)
+    w = np.ascontiguousarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise ShapeError(f"weight must be a matrix, got shape {w.shape}")
     if not 1 <= k <= t.ndim - 1:
@@ -174,12 +152,13 @@ def mode_k_product(t: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
     if t.shape[k] != d_k:
         raise ShapeError(f"mode {k} has size {t.shape[k]}, weight expects {d_k}")
 
-    axes = _mode_axes(t.ndim, k)
+    # move feature axis k (batch at 0) to the last slot
+    axes = tuple(a for a in range(t.ndim) if a != k) + (k,)
     moved = permute(t, axes)
     rows = t.size // d_k
-    mat = reshape(moved, (rows, d_k))
+    mat = moved.reshape(rows, d_k)
     out_mat = matmul(mat, w)
-    out_moved = reshape(out_mat, moved.shape[:-1] + (h_k,))
+    out_moved = out_mat.reshape(moved.shape[:-1] + (h_k,))
     inverse = tuple(np.argsort(axes))
     return permute(out_moved, inverse)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ndlinear import cli
+from ndlinear import cli, oracle
 from ndlinear import layer as layer_mod
 from ndlinear.cli import main
 
@@ -54,6 +54,14 @@ def write_config(tmp_path, config=MODEL_CONFIG):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(config))
     return path
+
+
+def assert_one_line_usage_error(capsys, *parts):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    for part in parts:
+        assert part in err
 
 
 class TestVerify:
@@ -104,6 +112,31 @@ class TestVerify:
         assert "--seeds" in captured.err
         assert "PASS" not in captured.out
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--max-rank", "0"],    # ran zero equivalence and Kronecker trials, then PASS
+        ["--max-rank", "-2"],
+        ["--max-dim", "0"],     # numpy ValueError: low >= high
+        ["--max-rank", "9"],    # oracle.SizeCapError: 5 ** 18 entries
+        ["--max-dim", "4097", "--max-rank", "1"],
+        ["--max-dim", "2", "--max-rank", "1000000000000"],
+    ])
+    def test_range_usage_error(self, tmp_path, capsys, args):
+        out = tmp_path / "report.json"
+        assert main(["verify", *args, "--json", str(out)]) == 2
+        assert_one_line_usage_error(capsys, "--max-rank", "--max-dim",
+                                    f"{oracle.DEFAULT_SIZE_CAP}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("max_dim, max_rank, code", [
+        (4096, 1, 0), (4097, 1, 2), (2, 12, 0), (2, 13, 2),
+    ])
+    def test_cap_is_max_dim_to_twice_max_rank(self, monkeypatch, max_dim, max_rank, code):
+        # the range check alone: no trials run
+        for name in ("equivalence_trials", "kronecker_trials", "gradient_trials"):
+            monkeypatch.setattr(oracle, name, lambda *args: [])
+        assert main(["verify", "--max-dim", str(max_dim), "--max-rank", str(max_rank),
+                     "--quiet"]) == code
 
 
 class TestBench:
@@ -158,6 +191,40 @@ class TestBench:
     def test_bad_dims_usage_error(self, capsys):
         assert main(["bench", "--in-dims", "banana", "--quiet"]) == 2
         assert "dims" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("in_dims, out_dims, nbytes", [
+        # a MemoryError before, as at 100000,100000; this size is past a
+        # 47-bit address space, so no overcommit policy lets it through
+        ("10000000,10000000", "1,1", "6,400,000,160,000,064"),
+        # OverflowError: the element count overflows a platform word
+        ("10000000000,10000000000", "1,1", "6,400,000,000,160,000,000,064"),
+        # ValueError: array is too big
+        ("3000000000", "3000000000", "72,000,000,384,000,000,000"),
+    ])
+    def test_unallocatable_layer_usage_error(self, capsys, in_dims, out_dims, nbytes):
+        assert main(["bench", "--in-dims", in_dims, "--out-dims", out_dims, "--quiet"]) == 2
+        assert_one_line_usage_error(
+            capsys, f"--in-dims {in_dims} --out-dims {out_dims}: cannot allocate {nbytes} bytes")
+
+    @pytest.mark.parametrize("cap", ["nan", "inf", "-1", "-0.5"])
+    def test_mem_cap_must_be_finite_and_nonnegative(self, capsys, cap):
+        # -1 used to skip the dense timing; nan and inf ended in tracebacks
+        assert main(["bench", "--in-dims", "2", "--out-dims", "2",
+                     f"--mem-cap-gib={cap}", "--quiet"]) == 2
+        assert_one_line_usage_error(capsys, "--mem-cap-gib")
+
+    def test_zero_mem_cap_skips_dense(self, tmp_path):
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--in-dims", "2", "--out-dims", "2", "--trials", "1",
+                     "--mem-cap-gib", "0", "--json", str(out), "--quiet"]) == 0
+        assert json.loads(out.read_text())["wall_ns_dense"] is None
+
+    def test_dense_weight_under_the_cap_counts_toward_the_bytes(self, capsys):
+        # 2**46 x 2**46 dense entries fit a 2**90 GiB cap; the layer alone
+        # (2**47 weights, 2**46 inputs and outputs) is past a 47-bit address space
+        assert main(["bench", "--in-dims", "8388608,8388608", "--out-dims", "8388608,8388608",
+                     "--batch", "1", "--mem-cap-gib", str(2.0**90), "--quiet"]) == 2
+        assert_one_line_usage_error(capsys, f"cannot allocate {8 * (2**92 + 2**48):,} bytes")
 
     def test_rank_mismatch_usage_error(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
@@ -247,6 +314,17 @@ class TestTrain:
                      "--quiet"])
         assert code == 2
         assert "layers[0].type" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("layer, field", [
+        ({"type": "ndlinear", "in": [True, 8], "out": [8, 8]}, "layers[0].in"),
+        ({"type": "dense", "in": 64, "out": True}, "layers[0].out"),
+    ])
+    def test_bool_dims_usage_error(self, tmp_path, capsys, layer, field):
+        # the dense case used to end in a TypeError traceback
+        config = write_config(tmp_path, {"layers": [layer], "loss": "mse"})
+        assert main(["train", "--config", str(config), "--data", "separable:n=20",
+                     "--epochs", "1", "--quiet"]) == 2
+        assert_one_line_usage_error(capsys, field)
 
     def test_loss_data_mismatch(self, tmp_path, capsys):
         config = write_config(tmp_path)  # cross_entropy model
@@ -352,6 +430,80 @@ class TestLoraDemo:
         report = json.loads(out.read_text())
         assert report["recovery_rel_frobenius"] < 1e-3
 
+    @pytest.mark.parametrize("args, nbytes", [
+        # a MemoryError before (at --h 64 too; a larger --h keeps the base past
+        # a 47-bit address space, so no overcommit policy lets it through)
+        (["--d", "100000000", "--h", "100000000"], "560,000,000,000,000,000"),
+        # a prime width: the base must fail before ~3.8e8 factor trials
+        (["--d", "1", "--h", "144115188075855859"], "5,764,607,523,034,234,376"),
+    ])
+    def test_unallocatable_usage_error(self, capsys, args, nbytes):
+        assert main(["lora-demo", *args, "--steps", "1", "--quiet"]) == 2
+        assert_one_line_usage_error(capsys, f"--d {args[1]}", f"cannot allocate {nbytes} bytes")
+
+    @pytest.mark.parametrize("flag", ["--d", "--h", "--rank"])
+    def test_nonpositive_size_usage_error(self, capsys, flag):
+        assert main(["lora-demo", flag, "0", "--quiet"]) == 2
+        assert_one_line_usage_error(capsys, flag)
+
+
+def mostly(valid, other):
+    """Draws from ``valid`` three times in four, else from ``other``."""
+    return st.tuples(st.integers(0, 3), valid, other).map(
+        lambda t: t[2] if t[0] == 0 else t[1])
+
+
+# Sizes are small, or so large (>= 2**45 elements, past a 47-bit address
+# space) that numpy turns the allocation away before touching memory.
+# Sizes in between would really allocate, so none are drawn.
+HUGE = st.integers(2**45, 2**64)
+
+
+def sizes(hi):
+    return mostly(st.integers(1, hi), st.one_of(st.integers(-1, 0), HUGE))
+
+
+def dim_list(n):
+    return mostly(st.lists(st.integers(1, 3), min_size=n, max_size=n),
+                  st.lists(st.one_of(st.integers(0, 3), HUGE), min_size=1, max_size=3)
+                  ).map(lambda ds: ",".join(map(str, ds)))
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["verify", "bench", "lora-demo"]))
+    argv = [command, "--quiet", f"--seed={draw(mostly(st.integers(0, 3), st.just(-1)))}"]
+    if command == "verify":
+        max_dim = draw(sizes(4))
+        # at --max-dim 1 no entry cap applies and the trials grow with the rank
+        max_rank = draw(st.integers(-1, 2) if max_dim == 1 else sizes(2))
+        argv += [f"--seeds={draw(mostly(st.just(1), st.integers(-1, 0)))}",
+                 f"--max-dim={max_dim}", f"--max-rank={max_rank}"]
+    elif command == "bench":
+        n = draw(st.integers(1, 3))
+        malformed = st.sampled_from(["", "x", "1,,2", "2.5"])
+        argv += [f"--in-dims={draw(mostly(dim_list(n), malformed))}",
+                 f"--out-dims={draw(mostly(dim_list(n), malformed))}",
+                 f"--batch={draw(sizes(3))}",
+                 f"--trials={draw(mostly(st.integers(1, 2), st.integers(-1, 0)))}",
+                 f"--warmup={draw(mostly(st.integers(0, 1), st.just(-1)))}",
+                 f"--mem-cap-gib={draw(mostly(st.floats(0, 1), st.floats()))!r}"]
+        if draw(st.booleans()):
+            argv.append("--bias")
+    else:
+        argv += [f"--d={draw(sizes(6))}", f"--h={draw(sizes(6))}", f"--rank={draw(sizes(3))}",
+                 f"--steps={draw(st.integers(-1, 2))}",
+                 f"--lr={draw(mostly(st.floats(1e-3, 0.1), st.floats()))!r}",
+                 f"--target={draw(st.sampled_from(['random-kron', 'random-dense']))}"]
+    return argv
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # e.g. --lr inf overflows
+@settings(max_examples=200, deadline=None)
+@given(argv=argvs())
+def test_verify_bench_lora_demo_exit_cleanly(argv):
+    assert main(argv) in (0, 1, 2)
+
 
 class TestUsage:
     def test_no_subcommand(self):
@@ -362,3 +514,13 @@ class TestUsage:
 
     def test_help(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--in-dims", "2", "--out-dims", "2"],
+        ["lora-demo", "--d", "4", "--h", "4", "--steps", "1"],
+        ["verify", "--seeds", "1"],
+    ])
+    def test_negative_seed_usage_error(self, capsys, argv):
+        # bench and lora-demo ended in numpy's "expected non-negative integer"
+        assert main([*argv, "--seed", "-1", "--quiet"]) == 2
+        assert_one_line_usage_error(capsys, "--seed")

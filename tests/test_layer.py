@@ -376,6 +376,37 @@ class TestSerialization:
         names = sorted(p.name for p in (tmp_path / "lyr").iterdir())
         assert names == ["W_1.ndt", "W_2.ndt", "b_1.ndt", "b_2.ndt", "meta.json"]
 
+    def test_resave_leaves_no_stale_files(self, tmp_path):
+        save_layer(init_xavier((2, 3, 4), (4, 5, 6), True, make_rng(0)), tmp_path / "lyr")
+        smaller = init_xavier((3, 2), (2, 3), False, make_rng(1))
+        save_layer(smaller, tmp_path / "lyr")
+        names = sorted(p.name for p in (tmp_path / "lyr").iterdir())
+        assert names == ["W_1.ndt", "W_2.ndt", "meta.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["lyr"]  # no scratch left
+        back = load_layer(tmp_path / "lyr")
+        assert back.in_dims == (3, 2) and back.biases is None
+
+    def test_failed_save_keeps_the_earlier_layer(self, tmp_path, monkeypatch):
+        _, first = random_layer(9, n=3, with_bias=True)
+        save_layer(first, tmp_path / "lyr")
+        calls = []
+        real_write = ndt.write
+
+        def write_then_fail(path, t):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            real_write(path, t)
+
+        monkeypatch.setattr(ndt, "write", write_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_layer(init_xavier((2,), (3,), True, make_rng(2)), tmp_path / "lyr")
+        back = load_layer(tmp_path / "lyr")
+        assert back.in_dims == first.in_dims and back.out_dims == first.out_dims
+        for got, want in zip(back.weights + back.biases, first.weights + first.biases):
+            assert got.tobytes() == want.tobytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["lyr"]
+
     @pytest.mark.parametrize("meta, problem", [
         (b'{"N": 2,', "not valid JSON"),
         (b"\xff\xfe", "not valid JSON"),
@@ -389,6 +420,8 @@ class TestSerialization:
          "out_dims must be"),
         (b'{"N": 2, "in_dims": [2, 3], "out_dims": [4, 0], "with_bias": true}',
          "out_dims must be"),
+        (b'{"N": 2, "in_dims": [true, 3], "out_dims": [4, 5], "with_bias": true}',
+         "in_dims must be"),
         (b'{"N": 2, "in_dims": [2, 3], "out_dims": [4, 5], "with_bias": 1}',
          "with_bias must be a bool"),
         (b'{"N": 3, "in_dims": [2, 3], "out_dims": [4, 5], "with_bias": true}',

@@ -485,6 +485,30 @@ class TestModelConfig:
         with pytest.raises(nn.ConfigError, match=r"layers\[0\].in"):
             nn.build_model(bad, make_rng(0))
 
+    @pytest.mark.parametrize("layer, field", [
+        ({"type": "ndlinear", "in": [True, 8], "out": [8, 8]}, "layers[0].in"),
+        ({"type": "ndlinear", "in": [8, 8], "out": [8, False]}, "layers[0].out"),
+        ({"type": "dense", "in": 8, "out": True}, "layers[0].out"),
+        ({"type": "dense", "in": 8.0, "out": 8}, "layers[0].in"),
+    ])
+    def test_bools_and_floats_are_not_dims(self, layer, field):
+        # [true, 8] used to build a (1, 8) layer; a dense "out": true got through
+        with pytest.raises(nn.ConfigError) as info:
+            nn.build_model({"layers": [layer], "loss": "mse"}, make_rng(0))
+        assert str(info.value).startswith(field + ":")
+
+    def test_reshape_dims_must_be_ints(self):
+        config = {"layers": [{"type": "dense", "in": 6, "out": 6},
+                             {"type": "reshape", "dims": [True, 6]}], "loss": "mse"}
+        with pytest.raises(nn.ConfigError, match=r"layers\[1\].dims"):
+            nn.build_model(config, make_rng(0))
+
+    @pytest.mark.parametrize("kind, dims", [("ndlinear", [8, 8]), ("dense", 8)])
+    def test_bias_must_be_bool(self, kind, dims):
+        layer = {"type": kind, "in": dims, "out": dims, "bias": 1}
+        with pytest.raises(nn.ConfigError, match=r"layers\[0\].bias"):
+            nn.build_model({"layers": [layer], "loss": "mse"}, make_rng(0))
+
     def test_bad_loss(self):
         bad = copy.deepcopy(self.GOOD)
         bad["loss"] = "hinge"
