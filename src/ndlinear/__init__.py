@@ -24,8 +24,8 @@ from .layer import (
     plan_modes,
     save_layer,
 )
-from .oracle import flat_forward, materialize_full_weight, probe_full_map
-from .tensor import ShapeError, make_rng, mode_k_product
+from .oracle import flat_forward, materialize_full_weight, mode_k_product, probe_full_map
+from .tensor import ShapeError, make_rng
 
 __version__ = "0.1.0"
 

@@ -51,7 +51,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 def _write_json(path: str | None, payload: dict) -> None:
     if path:
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 @contextmanager
@@ -70,40 +70,39 @@ def _allocating(option: str, nbytes: int, purpose: str):
 # ---------------------------------------------------------------- verify
 
 def _check_block(trials, tolerance: float) -> dict:
-    errors = [t.max_error for t in trials]
-    failures = [t.as_dict() for t in trials if t.max_error >= tolerance]
+    failures = [asdict(t) for t in trials if t.max_error >= tolerance]
     return {
         "tolerance": tolerance,
-        "trials": [t.as_dict() for t in trials],
-        "max_error": max(errors) if errors else 0.0,
+        "trials": [asdict(t) for t in trials],
+        "max_error": max((t.max_error for t in trials), default=0.0),
         "failures": len(failures),
         "failing_trials": failures,
     }
 
 
 def cmd_verify(args) -> int:
-    # max_dim ** (2 max_rank) bounds a trial's dense-map entries; an exponent
-    # of cap.bit_length() takes any max_dim >= 2 past the cap
+    # max_dim ** (2 max_rank) bounds a trial's dense-map entries; max_dim is floored at 2
+    # to bound the rank at --max-dim 1 too, and an exponent of cap.bit_length() is past the cap
     cap = oracle.DEFAULT_SIZE_CAP
     if (min(args.seeds, args.max_rank, args.max_dim) < 1
-            or args.max_dim ** min(2 * args.max_rank, cap.bit_length()) > cap):
-        raise UsageError(f"need --seeds, --max-rank and --max-dim >= 1, and max_dim ** "
-                         f"(2 max_rank) <= {cap}, the oracle's cap on dense-map entries; "
+            or max(args.max_dim, 2) ** min(2 * args.max_rank, cap.bit_length()) > cap):
+        raise UsageError(f"need --seeds, --max-rank and --max-dim >= 1, and max(max_dim, 2) "
+                         f"** (2 max_rank) <= {cap}, the oracle's cap on dense-map entries; "
                          f"got {args.seeds}, {args.max_rank} and {args.max_dim}")
     checks = {
         "equivalence": _check_block(
-            oracle.equivalence_trials(args.seeds, args.max_rank, args.max_dim),
+            oracle.equivalence_trials(args.seeds, args.max_rank, args.max_dim, args.seed),
             EQUIVALENCE_TOL),
         "kronecker": _check_block(
-            oracle.kronecker_trials(args.seeds, args.max_rank, args.max_dim),
+            oracle.kronecker_trials(args.seeds, args.max_rank, args.max_dim, args.seed),
             KRONECKER_TOL),
         "gradient": _check_block(
-            oracle.gradient_trials(args.seeds * 2), GRADIENT_TOL),
+            oracle.gradient_trials(args.seeds * 2, args.seed), GRADIENT_TOL),
     }
     passed = all(block["failures"] == 0 for block in checks.values())
     report = {
         "config": {"seeds": args.seeds, "max_rank": args.max_rank,
-                   "max_dim": args.max_dim},
+                   "max_dim": args.max_dim, "seed": args.seed},
         "checks": checks,
         "passed": passed,
     }
@@ -134,9 +133,6 @@ class BenchReport:
     wall_ns_nd: float
     wall_ns_dense: float | None
     speedup: float | None
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 CSV_COLUMNS = [
@@ -189,7 +185,7 @@ def run_bench(in_dims, out_dims, batch: int, trials: int = 30, warmup: int = 5,
     if dense_entries * 8 <= mem_cap_bytes:
         dense = oracle.FlatAffineMap(
             oracle.materialize_full_weight(lyr, size_cap=dense_entries),
-            layer_mod.effective_bias(lyr).reshape(-1), lyr.in_dims, lyr.out_dims)
+            layer_mod.effective_bias(lyr).reshape(-1), lyr.out_dims)
         wall_dense = _median_wall_ns(lambda: oracle.flat_forward(dense, x), trials, warmup)
 
     speedup = (wall_dense / wall_nd) if wall_dense is not None else None
@@ -206,7 +202,7 @@ def run_bench(in_dims, out_dims, batch: int, trials: int = 30, warmup: int = 5,
 def _write_csv(path: str, report: BenchReport) -> None:
     """One row of ``CSV_COLUMNS`` from the report and its config: dims
     joined with x, and empty cells where the JSON has null."""
-    fields = {**report.as_dict(), **report.config}
+    fields = {**asdict(report), **report.config}
     row = {}
     for column in CSV_COLUMNS:
         value = fields[column]
@@ -239,7 +235,7 @@ def cmd_bench(args) -> int:
                      f"the layer and a batch of {args.batch}"):
         report = run_bench(in_dims, out_dims, args.batch, args.trials, args.warmup,
                            args.seed, args.bias, mem_cap_bytes)
-    _write_json(args.json, report.as_dict())
+    _write_json(args.json, asdict(report))
     if args.csv:
         _write_csv(args.csv, report)
     if not args.quiet:
@@ -316,9 +312,11 @@ def cmd_train(args) -> int:
     except json.JSONDecodeError as exc:
         raise UsageError(f"{config_path}:{exc.lineno}:{exc.colno}: {exc.msg}")
 
+    if not 0 < args.split < 1:
+        raise UsageError(f"need 0 < --split < 1, got {args.split}")
     try:
         train_config = nn.TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                                      seed=args.seed, split=args.split, lr=args.lr)
+                                      seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -344,7 +342,7 @@ def cmd_train(args) -> int:
                              f"{classes} classes")
 
     optimizer = {
-        "sgd": lambda: nn.SGD(args.lr, momentum=0.9),
+        "sgd": lambda: nn.SGD(args.lr),
         "adam": lambda: nn.Adam(args.lr),
         "adamw": lambda: nn.AdamW(args.lr),
     }[args.optimizer]()
@@ -384,16 +382,23 @@ def cmd_lora_demo(args) -> int:
         report = lora.recovery_experiment(args.d, args.h, args.rank, args.seed,
                                           args.steps, args.lr, args.target)
     report["warnings"] = [str(w.message) for w in caught]
+    # JSON has no NaN or Infinity: a fit that went non-finite writes null there, and exits 1
+    report = json.loads(json.dumps(report), parse_constant=lambda _: None)
+    diverged = None in report["loss_curve"] or report["recovery_rel_frobenius"] is None
     _write_json(args.json, report)
     if not args.quiet:
         counts = report["param_counts"]
         print(f"trainable params: LoRA r={args.rank}: {counts['lora_params']}, "
               f"factorized: {counts['ndlora_params']} "
               f"(ratio {counts['ratio']:.2f}x)")
-        print(f"recovery rel Frobenius error: {report['recovery_rel_frobenius']:.3e} "
-              f"({args.target}, {args.steps} steps)")
+        if not diverged:
+            print(f"recovery rel Frobenius error: {report['recovery_rel_frobenius']:.3e} "
+                  f"({args.target}, {args.steps} steps)")
         for msg in report["warnings"]:
             print(f"warning: {msg}")
+    if diverged:
+        print(f"lora-demo: the fit went non-finite at --lr {args.lr}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
@@ -401,9 +406,13 @@ def cmd_lora_demo(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42, help="PRNG seed (default 42)")
     common.add_argument("--json", metavar="PATH", help="write the JSON report here")
     common.add_argument("--quiet", action="store_true", help="suppress console summary")
+
+    def add_parser(name, seed=42, **kwargs):
+        p = sub.add_parser(name, parents=[common], **kwargs)
+        p.add_argument("--seed", type=int, default=seed, help=f"PRNG seed (default {seed})")
+        return p
 
     parser = argparse.ArgumentParser(
         prog="ndlinear",
@@ -411,16 +420,16 @@ def _build_parser() -> argparse.ArgumentParser:
                     "toy training, and adapter demos.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the dense-equivalence and gradient oracle suite")
+    # verify's trial seeds start at --seed; 0 runs the oracle runners' default trials
+    p = add_parser("verify", seed=0,
+                   help="run the dense-equivalence and gradient oracle suite")
     p.add_argument("--seeds", type=int, default=12,
                    help="trials per config family (default 12)")
     p.add_argument("--max-rank", type=int, default=4)
     p.add_argument("--max-dim", type=int, default=5)
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("bench", parents=[common],
-                       help="parameter/FLOP counts and wall times vs dense baseline")
+    p = add_parser("bench", help="parameter/FLOP counts and wall times vs dense baseline")
     p.add_argument("--in-dims", default="16,16,16")
     p.add_argument("--out-dims", default="16,16,16")
     p.add_argument("--batch", type=int, default=8)
@@ -432,8 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", metavar="PATH", help="also write a one-row CSV")
     p.set_defaults(fn=cmd_bench)
 
-    p = sub.add_parser("train", parents=[common],
-                       help="train a model config on synthetic data")
+    p = add_parser("train", help="train a model config on synthetic data")
     p.add_argument("--config", required=True, metavar="PATH",
                    help="model config JSON file")
     p.add_argument("--data", default="separable",
@@ -447,8 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", metavar="PATH", help="write a JSON-lines training log")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("lora-demo", parents=[common],
-                       help="adapter parameter counts and delta recovery")
+    p = add_parser("lora-demo", help="adapter parameter counts and delta recovery")
     p.add_argument("--d", type=int, default=64)
     p.add_argument("--h", type=int, default=64)
     p.add_argument("--rank", type=int, default=8)
@@ -469,6 +476,9 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise UsageError(f"need --seed >= 0, got {args.seed}")
+        lr = vars(args).get("lr")  # train and lora-demo
+        if lr is not None and not (math.isfinite(lr) and lr > 0):
+            raise UsageError(f"need a finite --lr > 0, got {lr}")
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,7 +53,6 @@ from .tensor import (
     is_positive_int,
     matmul,
     permute,
-    rand_uniform,
     validate_shape,
 )
 
@@ -154,7 +153,7 @@ def init_xavier(in_dims, out_dims, with_bias: bool, rng: np.random.Generator) ->
     weights = []
     for d, h in zip(in_dims, out_dims):
         bound = math.sqrt(6.0 / (d + h))
-        weights.append(rand_uniform(rng, (d, h), -bound, bound))
+        weights.append(rng.uniform(-bound, bound, size=(d, h)))
     biases = [np.zeros(h, dtype=np.float64) for h in out_dims] if with_bias else None
     return NdLinearLayer(in_dims, out_dims, weights, biases)
 
@@ -313,10 +312,8 @@ def param_count(in_dims, out_dims, with_bias: bool) -> int:
 
 def dense_param_count(in_dims, out_dims, with_bias: bool) -> int:
     """Parameters of one dense layer on the flattened features."""
-    in_dims = validate_shape(in_dims)
-    out_dims = validate_shape(out_dims)
-    d_flat = math.prod(in_dims)
-    h_flat = math.prod(out_dims)
+    d_flat = math.prod(validate_shape(in_dims))
+    h_flat = math.prod(validate_shape(out_dims))
     total = checked_u64(d_flat * h_flat, "dense weight count")
     if with_bias:
         total += h_flat

@@ -153,9 +153,6 @@ class AdapterParamReport:
     ndlora_params: int
     ratio: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def adapter_param_counts(d: int, h: int, rank: int,
                          in_factors: tuple[int, int] | None = None,
@@ -230,7 +227,7 @@ def recovery_experiment(d: int, h: int, rank: int = 8, seed: int = 0,
         "config": {"d": d, "h": h, "rank": rank, "seed": seed, "steps": steps,
                    "lr": lr, "target": target,
                    "in_factors": list(in_factors), "out_factors": list(out_factors)},
-        "param_counts": counts.as_dict(),
+        "param_counts": asdict(counts),
         "final_loss": losses[-1] if losses else None,
         "recovery_rel_frobenius": recovery,
         "loss_curve": losses,

@@ -12,7 +12,8 @@ Training is single-threaded and deterministic given the config seed.
 
 The optimizers keep their state as flat vectors (``_FlatState``): a
 fixed handful of numpy calls per step instead of ~15 per parameter, with
-updates bitwise equal to a per-parameter loop.
+updates bitwise equal to a per-parameter loop. The learning rate is
+their one setting; momentum, betas, eps and weight decay are constants.
 
 ``evaluate`` (the per-epoch train and test losses) is an inference
 pass, block-wise and cache-free: it runs the rows in blocks through
@@ -162,9 +163,9 @@ class Reshape(_Layer):
 
 
 def init_dense(d: int, h: int, with_bias: bool, rng: np.random.Generator) -> Dense:
-    bound = math.sqrt(6.0 / (d + h))
-    w = rng.uniform(-bound, bound, size=(d, h))
-    return Dense(w, np.zeros(h) if with_bias else None)
+    """Xavier-uniform dense layer: the one-mode ``init_xavier``, same draws."""
+    lyr = layer_mod.init_xavier((d,), (h,), with_bias, rng)
+    return Dense(lyr.weights[0], lyr.biases[0] if with_bias else None)
 
 
 # ----------------------------------------------------------------- model
@@ -305,18 +306,19 @@ class _FlatState:
 
 
 class SGD(_FlatState):
-    """SGD with momentum; the velocity is one flat vector."""
+    """SGD with momentum ``MOMENTUM``; the velocity is one flat vector."""
 
-    def __init__(self, lr: float, momentum: float = 0.0):
+    MOMENTUM = 0.9
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.momentum = momentum
         self._velocity = None
 
     def _update(self, p: np.ndarray, g: np.ndarray) -> None:
         if self._velocity is None:
             self._velocity = np.zeros_like(p)
         v = self._velocity
-        v *= self.momentum
+        v *= self.MOMENTUM
         v += g
         p -= self.lr * v
 
@@ -324,12 +326,10 @@ class SGD(_FlatState):
 class Adam(_FlatState):
     """Adam; the moments ``m`` and ``v`` are flat vectors."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._m = None
         self._v = None
         self._t = 0
@@ -339,25 +339,22 @@ class Adam(_FlatState):
             self._m = np.zeros_like(p)
             self._v = np.zeros_like(p)
         self._t += 1
-        b1c = 1.0 - self.beta1 ** self._t
-        b2c = 1.0 - self.beta2 ** self._t
+        b1c = 1.0 - self.BETA1 ** self._t
+        b2c = 1.0 - self.BETA2 ** self._t
         m, v = self._m, self._v
-        m += (1.0 - self.beta1) * (g - m)
-        v += (1.0 - self.beta2) * (g * g - v)
-        p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        m += (1.0 - self.BETA1) * (g - m)
+        v += (1.0 - self.BETA2) * (g * g - v)
+        p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.EPS)
 
 
 class AdamW(Adam):
-    """Adam with decoupled weight decay, applied to the flat parameters first."""
+    """Adam with decoupled weight decay ``WEIGHT_DECAY``, applied to the parameters first."""
 
-    def __init__(self, lr: float, weight_decay: float = 0.01, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        super().__init__(lr, beta1, beta2, eps)
-        self.weight_decay = weight_decay
+    WEIGHT_DECAY = 0.01
 
     def step(self, params, grads):
         p, g = self._gather(params, grads)
-        p -= self.lr * self.weight_decay * p
+        p -= self.lr * self.WEIGHT_DECAY * p
         self._update(p, g)
         self._scatter(p, params)
 
@@ -369,14 +366,10 @@ class TrainConfig:
     epochs: int = 40
     batch_size: int = 32
     seed: int = 42
-    split: float = 0.8
-    lr: float = 1e-3
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0.0 < self.split < 1.0:
-            raise ValueError(f"split must be in (0, 1), got {self.split}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -481,6 +474,14 @@ def train(model: Model, data: TrainSplit, config: TrainConfig, optimizer,
 
 # ------------------------------------------------------- synthetic data
 
+def _split(x: np.ndarray, t: np.ndarray, split: float, task: str) -> TrainSplit:
+    """The first ``round(len(x) * split)`` samples train, the rest test."""
+    n_train = round(len(x) * split)
+    if not 0 < n_train < len(x):
+        raise ValueError(f"split {split} leaves no train or no test samples")
+    return TrainSplit(x[:n_train], t[:n_train], x[n_train:], t[n_train:], task)
+
+
 def gen_separable_regression(rng: np.random.Generator, b_total: int,
                              in_dims=(8, 8), out_dims=(8, 8),
                              noise_sigma: float = 0.0, split: float = 0.8,
@@ -505,10 +506,7 @@ def gen_separable_regression(rng: np.random.Generator, b_total: int,
     t = layer_mod.forward_only(truth, x)
     if noise_sigma > 0:
         t = t + noise_sigma * rng.standard_normal(t.shape)
-    n_train = round(b_total * split)
-    if not 0 < n_train < b_total:
-        raise ValueError(f"split {split} leaves no train or no test samples")
-    return TrainSplit(x[:n_train], t[:n_train], x[n_train:], t[n_train:], "regression")
+    return _split(x, t, split, "regression")
 
 
 def gen_blob_classification(rng: np.random.Generator, b_total: int,
@@ -522,28 +520,24 @@ def gen_blob_classification(rng: np.random.Generator, b_total: int,
     labels = rng.integers(0, 2, size=b_total)
     x = rng.standard_normal((b_total, features))
     x[:, 0] += (labels - 0.5) * sep
-    x = x.reshape(b_total, features, 1)
-    n_train = round(b_total * split)
-    if not 0 < n_train < b_total:
-        raise ValueError(f"split {split} leaves no train or no test samples")
-    return TrainSplit(x[:n_train], labels[:n_train], x[n_train:], labels[n_train:],
-                      "classification")
+    return _split(x.reshape(b_total, features, 1), labels, split, "classification")
 
 
 # ------------------------------------- inductive-bias comparison helpers
 
-def matched_dense_width(target_params: int, in_features: int, out_features: int,
-                        tol: float = 0.05) -> int:
+_MATCH_TOL = 0.05  # relative parameter-count mismatch ``matched_dense_width`` allows
+
+def matched_dense_width(target_params: int, in_features: int, out_features: int) -> int:
     """Hidden width of a bias-free two-layer dense stack whose parameter
-    count lands within ``tol`` of ``target_params``."""
+    count lands within ``_MATCH_TOL`` of ``target_params``."""
     per_unit = in_features + out_features
     best = max(1, round(target_params / per_unit))
     candidates = [w for w in (best - 1, best, best + 1) if w >= 1]
     width = min(candidates, key=lambda w: abs(w * per_unit - target_params))
     achieved = width * per_unit
-    if abs(achieved - target_params) > tol * target_params:
+    if abs(achieved - target_params) > _MATCH_TOL * target_params:
         raise ValueError(
-            f"no hidden width matches {target_params} params within {tol:.0%} "
+            f"no hidden width matches {target_params} params within {_MATCH_TOL:.0%} "
             f"(closest: width {width} -> {achieved})"
         )
     return width
@@ -588,7 +582,7 @@ def run_separable_comparison(n_seeds: int = 5, in_dims=(8, 8), out_dims=(8, 8),
                 "mse", in_dims),
         }
         for name, model in models.items():
-            cfg = TrainConfig(epochs=epochs, batch_size=batch_size, seed=seed, lr=lr)
+            cfg = TrainConfig(epochs=epochs, batch_size=batch_size, seed=seed)
             result = train(model, data, cfg, Adam(lr))
             mses[name].append(result.final["test_loss"])
 

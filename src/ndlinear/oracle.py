@@ -14,14 +14,15 @@ Two independent constructions of the dense map a layer realizes:
   ``forward_only``, keeps inference's planned mode order from being
   judged against itself.
 
-``finite_diff_grads`` supplies the numerical gradient oracle the
-hand-written backward pass is validated against.
+``mode_k_product`` is the reference mode-k product (Kolda & Bader,
+SIAM Review 2009). ``finite_diff_grads`` supplies the numerical
+gradient oracle the hand-written backward pass is validated against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -32,6 +33,7 @@ from .tensor import ShapeError, make_rng
 
 DEFAULT_SIZE_CAP = 1 << 24
 REL_ERR_FLOOR = 1e-8
+FD_STEP = 1e-5
 # Basis vectors per ``forward`` call in ``probe_full_map``. One batch of
 # all 4,096 probes of a (16,256)->(64,4) layer peaked at 835 MiB RSS in
 # 1.51 s; chunks of 256 peaked at 117 MiB in 0.69 s.
@@ -48,7 +50,6 @@ class FlatAffineMap:
 
     w_full: np.ndarray
     b_full: np.ndarray
-    in_dims: tuple[int, ...]
     out_dims: tuple[int, ...]
 
 
@@ -68,7 +69,7 @@ def materialize_full_weight(layer: NdLinearLayer, size_cap: int = DEFAULT_SIZE_C
     return reduce(np.kron, layer.weights)
 
 
-def probe_full_map(layer: NdLinearLayer, size_cap: int = DEFAULT_SIZE_CAP) -> FlatAffineMap:
+def probe_full_map(layer: NdLinearLayer) -> FlatAffineMap:
     """Identify the layer's affine map from black-box evaluations.
 
     b_full is the output on the zero input; row j of w_full is the
@@ -76,7 +77,7 @@ def probe_full_map(layer: NdLinearLayer, size_cap: int = DEFAULT_SIZE_CAP) -> Fl
     ``forward`` (caches dropped) in batches of at most ``PROBE_CHUNK``
     vectors, so memory stays bounded for wide layers.
     """
-    p, q = _check_cap(layer, size_cap)
+    p, q = _check_cap(layer, DEFAULT_SIZE_CAP)
     b_full = layer_mod.forward(layer, np.zeros((1, *layer.in_dims)))[0].reshape(q)
     w_full = np.empty((p, q))
     for start in range(0, p, PROBE_CHUNK):
@@ -86,7 +87,7 @@ def probe_full_map(layer: NdLinearLayer, size_cap: int = DEFAULT_SIZE_CAP) -> Fl
         w_full[start:start + rows] = layer_mod.forward(
             layer, basis.reshape(rows, *layer.in_dims))[0].reshape(rows, q)
     w_full -= b_full
-    return FlatAffineMap(w_full, b_full, layer.in_dims, layer.out_dims)
+    return FlatAffineMap(w_full, b_full, layer.out_dims)
 
 
 def flat_forward(m: FlatAffineMap, x: np.ndarray) -> np.ndarray:
@@ -103,14 +104,29 @@ def flat_forward(m: FlatAffineMap, x: np.ndarray) -> np.ndarray:
     return y_flat.reshape(batch, *m.out_dims)
 
 
-def central_diff(f, arrays: list[np.ndarray], h: float = 1e-5) -> list[np.ndarray]:
-    """Central finite differences of scalar ``f()`` w.r.t. each array.
+def mode_k_product(t: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
+    """Replace every mode-k fiber f of ``t`` (B, S_1, ..., S_N) by f^T w.
+
+    Mode k counts from 1, so it is array axis k; that axis resizes from
+    w.shape[0] to w.shape[1]. No library path calls this.
+    """
+    t, w = np.asarray(t, dtype=np.float64), np.asarray(w, dtype=np.float64)
+    if w.ndim != 2:
+        raise ShapeError(f"weight must be a matrix, got shape {w.shape}")
+    if not 1 <= k <= t.ndim - 1:
+        raise ShapeError(f"mode {k} out of range for tensor of rank {t.ndim} (batch at 0)")
+    if t.shape[k] != w.shape[0]:
+        raise ShapeError(f"mode {k} has size {t.shape[k]}, weight expects {w.shape[0]}")
+    return np.moveaxis(np.tensordot(t, w, axes=(k, 0)), -1, k)
+
+
+def central_diff(f, arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Central finite differences, step ``FD_STEP``, of scalar ``f()``
+    w.r.t. each array.
 
     Entries are perturbed in place and restored, so ``f`` must read the
     arrays afresh on every call.
     """
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
     grads = []
     for arr in arrays:
         g = np.zeros_like(arr)
@@ -118,18 +134,17 @@ def central_diff(f, arrays: list[np.ndarray], h: float = 1e-5) -> list[np.ndarra
         g_flat = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + FD_STEP
             loss_plus = f()
-            flat[i] = orig - h
+            flat[i] = orig - FD_STEP
             loss_minus = f()
             flat[i] = orig
-            g_flat[i] = (loss_plus - loss_minus) / (2.0 * h)
+            g_flat[i] = (loss_plus - loss_minus) / (2.0 * FD_STEP)
         grads.append(g)
     return grads
 
 
-def finite_diff_grads(layer: NdLinearLayer, x: np.ndarray, loss_fn,
-                      h: float = 1e-5) -> NdLinearGrads:
+def finite_diff_grads(layer: NdLinearLayer, x: np.ndarray, loss_fn) -> NdLinearGrads:
     """Numerical dL/d(weights, biases, input) for L = loss_fn(forward(x)).
 
     Slow path: two forward passes per scalar. Callers keep the configs
@@ -145,7 +160,7 @@ def finite_diff_grads(layer: NdLinearLayer, x: np.ndarray, loss_fn,
     def run() -> float:
         return float(loss_fn(layer_mod.forward_only(layer, x)))
 
-    grads = central_diff(run, arrays, h)
+    grads = central_diff(run, arrays)
     d_weights = grads[:n]
     d_biases = grads[n:2 * n] if layer.biases is not None else None
     return NdLinearGrads(d_weights, d_biases, grads[-1])
@@ -154,11 +169,11 @@ def finite_diff_grads(layer: NdLinearLayer, x: np.ndarray, loss_fn,
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) if np.asarray(a).size else 0.0
 
-def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = REL_ERR_FLOOR) -> float:
-    """Max elementwise |a-b| / max(|a|, |b|, floor)."""
+def max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
+    """Max elementwise |a-b| / max(|a|, |b|, ``REL_ERR_FLOOR``)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), REL_ERR_FLOOR)
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
@@ -184,9 +199,6 @@ class TrialResult:
     with_bias: bool
     batch: int
     max_error: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _random_dims(rng: np.random.Generator, n: int, max_dim: int) -> tuple[int, ...]:
@@ -229,8 +241,7 @@ def kronecker_trial(seed: int, n: int, max_dim: int = 5) -> TrialResult:
                        False, 0, max_abs_diff(w_kron, w_probe))
 
 
-def gradient_trial(seed: int, max_rank: int = 3, max_dim: int = 4,
-                   h: float = 1e-5) -> TrialResult:
+def gradient_trial(seed: int, max_rank: int = 3, max_dim: int = 4) -> TrialResult:
     """Max relative error, analytic backward vs central differences.
 
     Uses the quadratic loss L = 0.5 * sum(y^2), whose dL/dy is y.
@@ -244,15 +255,16 @@ def gradient_trial(seed: int, max_rank: int = 3, max_dim: int = 4,
 
     y, cache = layer_mod.forward(lyr, x)
     analytic = layer_mod.backward(lyr, cache, y)
-    numeric = finite_diff_grads(lyr, x, lambda out: 0.5 * float((out ** 2).sum()), h)
+    numeric = finite_diff_grads(lyr, x, lambda out: 0.5 * float((out ** 2).sum()))
     return TrialResult("gradient", seed, n, lyr.in_dims, lyr.out_dims,
                        with_bias, batch, grads_max_rel_err(analytic, numeric))
 
 
-def equivalence_trials(seeds: int, max_rank: int = 4, max_dim: int = 5) -> list[TrialResult]:
-    """One trial per (seed, rank, bias) family."""
+def equivalence_trials(seeds: int, max_rank: int = 4, max_dim: int = 5,
+                       base: int = 0) -> list[TrialResult]:
+    """One trial per (seed, rank, bias) family, for seeds base..base+seeds-1."""
     results = []
-    for seed in range(seeds):
+    for seed in range(base, base + seeds):
         for n in range(1, max_rank + 1):
             for with_bias in (False, True):
                 trial_seed = seed * 1000 + n * 10 + int(with_bias)
@@ -260,13 +272,14 @@ def equivalence_trials(seeds: int, max_rank: int = 4, max_dim: int = 5) -> list[
     return results
 
 
-def kronecker_trials(seeds: int, max_rank: int = 4, max_dim: int = 5) -> list[TrialResult]:
+def kronecker_trials(seeds: int, max_rank: int = 4, max_dim: int = 5,
+                     base: int = 0) -> list[TrialResult]:
     results = []
-    for seed in range(seeds):
+    for seed in range(base, base + seeds):
         for n in range(1, max_rank + 1):
             results.append(kronecker_trial(seed * 1000 + n * 10, n, max_dim))
     return results
 
 
-def gradient_trials(seeds: int, max_rank: int = 3, max_dim: int = 4) -> list[TrialResult]:
-    return [gradient_trial(seed, max_rank, max_dim) for seed in range(seeds)]
+def gradient_trials(seeds: int, base: int = 0) -> list[TrialResult]:
+    return [gradient_trial(seed) for seed in range(base, base + seeds)]

@@ -4,10 +4,11 @@ Conventions used throughout the package:
 
 - Tensors are ``numpy.ndarray`` objects with dtype float64 and C
   (row-major, last axis fastest) memory order.
-- Operations are pure: inputs are never mutated. ``permute`` and
-  ``mode_k_product`` materialize contiguous results; ``matmul`` takes
-  its operands as they come, so a transposed view reaches BLAS as a
-  transpose flag instead of being copied first.
+- Operations are pure: inputs are never mutated. ``permute``
+  materializes a contiguous result; ``matmul`` takes its operands as
+  they come, so a transposed view reaches BLAS as a transpose flag
+  instead of being copied first. These two are the layer's only
+  compute primitives; the reference mode-k product lives in ``oracle``.
 - Shapes are tuples of positive ints. ``validate_shape`` enforces the
   rank >= 1 / dims >= 1 / no-overflow invariants.
 - Randomness comes from ``make_rng``, a seeded 64-bit PCG64 generator.
@@ -131,40 +132,3 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         n = b.shape[1]
         _active_counter.add(m * k * n)
     return a @ b
-
-
-def mode_k_product(t: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
-    """Transform feature mode k of a batched tensor by matrix ``w``.
-
-    ``t`` has shape (B, S_1, ..., S_N) with the batch at axis 0 and mode
-    k counted from 1, so mode k lives at array axis k. Every mode-k
-    fiber f is replaced by f^T w, resizing that axis from w.shape[0] to
-    w.shape[1]. Computed as the permute -> reshape -> matmul ->
-    reshape -> inverse-permute sequence, so the result is contiguous.
-    """
-    t = np.ascontiguousarray(t, dtype=np.float64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise ShapeError(f"weight must be a matrix, got shape {w.shape}")
-    if not 1 <= k <= t.ndim - 1:
-        raise ShapeError(f"mode {k} out of range for tensor of rank {t.ndim} (batch at 0)")
-    d_k, h_k = w.shape
-    if t.shape[k] != d_k:
-        raise ShapeError(f"mode {k} has size {t.shape[k]}, weight expects {d_k}")
-
-    # move feature axis k (batch at 0) to the last slot
-    axes = tuple(a for a in range(t.ndim) if a != k) + (k,)
-    moved = permute(t, axes)
-    rows = t.size // d_k
-    mat = moved.reshape(rows, d_k)
-    out_mat = matmul(mat, w)
-    out_moved = out_mat.reshape(moved.shape[:-1] + (h_k,))
-    inverse = tuple(np.argsort(axes))
-    return permute(out_moved, inverse)
-
-
-def rand_uniform(rng: np.random.Generator, shape, lo: float, hi: float) -> np.ndarray:
-    """Tensor of i.i.d. uniform draws in [lo, hi)."""
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
-    return rng.uniform(lo, hi, size=validate_shape(shape))

@@ -19,7 +19,7 @@ def brute_force_mode_k(t: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def model_numeric_grads(model, x, targets, h=1e-5):
+def model_numeric_grads(model, x, targets):
     """Central-difference gradients of the model loss w.r.t. every
     parameter, via the generic finite-difference helper."""
     params = model.params()
@@ -30,7 +30,7 @@ def model_numeric_grads(model, x, targets, h=1e-5):
             return nn.mse_loss(y, targets)[0]
         return nn.softmax_cross_entropy(y, targets)[0]
 
-    return oracle.central_diff(run, params, h)
+    return oracle.central_diff(run, params)
 
 
 def model_analytic_grads(model, x, targets):

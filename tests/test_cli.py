@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -56,6 +58,15 @@ def write_config(tmp_path, config=MODEL_CONFIG):
     return path
 
 
+def _no_constant(token):
+    raise ValueError(f"{token} is not valid JSON")
+
+
+def read_report(path):
+    """A JSON report, refusing the NaN and Infinity tokens that RFC 8259 lacks."""
+    return json.loads(path.read_text(), parse_constant=_no_constant)
+
+
 def assert_one_line_usage_error(capsys, *parts):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -69,7 +80,7 @@ class TestVerify:
         out = tmp_path / "report.json"
         code = main(["verify", "--seeds", "3", "--json", str(out), "--quiet"])
         assert code == 0
-        report = json.loads(out.read_text())
+        report = read_report(out)
         assert report["passed"] is True
         assert report["checks"]["equivalence"]["max_error"] < 1e-10
         assert report["checks"]["kronecker"]["max_error"] < 1e-12
@@ -78,7 +89,7 @@ class TestVerify:
     def test_one_seed_gives_one_trial_per_family(self, tmp_path):
         out = tmp_path / "report.json"
         assert main(["verify", "--seeds", "1", "--json", str(out), "--quiet"]) == 0
-        report = json.loads(out.read_text())
+        report = read_report(out)
         trials = report["checks"]["equivalence"]["trials"]
         families = [(t["n_modes"], t["with_bias"]) for t in trials]
         assert sorted(families) == sorted(
@@ -94,14 +105,14 @@ class TestVerify:
         code = main(["verify", "--seeds", "1", "--quiet",
                      "--json", str(tmp_path / "r.json")])
         assert code == 1
-        report = json.loads((tmp_path / "r.json").read_text())
+        report = read_report(tmp_path / "r.json")
         assert report["passed"] is False
         assert any(report["checks"][c]["failures"] > 0 for c in report["checks"])
 
     def test_json_round_trips(self, tmp_path):
         out = tmp_path / "report.json"
         main(["verify", "--seeds", "1", "--json", str(out), "--quiet"])
-        report = json.loads(out.read_text())
+        report = read_report(out)
         assert json.loads(json.dumps(report)) == report
 
     @pytest.mark.parametrize("seeds", ["0", "-3"])
@@ -129,7 +140,7 @@ class TestVerify:
         assert not out.exists()
 
     @pytest.mark.parametrize("max_dim, max_rank, code", [
-        (4096, 1, 0), (4097, 1, 2), (2, 12, 0), (2, 13, 2),
+        (4096, 1, 0), (4097, 1, 2), (2, 12, 0), (2, 13, 2), (1, 12, 0), (1, 13, 2),
     ])
     def test_cap_is_max_dim_to_twice_max_rank(self, monkeypatch, max_dim, max_rank, code):
         # the range check alone: no trials run
@@ -138,6 +149,31 @@ class TestVerify:
         assert main(["verify", "--max-dim", str(max_dim), "--max-rank", str(max_rank),
                      "--quiet"]) == code
 
+    def test_seed_selects_the_trials(self, tmp_path):
+        def run(seed, name):
+            out = tmp_path / name
+            assert main(["verify", "--seeds", "1", "--max-rank", "2", "--max-dim", "3",
+                         "--seed", seed, "--json", str(out), "--quiet"]) == 0
+            return out
+
+        a, again, b = run("7", "a.json"), run("7", "again.json"), run("8", "b.json")
+        assert a.read_bytes() == again.read_bytes()
+        report_a, report_b = read_report(a), read_report(b)
+        assert report_a["config"]["seed"] == 7
+        for check in ("equivalence", "kronecker", "gradient"):
+            # the trials differ in what they draw, not only in their seed field
+            drawn_a, drawn_b = ([{k: v for k, v in t.items() if k != "seed"}
+                                 for t in report["checks"][check]["trials"]]
+                                for report in (report_a, report_b))
+            assert len(drawn_a) == len(drawn_b) and drawn_a != drawn_b
+
+    def test_default_seed_runs_the_runners_default_trials(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--seeds", "1", "--max-rank", "2", "--max-dim", "3",
+                     "--json", str(out), "--quiet"]) == 0
+        want = [asdict(t) for t in oracle.kronecker_trials(1, 2, 3)]
+        assert read_report(out)["checks"]["kronecker"]["trials"] == json.loads(json.dumps(want))
+
 
 class TestBench:
     def test_degenerate_n1(self, tmp_path):
@@ -145,7 +181,7 @@ class TestBench:
         code = main(["bench", "--in-dims", "4", "--out-dims", "4", "--batch", "2",
                      "--trials", "3", "--warmup", "1", "--json", str(out), "--quiet"])
         assert code == 0
-        report = json.loads(out.read_text())
+        report = read_report(out)
         assert report["param_count_nd"] == report["param_count_dense"] == 16
         assert report["flop_formula_nd"] == report["flop_dense"]
         assert report["flop_formula_nd"] == report["flop_instrumented_nd"]
@@ -157,7 +193,7 @@ class TestBench:
                      "--batch", "1", "--trials", "2", "--warmup", "0",
                      "--json", str(out), "--quiet"])
         assert code == 0
-        report = json.loads(out.read_text())
+        report = read_report(out)
         assert report["param_count_nd"] == 3072
         assert report["param_count_dense"] == 1_073_741_824
         assert report["wall_ns_dense"] is None
@@ -170,7 +206,7 @@ class TestBench:
         main(["bench", "--in-dims", "2,3", "--out-dims", "4,5", "--batch", "2",
               "--trials", "3", "--warmup", "1", "--json", str(out_json),
               "--csv", str(out_csv), "--quiet"])
-        report = json.loads(out_json.read_text())
+        report = read_report(out_json)
         with open(out_csv, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
@@ -185,7 +221,7 @@ class TestBench:
         out = tmp_path / "bench.json"
         main(["bench", "--in-dims", "3", "--out-dims", "3", "--batch", "1",
               "--trials", "2", "--warmup", "0", "--json", str(out), "--quiet"])
-        report = json.loads(out.read_text())
+        report = read_report(out)
         assert json.loads(json.dumps(report)) == report
 
     def test_bad_dims_usage_error(self, capsys):
@@ -217,7 +253,7 @@ class TestBench:
         out = tmp_path / "bench.json"
         assert main(["bench", "--in-dims", "2", "--out-dims", "2", "--trials", "1",
                      "--mem-cap-gib", "0", "--json", str(out), "--quiet"]) == 0
-        assert json.loads(out.read_text())["wall_ns_dense"] is None
+        assert read_report(out)["wall_ns_dense"] is None
 
     def test_dense_weight_under_the_cap_counts_toward_the_bytes(self, capsys):
         # 2**46 x 2**46 dense entries fit a 2**90 GiB cap; the layer alone
@@ -238,7 +274,7 @@ class TestBench:
         assert main(["bench", "--in-dims", "16,256", "--out-dims", "64,4", "--bias",
                      "--batch", "2", "--trials", "2", "--warmup", "0",
                      "--json", str(out), "--quiet"]) == 0
-        report = json.loads(out.read_text())
+        report = read_report(out)
         assert report["mode_order"] == [2, 1]
         assert report["flop_formula_nd"] == report["flop_instrumented_nd"] \
             == 2 * 2 * (16 * 256 * 4 + 4 * 16 * 64)
@@ -295,6 +331,22 @@ class TestTrain:
                      "--epochs", "0", "--quiet"])
         assert code == 2
         assert "epochs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", ["0", "1", "inf", "nan"])
+    def test_split_outside_unit_interval_usage_error(self, tmp_path, capsys, split):
+        # --split inf reached round() and ended in an OverflowError traceback
+        config = write_config(tmp_path, REGRESSION_CONFIG)
+        assert main(["train", "--config", str(config), "--split", split, "--quiet"]) == 2
+        assert_one_line_usage_error(capsys, "--split")
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-0.01"])
+    def test_lr_must_be_finite_and_positive(self, tmp_path, capsys, lr):
+        config = write_config(tmp_path, REGRESSION_CONFIG)
+        log = tmp_path / "log.jsonl"
+        assert main(["train", "--config", str(config), f"--lr={lr}", "--epochs", "1",
+                     "--log", str(log), "--quiet"]) == 2
+        assert_one_line_usage_error(capsys, "--lr")
+        assert not log.exists()
 
     def test_config_syntax_error_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -406,7 +458,7 @@ class TestLoraDemo:
         code = main(["lora-demo", "--d", "64", "--h", "64", "--rank", "8",
                      "--steps", "5", "--json", str(out), "--quiet"])
         assert code == 0
-        report = json.loads(out.read_text())
+        report = read_report(out)
         assert report["param_counts"]["lora_params"] == 1024
         assert report["param_counts"]["ndlora_params"] == 128
         assert report["warnings"] == []
@@ -417,7 +469,7 @@ class TestLoraDemo:
         code = main(["lora-demo", "--d", "7", "--h", "49", "--steps", "3",
                      "--json", str(out), "--quiet"])
         assert code == 0
-        report = json.loads(out.read_text())
+        report = read_report(out)
         assert any("(1, 7)" in w for w in report["warnings"])
         assert report["param_counts"]["in_factors"] == [1, 7]
 
@@ -427,7 +479,7 @@ class TestLoraDemo:
                      "--steps", "800", "--target", "random-kron",
                      "--json", str(out), "--quiet"])
         assert code == 0
-        report = json.loads(out.read_text())
+        report = read_report(out)
         assert report["recovery_rel_frobenius"] < 1e-3
 
     @pytest.mark.parametrize("args, nbytes", [
@@ -445,6 +497,26 @@ class TestLoraDemo:
     def test_nonpositive_size_usage_error(self, capsys, flag):
         assert main(["lora-demo", flag, "0", "--quiet"]) == 2
         assert_one_line_usage_error(capsys, flag)
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-inf", "0", "-0.05"])
+    def test_lr_must_be_finite_and_positive(self, tmp_path, capsys, lr):
+        # --lr nan used to exit 0 and write bare NaN tokens
+        out = tmp_path / "lora.json"
+        assert main(["lora-demo", f"--lr={lr}", "--d", "4", "--h", "4", "--steps", "2",
+                     "--json", str(out)]) == 2
+        assert_one_line_usage_error(capsys, "--lr")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_diverged_fit_writes_null_and_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "lora.json"
+        assert main(["lora-demo", "--lr", "1e300", "--steps", "50", "--d", "4", "--h", "4",
+                     "--json", str(out)]) == 1
+        report = read_report(out)
+        assert report["final_loss"] is None and report["recovery_rel_frobenius"] is None
+        assert len(report["loss_curve"]) == 50 and None in report["loss_curve"]
+        assert all(v is None or math.isfinite(v) for v in report["loss_curve"])
+        assert "non-finite" in capsys.readouterr().err
 
 
 def mostly(valid, other):
@@ -474,11 +546,8 @@ def argvs(draw):
     command = draw(st.sampled_from(["verify", "bench", "lora-demo"]))
     argv = [command, "--quiet", f"--seed={draw(mostly(st.integers(0, 3), st.just(-1)))}"]
     if command == "verify":
-        max_dim = draw(sizes(4))
-        # at --max-dim 1 no entry cap applies and the trials grow with the rank
-        max_rank = draw(st.integers(-1, 2) if max_dim == 1 else sizes(2))
         argv += [f"--seeds={draw(mostly(st.just(1), st.integers(-1, 0)))}",
-                 f"--max-dim={max_dim}", f"--max-rank={max_rank}"]
+                 f"--max-dim={draw(sizes(4))}", f"--max-rank={draw(sizes(2))}"]
     elif command == "bench":
         n = draw(st.integers(1, 3))
         malformed = st.sampled_from(["", "x", "1,,2", "2.5"])

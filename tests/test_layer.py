@@ -222,7 +222,7 @@ class TestModePlan:
         assert np.max(np.abs(b_eff.reshape(-1) - oracle.probe_full_map(lyr).b_full)) \
             < cli.EQUIVALENCE_TOL
         kron = oracle.FlatAffineMap(oracle.materialize_full_weight(lyr), b_eff.reshape(-1),
-                                    lyr.in_dims, lyr.out_dims)
+                                    lyr.out_dims)
         assert np.max(np.abs(y - oracle.flat_forward(kron, x))) < cli.EQUIVALENCE_TOL
 
     @pytest.mark.parametrize("with_bias", [False, True])

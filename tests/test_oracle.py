@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -137,12 +139,8 @@ class TestFiniteDifferences:
     def test_central_diff_quadratic_exact(self):
         # d/dx of x^2 at 3 via central differences is exact up to roundoff
         arr = np.array([3.0])
-        (g,) = central_diff(lambda: float(arr[0] ** 2), [arr], h=1e-5)
+        (g,) = central_diff(lambda: float(arr[0] ** 2), [arr])
         assert abs(g[0] - 6.0) < 1e-9
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            central_diff(lambda: 0.0, [np.zeros(1)], h=0.0)
 
 
 class TestTrialRunners:
@@ -163,7 +161,7 @@ class TestTrialRunners:
     def test_deterministic(self):
         a = equivalence_trials(seeds=2, max_rank=2, max_dim=3)
         b = equivalence_trials(seeds=2, max_rank=2, max_dim=3)
-        assert [t.as_dict() for t in a] == [t.as_dict() for t in b]
+        assert [asdict(t) for t in a] == [asdict(t) for t in b]
 
 
 def test_compression_witness_counts_only():

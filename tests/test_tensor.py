@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_mode_k
+from ndlinear.oracle import mode_k_product
 from ndlinear.tensor import (
     FlopCounter,
     ShapeError,
     make_rng,
     matmul,
-    mode_k_product,
     permute,
-    rand_uniform,
     validate_shape,
 )
 
@@ -144,28 +143,6 @@ class TestModeKProduct:
         t = rng.standard_normal(dims)
         w = rng.standard_normal((dims[k], h))
         assert np.max(np.abs(mode_k_product(t, w, k) - brute_force_mode_k(t, w, k))) < 1e-12
-
-
-class TestRandUniform:
-    def test_range(self):
-        t = rand_uniform(make_rng(0), (100,), 0.0, 1.0)
-        assert np.all((t >= 0.0) & (t < 1.0))
-
-    def test_determinism(self):
-        a = rand_uniform(make_rng(42), (4, 5), -1.0, 1.0)
-        b = rand_uniform(make_rng(42), (4, 5), -1.0, 1.0)
-        assert np.array_equal(a, b)
-
-    def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            rand_uniform(make_rng(0), (2,), 1.0, 1.0)
-
-    def test_fan_based_range(self):
-        # bound sqrt(6/(32+32)) for a square 32-wide draw
-        bound = np.sqrt(6.0 / 64.0)
-        assert abs(bound - 0.30618621784789724) < 1e-15
-        t = rand_uniform(make_rng(1), (32, 32), -bound, bound)
-        assert np.all(np.abs(t) < bound)
 
 
 class TestFlopCounter:
