@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import statistics
@@ -49,9 +50,21 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
+def _write(option: str, path: str | None, text: str) -> None:
+    """Write ``text`` to the path given with ``option``, if any; a path that
+    cannot be written is a usage error naming both."""
+    if not path:
+        return
+    try:
+        Path(path).write_text(text, newline="")
+    except OSError as exc:
+        raise UsageError(f"{option} {path}: cannot write: {exc.strerror or exc}")
+
+
 def _write_json(path: str | None, payload: dict) -> None:
-    if path:
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    # JSON has no NaN or Infinity (RFC 8259), so non-finite floats are written as null
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    _write("--json", path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @contextmanager
@@ -199,7 +212,7 @@ def run_bench(in_dims, out_dims, batch: int, trials: int = 30, warmup: int = 5,
                        wall_nd, wall_dense, speedup)
 
 
-def _write_csv(path: str, report: BenchReport) -> None:
+def _write_csv(path: str | None, report: BenchReport) -> None:
     """One row of ``CSV_COLUMNS`` from the report and its config: dims
     joined with x, and empty cells where the JSON has null."""
     fields = {**asdict(report), **report.config}
@@ -209,10 +222,11 @@ def _write_csv(path: str, report: BenchReport) -> None:
         if isinstance(value, list):
             value = "x".join(str(d) for d in value)
         row[column] = "" if value is None else value
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerow(row)
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerow(row)
+    _write("--csv", path, text.getvalue())
 
 
 def cmd_bench(args) -> int:
@@ -236,8 +250,7 @@ def cmd_bench(args) -> int:
         report = run_bench(in_dims, out_dims, args.batch, args.trials, args.warmup,
                            args.seed, args.bias, mem_cap_bytes)
     _write_json(args.json, asdict(report))
-    if args.csv:
-        _write_csv(args.csv, report)
+    _write_csv(args.csv, report)
     if not args.quiet:
         print(f"params:      {report.param_count_nd} (factorized) "
               f"vs {report.param_count_dense} (dense)")
@@ -348,14 +361,18 @@ def cmd_train(args) -> int:
     }[args.optimizer]()
 
     try:
-        result = nn.train(model, data, train_config, optimizer, rng=rng)
+        # an overflow ends in a non-finite loss, which TrainingDiverged reports on one line
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = nn.train(model, data, train_config, optimizer, rng=rng)
     except nn.TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
-    if args.log:
-        lines = [json.dumps(rec, sort_keys=True) for rec in result.log]
-        Path(args.log).write_text("\n".join(lines) + "\n")
+    settings = {key: vars(args)[key] for key in
+                ("config", "data", "epochs", "batch_size", "lr", "split", "optimizer", "seed")}
+    _write_json(args.json, {"config": settings, "log": result.log})
+    _write("--log", args.log, "".join(json.dumps(rec, sort_keys=True) + "\n"
+                                       for rec in result.log))
     if not args.quiet:
         final = result.final
         parts = [f"epoch {final['epoch']}",
@@ -371,8 +388,8 @@ def cmd_train(args) -> int:
 # ------------------------------------------------------------- lora-demo
 
 def cmd_lora_demo(args) -> int:
-    if min(args.d, args.h, args.rank) < 1:
-        raise UsageError("need --d, --h and --rank >= 1")
+    if min(args.d, args.h, args.rank, args.steps) < 1:
+        raise UsageError("need --d, --h, --rank and --steps >= 1")
     import warnings as _warnings
     # the 2d x d inputs, the 2d x h targets and three d x h maps
     nbytes = 8 * args.d * (2 * args.d + 5 * args.h)
@@ -382,9 +399,9 @@ def cmd_lora_demo(args) -> int:
         report = lora.recovery_experiment(args.d, args.h, args.rank, args.seed,
                                           args.steps, args.lr, args.target)
     report["warnings"] = [str(w.message) for w in caught]
-    # JSON has no NaN or Infinity: a fit that went non-finite writes null there, and exits 1
-    report = json.loads(json.dumps(report), parse_constant=lambda _: None)
-    diverged = None in report["loss_curve"] or report["recovery_rel_frobenius"] is None
+    # a fit that went non-finite writes null in place of those values, and exits 1
+    diverged = not all(map(math.isfinite,
+                           [*report["loss_curve"], report["recovery_rel_frobenius"]]))
     _write_json(args.json, report)
     if not args.quiet:
         counts = report["param_counts"]

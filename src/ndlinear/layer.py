@@ -53,6 +53,7 @@ from .tensor import (
     is_positive_int,
     matmul,
     permute,
+    positive_int,
     validate_shape,
 )
 
@@ -87,21 +88,12 @@ class NdLinearLayer:
 
     def __post_init__(self) -> None:
         self.in_dims, self.out_dims = _mode_dims(self.in_dims, self.out_dims)
-        n = len(self.in_dims)
-        if len(self.weights) != n:
-            raise ShapeError(f"expected {n} weights, got {len(self.weights)}")
-        for k, w in enumerate(self.weights):
-            want = (self.in_dims[k], self.out_dims[k])
-            if w.shape != want:
-                raise ShapeError(f"weight {k + 1} has shape {w.shape}, expected {want}")
+        want = list(zip(self.in_dims, self.out_dims))  # in ``params`` order
         if self.biases is not None:
-            if len(self.biases) != n:
-                raise ShapeError(f"expected {n} biases, got {len(self.biases)}")
-            for k, b in enumerate(self.biases):
-                if b.shape != (self.out_dims[k],):
-                    raise ShapeError(
-                        f"bias {k + 1} has shape {b.shape}, expected ({self.out_dims[k]},)"
-                    )
+            want += [(h,) for h in self.out_dims]
+        got = [p.shape for p in self.params()]
+        if got != want:
+            raise ShapeError(f"parameter shapes {got} do not fit the dims, which need {want}")
 
     @property
     def n_modes(self) -> int:
@@ -110,6 +102,10 @@ class NdLinearLayer:
     @property
     def with_bias(self) -> bool:
         return self.biases is not None
+
+    def params(self) -> list[np.ndarray]:
+        """Weights, then biases: the parameter order ``NdLinearGrads.params`` follows."""
+        return [*self.weights, *(self.biases or ())]
 
 
 @dataclass
@@ -132,6 +128,10 @@ class NdLinearGrads:
     d_weights: list[np.ndarray]
     d_biases: list[np.ndarray] | None
     d_input: np.ndarray
+
+    def params(self) -> list[np.ndarray]:
+        """Parameter gradients in ``NdLinearLayer.params`` order."""
+        return [*self.d_weights, *(self.d_biases or ())]
 
 
 def _mode_dims(in_dims, out_dims) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -367,8 +367,7 @@ def flop_count(batch: int, in_dims, out_dims, order=None) -> int:
     Bias additions are excluded from the count.
     """
     in_dims, out_dims = _mode_dims(in_dims, out_dims)
-    if batch < 1:
-        raise ShapeError(f"batch must be >= 1, got {batch}")
+    batch = positive_int(batch, "batch")
     if order is None:
         order = plan_modes(in_dims, out_dims)
     elif sorted(order) != list(range(len(in_dims))):
@@ -380,8 +379,7 @@ def flop_count(batch: int, in_dims, out_dims, order=None) -> int:
 def dense_flop_count(batch: int, in_dims, out_dims) -> int:
     """FLOPs of the dense layer on flattened features: 2 B prod(D) prod(H)."""
     weights = dense_param_count(in_dims, out_dims, with_bias=False)
-    if batch < 1:
-        raise ShapeError(f"batch must be >= 1, got {batch}")
+    batch = positive_int(batch, "batch")
     return checked_u64(2 * batch * weights, "dense flop count")
 
 

@@ -28,7 +28,7 @@ from . import layer as layer_mod
 from . import oracle
 from .layer import NdLinearLayer
 from .nn import Adam, Dense, mse_loss
-from .tensor import ShapeError, make_rng
+from .tensor import ShapeError, make_rng, positive_int
 
 
 @dataclass
@@ -67,20 +67,22 @@ class LoRAAdapter:
 
 @dataclass
 class NdLoRAAdapter:
-    in_factors: tuple[int, int]
-    out_factors: tuple[int, int]
+    """The delta as a bias-free two-mode layer (d1, d2) -> (h1, h2)."""
+
     nd: NdLinearLayer
 
     def __post_init__(self):
-        d1, d2 = self.in_factors
-        h1, h2 = self.out_factors
-        if self.nd.in_dims != (d1, d2) or self.nd.out_dims != (h1, h2):
-            raise ShapeError(
-                f"inner layer maps {self.nd.in_dims}->{self.nd.out_dims}, "
-                f"factors say ({d1},{d2})->({h1},{h2})"
-            )
-        if self.nd.biases is not None:
-            raise ShapeError("adapter deltas are pure linear maps; no biases allowed")
+        if self.nd.n_modes != 2 or self.nd.biases is not None:
+            raise ShapeError(f"adapter deltas are bias-free two-mode layers, got "
+                             f"{self.nd.in_dims}->{self.nd.out_dims}, bias {self.nd.with_bias}")
+
+    @property
+    def in_factors(self) -> tuple[int, int]:
+        return self.nd.in_dims
+
+    @property
+    def out_factors(self) -> tuple[int, int]:
+        return self.nd.out_dims
 
     def delta_matrix(self) -> np.ndarray:
         return oracle.materialize_full_weight(self.nd)
@@ -89,8 +91,7 @@ class NdLoRAAdapter:
 def init_lora(d: int, h: int, rank: int, alpha: float,
               rng: np.random.Generator) -> LoRAAdapter:
     """Gaussian a, zero b: the adapter starts as the exact zero map."""
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+    rank = positive_int(rank, "rank")
     a = rng.standard_normal((d, rank)) / math.sqrt(d)
     return LoRAAdapter(a, np.zeros((rank, h)), float(alpha))
 
@@ -101,15 +102,13 @@ def init_ndlora(d: int, h: int, rng: np.random.Generator,
     """Factorized adapter; the second factor starts at zero."""
     in_factors = in_factors or choose_factors(d)
     out_factors = out_factors or choose_factors(h)
-    d1, d2 = in_factors
-    h1, h2 = out_factors
-    if d1 * d2 != d:
+    if math.prod(in_factors) != d:
         raise ValueError(f"in_factors {in_factors} do not multiply to {d}")
-    if h1 * h2 != h:
+    if math.prod(out_factors) != h:
         raise ValueError(f"out_factors {out_factors} do not multiply to {h}")
-    nd = layer_mod.init_xavier((d1, d2), (h1, h2), with_bias=False, rng=rng)
+    nd = layer_mod.init_xavier(in_factors, out_factors, with_bias=False, rng=rng)
     nd.weights[1] = np.zeros_like(nd.weights[1])
-    return NdLoRAAdapter(in_factors, out_factors, nd)
+    return NdLoRAAdapter(nd)
 
 
 def lora_forward(base: FrozenDense, adapter: LoRAAdapter, x: np.ndarray) -> np.ndarray:
@@ -120,26 +119,20 @@ def lora_forward(base: FrozenDense, adapter: LoRAAdapter, x: np.ndarray) -> np.n
 
 def ndlora_forward(base: FrozenDense, adapter: NdLoRAAdapter, x: np.ndarray) -> np.ndarray:
     batch, d = x.shape
-    d1, d2 = adapter.in_factors
-    if d1 * d2 != d:
+    if math.prod(adapter.in_factors) != d:
         raise ShapeError(f"input width {d} does not factor as {adapter.in_factors}")
-    delta = layer_mod.forward_only(adapter.nd, x.reshape(batch, d1, d2))
+    delta = layer_mod.forward_only(adapter.nd, x.reshape(batch, *adapter.in_factors))
     return base.forward(x) + delta.reshape(batch, -1)
 
 
 def choose_factors(d: int) -> tuple[int, int]:
     """Closest-to-square factor pair: largest divisor d1 <= sqrt(d)."""
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
-    for d1 in range(math.isqrt(d), 0, -1):
-        if d % d1 == 0:
-            if d1 == 1 and d > 1:
-                warnings.warn(
-                    f"{d} has no nontrivial factorization; falling back to (1, {d})",
-                    RuntimeWarning, stacklevel=2,
-                )
-            return (d1, d // d1)
-    raise AssertionError("unreachable")
+    d = positive_int(d, "d")
+    d1 = next(d1 for d1 in range(math.isqrt(d), 0, -1) if d % d1 == 0)
+    if d1 == 1 and d > 1:
+        warnings.warn(f"{d} has no nontrivial factorization; falling back to (1, {d})",
+                      RuntimeWarning, stacklevel=2)
+    return (d1, d // d1)
 
 
 @dataclass
@@ -159,12 +152,11 @@ def adapter_param_counts(d: int, h: int, rank: int,
                          out_factors: tuple[int, int] | None = None
                          ) -> AdapterParamReport:
     """Trainable-parameter comparison: r(d + h) vs d1 h1 + d2 h2."""
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+    rank = positive_int(rank, "rank")
     in_factors = in_factors or choose_factors(d)
     out_factors = out_factors or choose_factors(h)
     lora_params = rank * (d + h)
-    ndlora_params = in_factors[0] * out_factors[0] + in_factors[1] * out_factors[1]
+    ndlora_params = layer_mod.param_count(in_factors, out_factors, with_bias=False)
     return AdapterParamReport(d, h, rank, in_factors, out_factors,
                               lora_params, ndlora_params, lora_params / ndlora_params)
 
@@ -172,19 +164,18 @@ def adapter_param_counts(d: int, h: int, rank: int,
 def fit_ndlora(base: FrozenDense, adapter: NdLoRAAdapter, x: np.ndarray,
                y_target: np.ndarray, steps: int, lr: float) -> list[float]:
     """Full-batch Adam on the adapter factors only; returns the loss curve."""
-    d1, d2 = adapter.in_factors
     batch = x.shape[0]
-    x_nd = x.reshape(batch, d1, d2)
+    x_nd = x.reshape(batch, *adapter.in_factors)
     y_base = base.forward(x)
     delta_target_out = y_target - y_base
     optimizer = Adam(lr)
-    params = list(adapter.nd.weights)
+    params = adapter.nd.params()
     losses = []
     for _ in range(steps):
         delta, cache = layer_mod.forward(adapter.nd, x_nd)
         loss, d_flat = mse_loss(delta.reshape(batch, -1), delta_target_out)
         grads = layer_mod.backward(adapter.nd, cache, d_flat.reshape(delta.shape))
-        optimizer.step(params, list(grads.d_weights))
+        optimizer.step(params, grads.params())
         losses.append(loss)
     return losses
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import layer as layer_mod
 from .layer import NdLinearLayer
-from .tensor import ShapeError, is_positive_int, make_rng, validate_shape
+from .tensor import ShapeError, is_positive_int, make_rng, positive_int, validate_shape
 
 LOSSES = ("mse", "cross_entropy")
 
@@ -73,10 +73,7 @@ class NdLinear:
         return self.inner.out_dims
 
     def params(self):
-        ps = list(self.inner.weights)
-        if self.inner.biases is not None:
-            ps += list(self.inner.biases)
-        return ps
+        return self.inner.params()
 
     def forward(self, x):
         return layer_mod.forward(self.inner, x)
@@ -86,10 +83,7 @@ class NdLinear:
 
     def backward(self, cache, d_y):
         g = layer_mod.backward(self.inner, cache, d_y)
-        grads = list(g.d_weights)
-        if g.d_biases is not None:
-            grads += list(g.d_biases)
-        return g.d_input, grads
+        return g.d_input, g.params()
 
 
 class Dense(_Layer):
@@ -165,7 +159,7 @@ class Reshape(_Layer):
 def init_dense(d: int, h: int, with_bias: bool, rng: np.random.Generator) -> Dense:
     """Xavier-uniform dense layer: the one-mode ``init_xavier``, same draws."""
     lyr = layer_mod.init_xavier((d,), (h,), with_bias, rng)
-    return Dense(lyr.weights[0], lyr.biases[0] if with_bias else None)
+    return Dense(*lyr.params())
 
 
 # ----------------------------------------------------------------- model
@@ -368,10 +362,8 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        self.epochs = positive_int(self.epochs, "epochs")
+        self.batch_size = positive_int(self.batch_size, "batch_size")
 
 
 @dataclass
@@ -435,7 +427,8 @@ def train(model: Model, data: TrainSplit, config: TrainConfig, optimizer,
           rng: np.random.Generator | None = None) -> TrainResult:
     """Minibatch training loop; shuffling comes from the config seed.
 
-    Raises TrainingDiverged on a non-finite batch loss. The returned log
+    Raises TrainingDiverged on a non-finite batch loss, or a non-finite
+    train or test loss at the end of an epoch. The returned log
     holds one record per epoch with train/test loss (and accuracy for
     classification) from ``evaluate``, and ``epoch_wall_ns``, the
     ``perf_counter_ns`` duration of the epoch, evaluation included.
@@ -463,6 +456,9 @@ def train(model: Model, data: TrainSplit, config: TrainConfig, optimizer,
 
         train_loss, train_acc = evaluate(model, data.x_train, data.y_train)
         test_loss, test_acc = evaluate(model, data.x_test, data.y_test)
+        if not (math.isfinite(train_loss) and math.isfinite(test_loss)):
+            raise TrainingDiverged(f"non-finite epoch loss at epoch {epoch}: "
+                                   f"train {train_loss}, test {test_loss}")
         record = {"epoch": epoch, "train_loss": train_loss, "test_loss": test_loss}
         if train_acc is not None:
             record["train_accuracy"] = train_acc

@@ -151,40 +151,40 @@ def finite_diff_grads(layer: NdLinearLayer, x: np.ndarray, loss_fn) -> NdLinearG
     small.
     """
     x = np.array(x, dtype=np.float64)
-    arrays = list(layer.weights)
     n = layer.n_modes
-    if layer.biases is not None:
-        arrays += list(layer.biases)
-    arrays.append(x)
 
     def run() -> float:
         return float(loss_fn(layer_mod.forward_only(layer, x)))
 
-    grads = central_diff(run, arrays)
-    d_weights = grads[:n]
-    d_biases = grads[n:2 * n] if layer.biases is not None else None
-    return NdLinearGrads(d_weights, d_biases, grads[-1])
+    *grads, d_input = central_diff(run, [*layer.params(), x])
+    return NdLinearGrads(grads[:n], grads[n:] or None, d_input)
+
+
+def _worst(err: np.ndarray) -> float:
+    """Largest entry of ``err``, 0 if empty, and inf if any entry is NaN,
+    so that no comparison against a tolerance passes on a NaN."""
+    worst = float(np.max(err, initial=0.0))
+    return math.inf if math.isnan(worst) else worst
 
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) if np.asarray(a).size else 0.0
+    """Max elementwise |a-b|; inf if any entry is NaN."""
+    return _worst(np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)))
+
 
 def max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
-    """Max elementwise |a-b| / max(|a|, |b|, ``REL_ERR_FLOOR``)."""
+    """Max elementwise |a-b| / max(|a|, |b|, ``REL_ERR_FLOOR``); inf if any entry is NaN."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), REL_ERR_FLOOR)
-    return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+    return _worst(np.abs(a - b) / denom)
 
 
 def grads_max_rel_err(analytic: NdLinearGrads, numeric: NdLinearGrads) -> float:
-    worst = max_rel_err(analytic.d_input, numeric.d_input)
-    for a, b in zip(analytic.d_weights, numeric.d_weights):
-        worst = max(worst, max_rel_err(a, b))
-    if analytic.d_biases is not None:
-        for a, b in zip(analytic.d_biases, numeric.d_biases):
-            worst = max(worst, max_rel_err(a, b))
-    return worst
+    """Worst ``max_rel_err`` over the input gradient and every parameter gradient."""
+    return max(max_rel_err(a, b) for a, b in zip(
+        [analytic.d_input, *analytic.params()], [numeric.d_input, *numeric.params()],
+        strict=True))
 
 
 # --- seeded trial runners (shared by the verify subcommand and tests) ---

@@ -9,8 +9,9 @@ Conventions used throughout the package:
   they come, so a transposed view reaches BLAS as a transpose flag
   instead of being copied first. These two are the layer's only
   compute primitives; the reference mode-k product lives in ``oracle``.
-- Shapes are tuples of positive ints. ``validate_shape`` enforces the
-  rank >= 1 / dims >= 1 / no-overflow invariants.
+- A size (a dim, a batch, a count) is a positive int: ``is_positive_int``
+  is the one rule, and ``positive_int`` its raising twin. Shapes are
+  tuples of sizes; ``validate_shape`` adds rank >= 1 and no overflow.
 - Randomness comes from ``make_rng``, a seeded 64-bit PCG64 generator.
   Identical seeds give identical streams within this implementation.
 """
@@ -39,26 +40,34 @@ def checked_u64(value: int, what: str) -> int:
     return value
 
 
-def validate_shape(dims) -> tuple[int, ...]:
-    """Check a dimension list and return it as a tuple.
+def is_positive_int(value) -> bool:
+    """True for an int >= 1, numpy ints included; never a bool, float or string."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
-    Requires rank >= 1, every dim >= 1, and an element count that fits
-    in a platform word.
+
+def positive_int(value, what: str) -> int:
+    """``value`` as a Python int if ``is_positive_int``; else a ShapeError naming ``what``."""
+    if not is_positive_int(value):
+        raise ShapeError(f"{what} must be a positive int, got {value!r}")
+    return int(value)
+
+
+def validate_shape(dims) -> tuple[int, ...]:
+    """Check a dimension list and return it as a tuple of Python ints.
+
+    Requires rank >= 1, every dim a positive int (``is_positive_int``),
+    and an element count that fits in a platform word.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(dims)
     if len(dims) == 0:
         raise ShapeError("shape must have rank >= 1")
-    if any(d < 1 for d in dims):
-        raise ShapeError(f"all dims must be >= 1, got {dims}")
+    if not all(map(is_positive_int, dims)):
+        raise ShapeError(f"all dims must be positive ints, got {dims}")
+    dims = tuple(map(int, dims))
     count = math.prod(dims)
     if count > INDEX_MAX:
         raise OverflowError(f"element count {count} overflows platform word")
     return dims
-
-
-def is_positive_int(value) -> bool:
-    """True for an int >= 1. Bools and floats, which JSON also yields, are not."""
-    return type(value) is int and value >= 1
 
 
 def make_rng(seed: int) -> np.random.Generator:

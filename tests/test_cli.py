@@ -109,6 +109,52 @@ class TestVerify:
         assert report["passed"] is False
         assert any(report["checks"][c]["failures"] > 0 for c in report["checks"])
 
+    @pytest.mark.parametrize("check, mutate", [
+        ("gradient", "backward"),
+        ("equivalence", "forward_only"),
+    ])
+    def test_nan_output_fails_closed(self, tmp_path, monkeypatch, check, mutate):
+        # a NaN error used to compare below every tolerance: verify printed PASS
+        # for an all-NaN gradient, and a NaN forward_only ended in a traceback
+        original = getattr(layer_mod, mutate)
+
+        def nan_output(*args):
+            out = original(*args)
+            if mutate == "backward":
+                out.d_weights[0] = np.full_like(out.d_weights[0], np.nan)
+                return out
+            return np.full_like(out, np.nan)
+
+        monkeypatch.setattr(layer_mod, mutate, nan_output)
+        out = tmp_path / "r.json"
+        assert main(["verify", "--seeds", "1", "--quiet", "--json", str(out)]) == 1
+        report = read_report(out)
+        assert report["passed"] is False
+        assert report["checks"][check]["max_error"] is None
+        assert report["checks"][check]["failures"] == len(report["checks"][check]["trials"])
+
+    def test_console_summary(self, capsys):
+        assert main(["verify", "--seeds", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines[:3]] == [
+            ["equivalence", "ok:"], ["kronecker", "ok:"], ["gradient", "ok:"]]
+        assert "8 trials, max error" in lines[0] and "(tol 1e-10)" in lines[0]
+        assert lines[3:] == ["verify: PASS"]
+
+    def test_console_names_failing_trials(self, capsys, monkeypatch):
+        original = layer_mod.forward_only
+        monkeypatch.setattr(layer_mod, "forward_only", lambda lyr, x: -original(lyr, x))
+        assert main(["verify", "--seeds", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "equivalence  FAILED: 8 trials" in captured.out
+        assert captured.out.endswith("verify: FAIL\n")
+        assert "failing equivalence trial: {'kind': 'equivalence'" in captured.err
+
+    def test_unwritable_json_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "r.json"
+        assert main(["verify", "--seeds", "1", "--quiet", "--json", str(path)]) == 2
+        assert_one_line_usage_error(capsys, f"--json {path}")
+
     def test_json_round_trips(self, tmp_path):
         out = tmp_path / "report.json"
         main(["verify", "--seeds", "1", "--json", str(out), "--quiet"])
@@ -262,6 +308,30 @@ class TestBench:
                      "--batch", "1", "--mem-cap-gib", str(2.0**90), "--quiet"]) == 2
         assert_one_line_usage_error(capsys, f"cannot allocate {8 * (2**92 + 2**48):,} bytes")
 
+    def test_console_summary(self, capsys):
+        assert main(["bench", "--in-dims", "2,3", "--out-dims", "4,5", "--bias",
+                     "--trials", "2", "--warmup", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == ["params:      32 (factorized) vs 140 (dense)",
+                             "flops:       1120 formula, 1120 instrumented, 1920 dense",
+                             "mode order:  2,1"]
+        assert lines[3].startswith("wall ns:") and lines[3].endswith("(dense)")
+        assert lines[4].startswith("speedup:") and lines[4].endswith("x")
+
+    def test_console_summary_without_dense_timing(self, capsys):
+        assert main(["bench", "--in-dims", "2", "--out-dims", "2", "--trials", "1",
+                     "--mem-cap-gib", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3].endswith("n/a (dense above memory cap)")
+        assert len(lines) == 4  # no speedup line
+
+    @pytest.mark.parametrize("option", ["--json", "--csv"])
+    def test_unwritable_output_usage_error(self, tmp_path, capsys, option):
+        path = tmp_path / "missing" / "bench.out"
+        assert main(["bench", "--in-dims", "2", "--out-dims", "2", "--trials", "1",
+                     option, str(path), "--quiet"]) == 2
+        assert_one_line_usage_error(capsys, f"{option} {path}")
+
     def test_rank_mismatch_usage_error(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
         assert main(["bench", "--in-dims", "2,2", "--out-dims", "2",
@@ -324,6 +394,68 @@ class TestTrain:
                      "--epochs", "2", "--optimizer", "adam", "--lr", "0.01",
                      "--log", str(tmp_path / "log.jsonl"), "--quiet"])
         assert code == 0
+
+    def test_console_summary(self, tmp_path, capsys):
+        config = write_config(tmp_path, REGRESSION_CONFIG)
+        assert main(["train", "--config", str(config), "--data", "separable:n=40",
+                     "--epochs", "2"]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("epoch 2  train_loss ") and "  test_loss " in line
+        assert "acc" not in line
+
+    def test_console_summary_with_accuracy(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["train", "--config", str(config), "--data", "blobs:n=100",
+                     "--epochs", "1"]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("epoch 1  train_loss ")
+        assert "  train_acc " in line and "  test_acc " in line
+
+    def test_diverged_epoch_exits_1_without_log(self, tmp_path, capsys):
+        # one batch per epoch, so every batch loss is finite; the log used to
+        # record "train_loss": Infinity and the run exit 0
+        config = write_config(tmp_path, REGRESSION_CONFIG)
+        log, report = tmp_path / "log.jsonl", tmp_path / "r.json"
+        assert main(["train", "--config", str(config), "--epochs", "1",
+                     "--data", "separable:n=40", "--optimizer", "sgd", "--lr", "1e100",
+                     "--log", str(log), "--json", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("training diverged: non-finite epoch loss at epoch 1")
+        assert err.count("\n") == 1 and "Warning" not in err
+        assert not log.exists() and not report.exists()
+
+    def test_json_report_holds_settings_and_log(self, tmp_path):
+        config = write_config(tmp_path, REGRESSION_CONFIG)
+        log, report = tmp_path / "log.jsonl", tmp_path / "r.json"
+        assert main(["train", "--config", str(config), "--data", "separable:n=40",
+                     "--epochs", "2", "--seed", "3", "--log", str(log),
+                     "--json", str(report), "--quiet"]) == 0
+        written = read_report(report)
+        assert written["config"] == {
+            "config": str(config), "data": "separable:n=40", "epochs": 2, "batch_size": 32,
+            "lr": 1e-3, "split": 0.8, "optimizer": "adamw", "seed": 3}
+        assert written["log"] == [json.loads(line) for line in log.read_text().splitlines()]
+        assert [rec["epoch"] for rec in written["log"]] == [1, 2]
+
+    @pytest.mark.parametrize("option", ["--json", "--log"])
+    def test_unwritable_output_usage_error(self, tmp_path, capsys, option):
+        config = write_config(tmp_path, REGRESSION_CONFIG)
+        path = tmp_path / "missing" / "out"
+        assert main(["train", "--config", str(config), "--data", "separable:n=40",
+                     "--epochs", "1", option, str(path), "--quiet"]) == 2
+        assert_one_line_usage_error(capsys, f"{option} {path}")
+
+    def test_unreadable_config_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["train", "--config", str(path), "--quiet"]) == 2
+        assert_one_line_usage_error(capsys, "cannot read config", str(path))
+
+    def test_unknown_data_key_usage_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, REGRESSION_CONFIG)
+        assert main(["train", "--config", str(config), "--data", "separable:width=3",
+                     "--quiet"]) == 2
+        assert_one_line_usage_error(capsys, "bad data option 'width=3' for separable",
+                                    "known keys")
 
     def test_zero_epochs_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -497,6 +629,15 @@ class TestLoraDemo:
     def test_nonpositive_size_usage_error(self, capsys, flag):
         assert main(["lora-demo", flag, "0", "--quiet"]) == 2
         assert_one_line_usage_error(capsys, flag)
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_nonpositive_steps_usage_error(self, tmp_path, capsys, steps):
+        # exited 0 with a null final loss: nothing was fitted
+        out = tmp_path / "lora.json"
+        assert main(["lora-demo", "--steps", steps, "--d", "4", "--h", "4",
+                     "--json", str(out)]) == 2
+        assert_one_line_usage_error(capsys, "--steps")
+        assert not out.exists()
 
     @pytest.mark.parametrize("lr", ["nan", "inf", "-inf", "0", "-0.05"])
     def test_lr_must_be_finite_and_positive(self, tmp_path, capsys, lr):

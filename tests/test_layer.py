@@ -80,6 +80,52 @@ class TestInit:
         with pytest.raises(ShapeError):
             NdLinearLayer((2,), (3,), w, [np.zeros(2)])  # wrong bias length
 
+    @pytest.mark.parametrize("weights, biases", [
+        ([np.zeros((2, 3))], None),  # too few weights
+        ([np.zeros((2, 3)), np.zeros((4, 5)), np.zeros((1, 1))], None),  # too many
+        ([np.zeros((3, 2)), np.zeros((4, 5))], None),  # transposed weight
+        ([np.zeros((2, 3)), np.zeros((4, 5))], [np.zeros(3)]),  # too few biases
+        ([np.zeros((2, 3)), np.zeros((4, 5))], []),
+        ([np.zeros((2, 3)), np.zeros((4, 5))], [np.zeros(5), np.zeros(3)]),  # swapped
+    ])
+    def test_parameter_shapes_must_fit_the_dims(self, weights, biases):
+        with pytest.raises(ShapeError):
+            NdLinearLayer((2, 4), (3, 5), weights, biases)
+
+    @pytest.mark.parametrize("in_dims, out_dims", [
+        ((2.5, 3), (4, 5)),  # built a (2, 3) -> ... layer before
+        ((True, 3), (2, 2)),
+        ((2, 3), (4, True)),
+        (("2", 3), (4, 5)),
+    ])
+    def test_dims_must_be_positive_ints(self, in_dims, out_dims):
+        with pytest.raises(ShapeError):
+            init_xavier(in_dims, out_dims, False, make_rng(0))
+
+    def test_numpy_int_dims_are_stored_as_python_ints(self):
+        lyr = init_xavier(np.array([2, 3]), (np.int64(4), 5), False, make_rng(0))
+        assert lyr.in_dims == (2, 3) and lyr.out_dims == (4, 5)
+        assert all(type(d) is int for d in (*lyr.in_dims, *lyr.out_dims))
+
+
+class TestParams:
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_weights_then_biases(self, with_bias):
+        lyr = init_xavier((2, 3, 4), (3, 2, 1), with_bias, make_rng(5))
+        want = lyr.weights + (lyr.biases if with_bias else [])
+        assert len(lyr.params()) == len(want)
+        assert all(p is q for p, q in zip(lyr.params(), want))
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_gradients_follow_the_parameter_order(self, with_bias):
+        rng, lyr = random_layer(6, n=3, with_bias=with_bias)
+        x = rng.standard_normal((2, *lyr.in_dims))
+        y, cache = forward(lyr, x)
+        grads = backward(lyr, cache, y)
+        assert [g.shape for g in grads.params()] == [p.shape for p in lyr.params()]
+        want = grads.d_weights + (grads.d_biases if with_bias else [])
+        assert all(g is w for g, w in zip(grads.params(), want, strict=True))
+
 
 class TestForward:
     def test_hand_example_n2(self):
@@ -170,6 +216,16 @@ def grad_arrays(g):
     return [g.d_input, *g.d_weights, *(g.d_biases or [])]
 
 
+def literal_forward(lyr, x):
+    """Y = ((X x_1 W_1 + b_1) x_2 W_2 + b_2) ... from the reference mode-k product."""
+    z = x
+    for k, w in enumerate(lyr.weights, start=1):
+        z = oracle.mode_k_product(z, w, k)
+        if lyr.with_bias:  # b_k broadcasts along axis k
+            z = z + lyr.biases[k - 1].reshape(-1, *[1] * (lyr.n_modes - k))
+    return z
+
+
 class TestKernelProperties:
     @settings(max_examples=150, deadline=None)
     @given(layer_cases())
@@ -177,6 +233,7 @@ class TestKernelProperties:
         lyr, x, d_y = case
         y, cache = forward(lyr, x)
         assert_matches_forward(lyr, forward_only(lyr, x), y)
+        assert np.max(np.abs(y - literal_forward(lyr, x))) < cli.EQUIVALENCE_TOL
         dense = oracle.probe_full_map(lyr)
         assert np.max(np.abs(y - oracle.flat_forward(dense, x))) < cli.EQUIVALENCE_TOL
 
@@ -335,6 +392,14 @@ class TestCounts:
     def test_flop_batch_check(self):
         with pytest.raises(ShapeError):
             flop_count(0, (2,), (2,))
+
+    @pytest.mark.parametrize("batch", [2.5, True, "2", -1])
+    def test_batch_must_be_a_positive_int(self, batch):
+        # flop_count(2.5, (3,), (2,)) returned the float 30.0
+        with pytest.raises(ShapeError):
+            flop_count(batch, (3,), (2,))
+        with pytest.raises(ShapeError):
+            dense_flop_count(batch, (3,), (2,))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_instrumented_counter_matches_formula(self, seed):

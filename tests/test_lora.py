@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from ndlinear import lora, oracle
+from dataclasses import fields
+
+from ndlinear import layer, lora, oracle
 from ndlinear.lora import (
     FrozenDense,
     LoRAAdapter,
@@ -100,6 +102,30 @@ class TestNdLoRAForward:
                            rng.standard_normal((2, 10)))
 
 
+class TestNdLoRAAdapter:
+    def test_one_field_and_read_only_factors(self):
+        adapter = init_ndlora(12, 18, make_rng(8))
+        assert [f.name for f in fields(NdLoRAAdapter)] == ["nd"]
+        assert adapter.in_factors == adapter.nd.in_dims == (3, 4)
+        assert adapter.out_factors == adapter.nd.out_dims == (3, 6)
+        with pytest.raises(AttributeError):
+            adapter.in_factors = (4, 3)
+
+    @pytest.mark.parametrize("in_dims, out_dims, with_bias", [
+        ((2, 3), (3, 2), True),  # a delta has no bias
+        ((6,), (6,), False),  # nor one mode
+        ((1, 2, 3), (3, 2, 1), False),  # nor three
+    ])
+    def test_delta_is_a_bias_free_two_mode_layer(self, in_dims, out_dims, with_bias):
+        nd = layer.init_xavier(in_dims, out_dims, with_bias, make_rng(9))
+        with pytest.raises(ShapeError):
+            NdLoRAAdapter(nd)
+
+    def test_three_factors_rejected(self):
+        with pytest.raises(ShapeError):
+            init_ndlora(12, 12, make_rng(10), in_factors=(2, 2, 3))
+
+
 class TestFrozenBase:
     def test_base_is_write_protected(self):
         base = make_base(make_rng(6), 4, 4)
@@ -148,6 +174,19 @@ class TestParamCounts:
         with pytest.raises(ValueError):
             adapter_param_counts(8, 8, rank=0)
 
+    @pytest.mark.parametrize("rank", [1.5, True, "2", -1])
+    def test_rank_must_be_a_positive_int(self, rank):
+        with pytest.raises(ValueError):
+            adapter_param_counts(8, 8, rank=rank)
+        with pytest.raises(ValueError):
+            init_lora(8, 8, rank=rank, alpha=1.0, rng=make_rng(0))
+
+    def test_counts_follow_the_layer_param_count(self):
+        report = adapter_param_counts(12, 18, 2, in_factors=(2, 6), out_factors=(9, 2))
+        assert report.ndlora_params == 2 * 9 + 6 * 2
+        assert report.ndlora_params == layer.param_count((2, 6), (9, 2), with_bias=False)
+        assert report.lora_params == 2 * (12 + 18)
+
 
 class TestChooseFactors:
     def test_square(self):
@@ -166,6 +205,11 @@ class TestChooseFactors:
     def test_invalid(self):
         with pytest.raises(ValueError):
             choose_factors(0)
+
+    @pytest.mark.parametrize("d", [12.0, True, "12", -4])
+    def test_d_must_be_a_positive_int(self, d):
+        with pytest.raises(ValueError):
+            choose_factors(d)
 
 
 class TestRecovery:

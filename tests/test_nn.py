@@ -200,6 +200,36 @@ class TestTraining:
         with pytest.raises(ValueError):
             nn.TrainConfig(batch_size=0)
 
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [2.5, True, "4", -1])
+    def test_config_sizes_must_be_positive_ints(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            nn.TrainConfig(**{field: value})
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_non_finite_epoch_loss_aborts(self):
+        # one batch per epoch: every batch loss is finite, but the update
+        # leaves parameters whose epoch losses are not
+        data = nn.gen_separable_regression(make_rng(0), 40, (3, 2), (2, 3))
+        model = nn.Model(
+            [nn.NdLinear(layer.init_xavier((3, 2), (2, 3), False, make_rng(1)))],
+            "mse", (3, 2))
+        with pytest.raises(nn.TrainingDiverged, match="epoch 1: train inf"):
+            nn.train(model, data, nn.TrainConfig(epochs=1, batch_size=32, seed=0),
+                     nn.SGD(lr=1e200))
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_ndlinear_layer_shares_the_inner_parameter_order(self, with_bias):
+        inner = layer.init_xavier((3, 2), (2, 3), with_bias, make_rng(2))
+        lyr = nn.NdLinear(inner)
+        assert all(p is q for p, q in zip(lyr.params(), inner.params(), strict=True))
+        x = make_rng(3).standard_normal((4, 3, 2))
+        y, cache = lyr.forward(x)
+        d_x, grads = lyr.backward(cache, y)
+        want = layer.backward(inner, layer.forward(inner, x)[1], y)
+        assert np.array_equal(d_x, want.d_input)
+        assert all(np.array_equal(g, w) for g, w in zip(grads, want.params(), strict=True))
+
     def test_optimizers_reduce_loss(self):
         for opt in (nn.SGD(0.05), nn.Adam(0.01), nn.AdamW(0.01)):
             model = nn.Model(

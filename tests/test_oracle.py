@@ -1,3 +1,4 @@
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -12,7 +13,9 @@ from ndlinear.oracle import (
     flat_forward,
     kronecker_trials,
     materialize_full_weight,
+    grads_max_rel_err,
     max_abs_diff,
+    max_rel_err,
     probe_full_map,
 )
 from ndlinear.tensor import ShapeError, make_rng
@@ -141,6 +144,31 @@ class TestFiniteDifferences:
         arr = np.array([3.0])
         (g,) = central_diff(lambda: float(arr[0] ** 2), [arr])
         assert abs(g[0] - 6.0) < 1e-9
+
+
+class TestErrorMeasures:
+    @pytest.mark.filterwarnings("ignore:invalid value")  # inf - inf is the point
+    @pytest.mark.parametrize("measure", [max_abs_diff, max_rel_err])
+    def test_nan_is_an_infinite_error(self, measure):
+        # np.max of a NaN is NaN, which compares below any tolerance
+        a = np.array([1.0, 2.0, 3.0])
+        assert measure(a, a) == 0.0
+        assert measure(a, np.array([1.0, np.nan, 3.0])) == math.inf
+        assert measure(np.array([np.inf]), np.array([np.inf])) == math.inf
+        assert measure(np.zeros(0), np.zeros(0)) == 0.0
+
+    def test_nan_gradient_is_an_infinite_error(self):
+        # Python's max drops a NaN that is not its first argument
+        lyr = init_xavier((2, 3), (3, 2), True, make_rng(13))
+        x = make_rng(14).standard_normal((2, 2, 3))
+        y, cache = layer.forward(lyr, x)
+        analytic = layer.backward(lyr, cache, y)
+        numeric = oracle.finite_diff_grads(lyr, x, lambda out: 0.5 * float((out ** 2).sum()))
+        assert grads_max_rel_err(analytic, numeric) < 1e-6
+        for k in range(len(analytic.params())):
+            broken = layer.backward(lyr, cache, y)
+            broken.params()[k][...] = np.nan
+            assert grads_max_rel_err(broken, numeric) == math.inf
 
 
 class TestTrialRunners:

@@ -6,9 +6,11 @@ from ndlinear.oracle import mode_k_product
 from ndlinear.tensor import (
     FlopCounter,
     ShapeError,
+    is_positive_int,
     make_rng,
     matmul,
     permute,
+    positive_int,
     validate_shape,
 )
 
@@ -17,6 +19,31 @@ class TestValidateShape:
     def test_overflow(self):
         with pytest.raises(OverflowError):
             validate_shape((2**32, 2**32))
+
+    @pytest.mark.parametrize("dims", [(2.5, 3), (True, 3), (3, "4"), (0, 2), (2, -1), ()])
+    def test_every_dim_is_a_positive_int(self, dims):
+        # a dim of 2.5 used to be truncated to 2, and True read as 1
+        with pytest.raises(ShapeError):
+            validate_shape(dims)
+
+    def test_numpy_ints_become_python_ints(self):
+        dims = validate_shape(np.array([2, 3]))
+        assert dims == (2, 3) and all(type(d) is int for d in dims)
+
+
+class TestPositiveInt:
+    @pytest.mark.parametrize("value", [1, 7, np.int64(3), np.uint8(1)])
+    def test_accepts_ints_from_one(self, value):
+        assert is_positive_int(value)
+        assert positive_int(value, "size") == value
+        assert type(positive_int(value, "size")) is int
+
+    @pytest.mark.parametrize("value", [0, -2, True, False, 2.0, 2.5, "3", None, np.float64(2),
+                                       np.bool_(True)])
+    def test_refuses_everything_else(self, value):
+        assert not is_positive_int(value)
+        with pytest.raises(ShapeError, match="size must be a positive int"):
+            positive_int(value, "size")
 
 
 class TestPermute:
