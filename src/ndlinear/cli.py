@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 import statistics
 import sys
 import time
@@ -59,6 +60,14 @@ def _write(option: str, path: str | None, text: str) -> None:
         Path(path).write_text(text, newline="")
     except OSError as exc:
         raise UsageError(f"{option} {path}: cannot write: {exc.strerror or exc}")
+
+
+def _check_writable(option: str, path: str | None) -> None:
+    """Refuse an output path before the run, creating no file: it must not be a
+    directory, and its parent must be a directory the process can write to."""
+    parent = Path(path or ".").parent
+    if path and (Path(path).is_dir() or not (parent.is_dir() and os.access(parent, os.W_OK))):
+        raise UsageError(f"{option} {path}: cannot write: not a file in a writable directory")
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -315,21 +324,17 @@ def _data_value(key: str, value: str, kind: type):
 
 
 def cmd_train(args) -> int:
-    config_path = Path(args.config)
     try:
-        raw = config_path.read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read config: {exc}")
-    try:
-        config = json.loads(raw)
+        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"--config {args.config}: cannot read config: {exc}")
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{config_path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+        raise UsageError(f"--config {args.config}:{exc.lineno}:{exc.colno}: {exc.msg}")
 
     if not 0 < args.split < 1:
         raise UsageError(f"need 0 < --split < 1, got {args.split}")
     try:
-        train_config = nn.TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                                      seed=args.seed)
+        train_config = nn.TrainConfig(epochs=args.epochs, batch_size=args.batch_size)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -337,7 +342,9 @@ def cmd_train(args) -> int:
     try:
         model = nn.build_model(config, rng)
     except nn.ConfigError as exc:
-        raise UsageError(f"{config_path}: {exc}")
+        raise UsageError(f"--config {args.config}: {exc}")
+    except (OverflowError, ValueError, MemoryError) as exc:  # too large to index or allocate
+        raise UsageError(f"--config {args.config}: cannot allocate the model: {exc}")
 
     data = _parse_data_spec(args.data, args.split, rng)
     if (model.loss == "cross_entropy") != (data.task == "classification"):
@@ -354,16 +361,12 @@ def cmd_train(args) -> int:
             raise UsageError(f"model emits {model.out_shape[0]} logits but the data has "
                              f"{classes} classes")
 
-    optimizer = {
-        "sgd": lambda: nn.SGD(args.lr),
-        "adam": lambda: nn.Adam(args.lr),
-        "adamw": lambda: nn.AdamW(args.lr),
-    }[args.optimizer]()
+    optimizer = nn.OPTIMIZERS[args.optimizer](args.lr)
 
     try:
         # an overflow ends in a non-finite loss, which TrainingDiverged reports on one line
         with np.errstate(over="ignore", invalid="ignore"):
-            result = nn.train(model, data, train_config, optimizer, rng=rng)
+            result = nn.train(model, data, train_config, optimizer, rng)
     except nn.TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -468,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--split", type=float, default=0.8)
-    p.add_argument("--optimizer", choices=("sgd", "adam", "adamw"), default="adamw")
+    p.add_argument("--optimizer", choices=nn.OPTIMIZERS, default="adamw")
     p.add_argument("--log", metavar="PATH", help="write a JSON-lines training log")
     p.set_defaults(fn=cmd_train)
 
@@ -496,6 +499,8 @@ def main(argv=None) -> int:
         lr = vars(args).get("lr")  # train and lora-demo
         if lr is not None and not (math.isfinite(lr) and lr > 0):
             raise UsageError(f"need a finite --lr > 0, got {lr}")
+        for option in ("json", "csv", "log"):
+            _check_writable(f"--{option}", vars(args).get(option))
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

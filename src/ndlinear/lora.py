@@ -192,6 +192,7 @@ def recovery_experiment(d: int, h: int, rank: int = 8, seed: int = 0,
     """
     if target not in ("random-kron", "random-dense"):
         raise ValueError(f"unknown target kind {target!r}")
+    steps = positive_int(steps, "steps")
     rng = make_rng(seed)
     # the base comes before the O(sqrt(d)) factor search: a size too big to hold fails fast
     base = FrozenDense(rng.standard_normal((d, h)) / math.sqrt(d),
@@ -219,7 +220,7 @@ def recovery_experiment(d: int, h: int, rank: int = 8, seed: int = 0,
                    "lr": lr, "target": target,
                    "in_factors": list(in_factors), "out_factors": list(out_factors)},
         "param_counts": asdict(counts),
-        "final_loss": losses[-1] if losses else None,
+        "final_loss": losses[-1],
         "recovery_rel_frobenius": recovery,
         "loss_curve": losses,
     }

@@ -8,7 +8,7 @@ the synthetic-data generators used to probe its inductive bias. Losses:
 - ``cross_entropy``: softmax cross-entropy over logits (B, C) with
   integer labels, computed with max-subtraction.
 
-Training is single-threaded and deterministic given the config seed.
+Training is single-threaded and deterministic given its generator.
 
 The optimizers keep their state as flat vectors (``_FlatState``): a
 fixed handful of numpy calls per step instead of ~15 per parameter, with
@@ -233,7 +233,11 @@ def mse_loss(y: np.ndarray, t: np.ndarray):
 
 
 def _log_softmax_picked(logits: np.ndarray, labels: np.ndarray):
-    """(exp of the max-shifted logits, log-probability of each label)."""
+    """(exp of the max-shifted logits, log-probability of each label in [0, classes))."""
+    classes = logits.shape[1]
+    bad = labels if labels.dtype.kind not in "iu" else labels[(labels < 0) | (labels >= classes)]
+    if bad.size:
+        raise ShapeError(f"labels must be integers in [0, {classes}), got {bad.flat[0]}")
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     picked = shifted[np.arange(logits.shape[0]), labels] - np.log(exp.sum(axis=1))
@@ -241,7 +245,7 @@ def _log_softmax_picked(logits: np.ndarray, labels: np.ndarray):
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean softmax cross-entropy with integer labels; returns (loss, dL/dlogits)."""
+    """Mean softmax cross-entropy with labels in [0, classes); returns (loss, dL/dlogits)."""
     if logits.ndim != 2:
         raise ShapeError(f"logits must be (batch, classes), got {logits.shape}")
     labels = np.asarray(labels)
@@ -269,16 +273,22 @@ class _FlatState:
     A step updates the concatenated parameters once and copies each slice
     back in place, so callers keep their arrays. Elementwise IEEE
     arithmetic does not depend on grouping, so the update is bitwise equal
-    to a per-parameter loop. The state fits the parameter shapes of the
-    first step; other shapes raise ``ValueError``.
+    to a per-parameter loop. The first step fixes the parameter shapes
+    (others raise ``ValueError``) and zeroes the vectors named in ``STATE``.
     """
 
+    STATE: tuple[str, ...] = ()
     _shapes = None
+
+    def __init__(self, lr: float):
+        self.lr = lr
 
     def _gather(self, params, grads) -> tuple[np.ndarray, np.ndarray]:
         shapes = [p.shape for p in params]
         if self._shapes is None:
             self._shapes = shapes
+            for name in self.STATE:
+                setattr(self, name, np.zeros(sum(p.size for p in params)))
         if shapes != self._shapes or [g.shape for g in grads] != shapes:
             raise ValueError(f"optimizer state is for parameter shapes {self._shapes}, got "
                              f"parameters {shapes}, gradients {[g.shape for g in grads]}")
@@ -303,14 +313,9 @@ class SGD(_FlatState):
     """SGD with momentum ``MOMENTUM``; the velocity is one flat vector."""
 
     MOMENTUM = 0.9
-
-    def __init__(self, lr: float):
-        self.lr = lr
-        self._velocity = None
+    STATE = ("_velocity",)
 
     def _update(self, p: np.ndarray, g: np.ndarray) -> None:
-        if self._velocity is None:
-            self._velocity = np.zeros_like(p)
         v = self._velocity
         v *= self.MOMENTUM
         v += g
@@ -321,17 +326,10 @@ class Adam(_FlatState):
     """Adam; the moments ``m`` and ``v`` are flat vectors."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
-
-    def __init__(self, lr: float):
-        self.lr = lr
-        self._m = None
-        self._v = None
-        self._t = 0
+    STATE = ("_m", "_v")
+    _t = 0  # steps taken
 
     def _update(self, p: np.ndarray, g: np.ndarray) -> None:
-        if self._m is None:
-            self._m = np.zeros_like(p)
-            self._v = np.zeros_like(p)
         self._t += 1
         b1c = 1.0 - self.BETA1 ** self._t
         b2c = 1.0 - self.BETA2 ** self._t
@@ -353,13 +351,15 @@ class AdamW(Adam):
         self._scatter(p, params)
 
 
+OPTIMIZERS = {"sgd": SGD, "adam": Adam, "adamw": AdamW}
+
+
 # ------------------------------------------------------------- training
 
 @dataclass
 class TrainConfig:
     epochs: int = 40
     batch_size: int = 32
-    seed: int = 42
 
     def __post_init__(self):
         self.epochs = positive_int(self.epochs, "epochs")
@@ -424,8 +424,8 @@ def evaluate(model: Model, x: np.ndarray, targets: np.ndarray):
 
 
 def train(model: Model, data: TrainSplit, config: TrainConfig, optimizer,
-          rng: np.random.Generator | None = None) -> TrainResult:
-    """Minibatch training loop; shuffling comes from the config seed.
+          rng: np.random.Generator) -> TrainResult:
+    """Minibatch training loop; each epoch's shuffle is drawn from ``rng``.
 
     Raises TrainingDiverged on a non-finite batch loss, or a non-finite
     train or test loss at the end of an epoch. The returned log
@@ -435,8 +435,6 @@ def train(model: Model, data: TrainSplit, config: TrainConfig, optimizer,
     """
     if len(data.x_train) == 0:
         raise ValueError("empty training set")
-    if rng is None:
-        rng = make_rng(config.seed)
     params = model.params()
     n = len(data.x_train)
     log: list[dict] = []
@@ -490,6 +488,7 @@ def gen_separable_regression(rng: np.random.Generator, b_total: int,
     plus Gaussian noise, and splits train/test. Pass ``factors`` to pin
     the ground truth instead of drawing it.
     """
+    b_total = positive_int(b_total, "b_total")
     d1, d2 = validate_shape(in_dims)
     h1, h2 = validate_shape(out_dims)
     if factors is None:
@@ -513,6 +512,7 @@ def gen_blob_classification(rng: np.random.Generator, b_total: int,
     Samples come out shaped (B, features, 1) so both factorized and
     dense front layers consume them directly.
     """
+    b_total = positive_int(b_total, "b_total")
     labels = rng.integers(0, 2, size=b_total)
     x = rng.standard_normal((b_total, features))
     x[:, 0] += (labels - 0.5) * sep
@@ -541,16 +541,18 @@ def matched_dense_width(target_params: int, in_features: int, out_features: int)
 
 def run_separable_comparison(n_seeds: int = 5, in_dims=(8, 8), out_dims=(8, 8),
                              noise_sigma: float = 0.05, n_train: int = 256,
-                             n_test: int = 64, epochs: int = 40,
-                             batch_size: int = 32, lr: float = 1e-2) -> dict:
+                             n_test: int = 64, epochs: int = 40) -> dict:
     """Factorized vs dense extractors on axis-separable regression data.
 
     Three bias-free models per seed: the factorized layer, a dense map
     on flattened features ("naive"), and a two-layer dense bottleneck
     shrunk to the factorized layer's parameter count ("matched"). All
-    train identically; the summary reports per-seed final test MSE,
-    medians, and extractor parameter counts.
+    train identically (Adam at lr 0.01, batch 32, shuffled from the seed);
+    the summary reports per-seed final test MSE, medians, and extractor
+    parameter counts.
     """
+    config = TrainConfig(epochs=epochs)
+    lr = 1e-2
     d_flat = math.prod(in_dims)
     h_flat = math.prod(out_dims)
     nd_params = layer_mod.param_count(in_dims, out_dims, with_bias=False)
@@ -578,15 +580,14 @@ def run_separable_comparison(n_seeds: int = 5, in_dims=(8, 8), out_dims=(8, 8),
                 "mse", in_dims),
         }
         for name, model in models.items():
-            cfg = TrainConfig(epochs=epochs, batch_size=batch_size, seed=seed)
-            result = train(model, data, cfg, Adam(lr))
+            result = train(model, data, config, Adam(lr), make_rng(seed))
             mses[name].append(result.final["test_loss"])
 
     return {
         "config": {
             "in_dims": list(in_dims), "out_dims": list(out_dims),
             "noise_sigma": noise_sigma, "n_train": n_train, "n_test": n_test,
-            "epochs": epochs, "batch_size": batch_size, "lr": lr, "seeds": n_seeds,
+            "epochs": epochs, "batch_size": config.batch_size, "lr": lr, "seeds": n_seeds,
         },
         "params": {
             "ndlinear": nd_params,

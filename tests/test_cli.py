@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ndlinear import cli, oracle
+from ndlinear import cli, nn, oracle
 from ndlinear import layer as layer_mod
 from ndlinear.cli import main
 
@@ -65,6 +66,15 @@ def _no_constant(token):
 def read_report(path):
     """A JSON report, refusing the NaN and Infinity tokens that RFC 8259 lacks."""
     return json.loads(path.read_text(), parse_constant=_no_constant)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the run started before its output paths were checked")
+
+
+def output_path(tmp_path, name):
+    """A path that cannot be written: in a missing directory, or a directory itself."""
+    return tmp_path / name if name else tmp_path
 
 
 def assert_one_line_usage_error(capsys, *parts):
@@ -154,6 +164,15 @@ class TestVerify:
         path = tmp_path / "missing" / "r.json"
         assert main(["verify", "--seeds", "1", "--quiet", "--json", str(path)]) == 2
         assert_one_line_usage_error(capsys, f"--json {path}")
+
+    @pytest.mark.parametrize("name", ["missing/r.json", None])
+    def test_unwritable_json_refused_before_the_trials(self, tmp_path, capsys, monkeypatch,
+                                                       name):
+        # every trial used to run before the write failed
+        monkeypatch.setattr(oracle, "equivalence_trials", refuse)
+        path = output_path(tmp_path, name)
+        assert main(["verify", "--seeds", "1", "--quiet", "--json", str(path)]) == 2
+        assert_one_line_usage_error(capsys, f"--json {path}: cannot write")
 
     def test_json_round_trips(self, tmp_path):
         out = tmp_path / "report.json"
@@ -332,6 +351,15 @@ class TestBench:
                      option, str(path), "--quiet"]) == 2
         assert_one_line_usage_error(capsys, f"{option} {path}")
 
+    @pytest.mark.parametrize("option", ["--json", "--csv"])
+    @pytest.mark.parametrize("name", ["missing/bench.out", None])
+    def test_unwritable_output_refused_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                      option, name):
+        monkeypatch.setattr(cli, "run_bench", refuse)
+        path = output_path(tmp_path, name)
+        assert main(["bench", "--in-dims", "2", "--out-dims", "2", option, str(path)]) == 2
+        assert_one_line_usage_error(capsys, f"{option} {path}: cannot write")
+
     def test_rank_mismatch_usage_error(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
         assert main(["bench", "--in-dims", "2,2", "--out-dims", "2",
@@ -444,6 +472,62 @@ class TestTrain:
         assert main(["train", "--config", str(config), "--data", "separable:n=40",
                      "--epochs", "1", option, str(path), "--quiet"]) == 2
         assert_one_line_usage_error(capsys, f"{option} {path}")
+
+    @pytest.mark.parametrize("option", ["--json", "--log"])
+    @pytest.mark.parametrize("name", ["missing/out", None])
+    def test_unwritable_output_refused_before_training(self, tmp_path, capsys, monkeypatch,
+                                                       option, name):
+        # a 40-epoch run used to train in full before the write failed
+        monkeypatch.setattr(nn, "train", refuse)
+        config = write_config(tmp_path, REGRESSION_CONFIG)
+        path = output_path(tmp_path, name)
+        assert main(["train", "--config", str(config), "--data", "separable:n=40",
+                     option, str(path), "--quiet"]) == 2
+        assert_one_line_usage_error(capsys, f"{option} {path}: cannot write")
+
+    def test_unwritable_log_leaves_no_report(self, tmp_path, capsys):
+        config = write_config(tmp_path, REGRESSION_CONFIG)
+        report = tmp_path / "r.json"
+        assert main(["train", "--config", str(config), "--data", "separable:n=40",
+                     "--epochs", "1", "--json", str(report),
+                     "--log", str(tmp_path / "missing" / "log.jsonl"), "--quiet"]) == 2
+        assert_one_line_usage_error(capsys, "--log")
+        assert not report.exists()
+
+    def test_optimizer_choices_are_the_optimizer_table(self):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        (action,) = [a for a in sub.choices["train"]._actions if a.dest == "optimizer"]
+        assert action.choices is nn.OPTIMIZERS
+
+    def test_non_utf8_config_usage_error(self, tmp_path, capsys):
+        # ended in a UnicodeDecodeError traceback, exit 1
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["train", "--config", str(path), "--quiet"]) == 2
+        assert_one_line_usage_error(capsys, f"--config {path}: cannot read config")
+
+    @pytest.mark.parametrize("dims", [[2**40, 2**40], [3037000499]])
+    def test_unallocatable_model_usage_error(self, tmp_path, capsys, dims):
+        # an OverflowError from validate_shape and numpy's "array is too big"
+        # ValueError, both raised before any allocation, ended in tracebacks
+        config = write_config(tmp_path, {
+            "layers": [{"type": "ndlinear", "in": dims, "out": dims}], "loss": "mse"})
+        assert main(["train", "--config", str(config), "--quiet"]) == 2
+        assert_one_line_usage_error(capsys, f"--config {config}: cannot allocate the model")
+
+    def test_model_past_memory_usage_error(self, tmp_path, capsys, monkeypatch):
+        # a dense 100000 -> 100000000 layer (72.8 TiB) raised MemoryError; the
+        # allocation is stubbed so that no machine is asked for the memory
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 72.8 TiB")
+
+        monkeypatch.setattr(nn, "init_dense", out_of_memory)
+        config = write_config(tmp_path, {
+            "layers": [{"type": "dense", "in": 100000, "out": 100000000}], "loss": "mse"})
+        assert main(["train", "--config", str(config), "--quiet"]) == 2
+        assert_one_line_usage_error(capsys, f"--config {config}: cannot allocate the model",
+                                    "72.8 TiB")
 
     def test_unreadable_config_usage_error(self, tmp_path, capsys):
         path = tmp_path / "absent.json"

@@ -224,6 +224,12 @@ class TestRecovery:
                                           lr=0.05, target="random-dense")
         assert report["recovery_rel_frobenius"] > 0.5
 
+    @pytest.mark.parametrize("steps", [0, 2.5])
+    def test_steps_must_be_a_positive_int(self, steps):
+        # steps=0 reported the unfitted adapter: final_loss None, recovery 1.0
+        with pytest.raises(ShapeError, match="steps"):
+            lora.recovery_experiment(4, 4, steps=steps)
+
     def test_unknown_target(self):
         with pytest.raises(ValueError):
             lora.recovery_experiment(8, 8, target="exact")

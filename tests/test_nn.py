@@ -91,6 +91,15 @@ class TestLosses:
         _, d = nn.softmax_cross_entropy(logits, rng.integers(0, 5, size=4))
         assert np.allclose(d.sum(axis=1), 0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("label", [-1, 3, 1.0, True])
+    def test_labels_must_be_integers_below_the_class_count(self, label):
+        # -1 read the last logit (loss 0.4076, class 2's); 3 and 1.0 raised IndexError
+        with pytest.raises(ShapeError, match=r"labels must be integers in \[0, 3\)"):
+            nn.softmax_cross_entropy(np.array([[1.0, 2.0, 3.0]]), np.array([label]))
+        model = nn.Model([nn.Dense(np.eye(3))], "cross_entropy", (3,))
+        with pytest.raises(ShapeError, match="labels"):
+            nn.evaluate(model, np.ones((2, 3)), np.array([label, label]))
+
 
 class TestBackward:
     def test_single_dense_mse_hand_rule(self):
@@ -148,8 +157,8 @@ class TestTraining:
             [nn.NdLinear(layer.init_xavier((3, 2), (2, 3), False, make_rng(1)))],
             "mse", (3, 2))
         before = [p.copy() for p in model.params()]
-        res = nn.train(model, self._data(), nn.TrainConfig(epochs=3, seed=0),
-                       nn.SGD(lr=0.0))
+        res = nn.train(model, self._data(), nn.TrainConfig(epochs=3),
+                       nn.SGD(lr=0.0), make_rng(0))
         assert all(np.array_equal(a, b) for a, b in zip(before, model.params()))
         losses = [r["train_loss"] for r in res.log]
         assert losses[0] == losses[1] == losses[2]
@@ -159,8 +168,8 @@ class TestTraining:
             model = nn.Model(
                 [nn.NdLinear(layer.init_xavier((3, 2), (2, 3), False, make_rng(1)))],
                 "mse", (3, 2))
-            log = nn.train(model, self._data(), nn.TrainConfig(epochs=4, seed=9),
-                           nn.Adam(1e-2)).log
+            log = nn.train(model, self._data(), nn.TrainConfig(epochs=4),
+                           nn.Adam(1e-2), make_rng(9)).log
             # every field but the wall clock repeats exactly
             return [{k: v for k, v in rec.items() if k != "epoch_wall_ns"} for rec in log]
         assert run() == run()
@@ -170,8 +179,8 @@ class TestTraining:
         data = nn.gen_blob_classification(rng, 400, features=4, sep=6.0)
         model = nn.Model([nn.init_dense(4, 2, True, make_rng(2))],
                          "cross_entropy", (4, 1))
-        res = nn.train(model, data, nn.TrainConfig(epochs=40, seed=0),
-                       nn.Adam(0.05))
+        res = nn.train(model, data, nn.TrainConfig(epochs=40),
+                       nn.Adam(0.05), make_rng(0))
         assert res.final["train_accuracy"] >= 0.95
 
     def test_noise_free_realizable_converges(self):
@@ -181,8 +190,8 @@ class TestTraining:
             [nn.NdLinear(layer.init_xavier((8, 8), (8, 8), False, make_rng(3)))],
             "mse", (8, 8))
         # 8 batches/epoch * 250 epochs = 2000 optimizer steps
-        res = nn.train(model, data, nn.TrainConfig(epochs=250, seed=0),
-                       nn.Adam(1e-2))
+        res = nn.train(model, data, nn.TrainConfig(epochs=250),
+                       nn.Adam(1e-2), make_rng(0))
         assert res.final["test_loss"] < 1e-6
 
     @pytest.mark.filterwarnings("ignore:overflow")  # blow-up is the point
@@ -191,8 +200,8 @@ class TestTraining:
             [nn.NdLinear(layer.init_xavier((3, 2), (2, 3), False, make_rng(1)))],
             "mse", (3, 2))
         with pytest.raises(nn.TrainingDiverged, match="epoch"):
-            nn.train(model, self._data(), nn.TrainConfig(epochs=50, seed=0),
-                     nn.SGD(lr=1e12))
+            nn.train(model, self._data(), nn.TrainConfig(epochs=50),
+                     nn.SGD(lr=1e12), make_rng(0))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -215,8 +224,8 @@ class TestTraining:
             [nn.NdLinear(layer.init_xavier((3, 2), (2, 3), False, make_rng(1)))],
             "mse", (3, 2))
         with pytest.raises(nn.TrainingDiverged, match="epoch 1: train inf"):
-            nn.train(model, data, nn.TrainConfig(epochs=1, batch_size=32, seed=0),
-                     nn.SGD(lr=1e200))
+            nn.train(model, data, nn.TrainConfig(epochs=1, batch_size=32),
+                     nn.SGD(lr=1e200), make_rng(0))
 
     @pytest.mark.parametrize("with_bias", [False, True])
     def test_ndlinear_layer_shares_the_inner_parameter_order(self, with_bias):
@@ -230,13 +239,25 @@ class TestTraining:
         assert np.array_equal(d_x, want.d_input)
         assert all(np.array_equal(g, w) for g, w in zip(grads, want.params(), strict=True))
 
+    def test_negative_label_refused(self):
+        data = nn.gen_blob_classification(make_rng(5), 40, features=4)
+        data.y_train[7] = -1
+        model = nn.Model([nn.init_dense(4, 2, True, make_rng(2))], "cross_entropy", (4, 1))
+        with pytest.raises(ShapeError, match="labels"):
+            nn.train(model, data, nn.TrainConfig(epochs=1), nn.SGD(0.1), make_rng(0))
+
+    def test_train_needs_a_generator(self):
+        model = nn.Model([nn.ReLU()], "mse", (3,))
+        with pytest.raises(TypeError, match="rng"):
+            nn.train(model, self._data(), nn.TrainConfig(epochs=1), nn.SGD(0.1))
+
     def test_optimizers_reduce_loss(self):
         for opt in (nn.SGD(0.05), nn.Adam(0.01), nn.AdamW(0.01)):
             model = nn.Model(
                 [nn.NdLinear(layer.init_xavier((3, 2), (2, 3), False, make_rng(1)))],
                 "mse", (3, 2))
-            res = nn.train(model, self._data(), nn.TrainConfig(epochs=10, seed=0),
-                           opt)
+            res = nn.train(model, self._data(), nn.TrainConfig(epochs=10),
+                           opt, make_rng(0))
             assert res.log[-1]["train_loss"] < res.log[0]["train_loss"]
 
 
@@ -339,7 +360,7 @@ class TestFlatOptimizers:
         x = rng.standard_normal((8, 3))
         data = nn.TrainSplit(x[:6], x[:6], x[6:], x[6:], "regression")
         res = nn.train(model, data, nn.TrainConfig(epochs=2, batch_size=4),
-                       OPTIMIZER_PAIRS[name][0]())
+                       OPTIMIZER_PAIRS[name][0](), make_rng(42))
         assert res.final["train_loss"] == res.log[0]["train_loss"]
 
 
@@ -367,6 +388,13 @@ class TestData:
         data = nn.gen_blob_classification(make_rng(1), 50, features=11)
         assert data.x_train.shape[1:] == (11, 1)
         assert set(np.unique(np.concatenate([data.y_train, data.y_test]))) <= {0, 1}
+
+    @pytest.mark.parametrize("gen", [nn.gen_separable_regression, nn.gen_blob_classification])
+    @pytest.mark.parametrize("b_total", [2.5, 0, True])
+    def test_sample_count_must_be_a_positive_int(self, gen, b_total):
+        # 2.5 ended in numpy's TypeError
+        with pytest.raises(ShapeError, match="b_total"):
+            gen(make_rng(0), b_total)
 
     def test_bad_split(self):
         with pytest.raises(ValueError):
