@@ -17,8 +17,8 @@ order. Each mode step is one 2-D gemm on a rotating unfolding. The
 input is transposed once to (D_1..D_N, B). Step k reads its buffer as
 the (D_k, rest) matrix Z and computes Z^T W_k + b_k, laid out as
 (D_{k+1}..D_N, B, H_1..H_k): the next mode leads, and step N leaves Y
-in (B, H_1..H_N). The hand-written backward walks the same buffers;
-with G the (rest, H_k) gradient of step k, for k = N..1:
+in (B, H_1..H_N). ``forward`` caches each step's buffer Z, not Y, and
+backward reshapes it; with G the (rest, H_k) gradient of step k, for k = N..1:
 
     dW_k = Z G,    db_k = 1^T G,    G <- W_k G^T
 
@@ -110,12 +110,12 @@ class NdLinearLayer:
 
 @dataclass
 class LayerCache:
-    """Intermediates Z_0 = X, Z_1, ..., Z_N = Y kept for backward.
+    """The N gemm operands Z_0 = X, Z_1, ..., Z_{N-1} kept for backward.
 
-    Z_k has shape (B, H_1..H_k, D_{k+1}..D_N): the running tensor after
-    transforming mode k (bias included). ``forward`` stores transposed
-    views of its step buffers (D_{k+1}..D_N, B, H_1..H_k), which
-    ``backward`` reads without a copy; any other array costs one copy.
+    Z_k, the running tensor after modes 1..k (bias included), is kept in
+    the step layout (D_{k+1}..D_N, B, H_1..H_k) that step k+1 multiplies;
+    Y is not kept. ``backward`` reads forward's contiguous buffers (N >= 2)
+    without a copy; any other array costs one copy.
     """
 
     intermediates: list[np.ndarray] = field(default_factory=list)
@@ -171,37 +171,20 @@ def _check_input(layer: NdLinearLayer, x: np.ndarray) -> np.ndarray:
     return x
 
 
-@lru_cache(maxsize=1024)
-def _step_axes(rank: int, k: int) -> tuple[int, ...]:
-    """Axis order taking Z_k to its step layout (D_{k+1}..D_N, B, H_1..H_k)."""
-    return tuple(range(k + 1, rank)) + tuple(range(k + 1))
-
-
-@lru_cache(maxsize=1024)
-def _unstep_axes(rank: int, k: int) -> tuple[int, ...]:
-    """Inverse of ``_step_axes``: the step layout back to Z_k's axis order."""
-    return tuple(range(rank - k - 1, rank)) + tuple(range(rank - k - 1))
-
-
 def _run_steps(layer: NdLinearLayer, x: np.ndarray, cache: LayerCache | None) -> np.ndarray:
-    """Apply every mode step to a checked input, appending Z_0..Z_N to ``cache``."""
-    n = layer.n_modes
+    """Apply every mode step to a checked input, appending each step's operand to ``cache``."""
     batch = x.shape[0]
     # Z_0 in step layout (D_1..D_N, B). A 2-D input's transposed view is
     # already that layout, which keeps N = 1 bitwise equal to x @ W_1 + b_1.
-    z = x.T if n == 1 else permute(x, _step_axes(n + 1, 0))
+    z = x.T if layer.n_modes == 1 else permute(x.reshape(batch, -1), (1, 0))
     for k, w in enumerate(layer.weights):
         if cache is not None:
-            shape = (*layer.in_dims[k:], batch, *layer.out_dims[:k])
             cache.intermediates.append(
-                z.reshape(shape).transpose(_unstep_axes(n + 1, k)))
+                z.reshape(*layer.in_dims[k:], batch, *layer.out_dims[:k]))
         z = matmul(z.reshape(w.shape[0], -1).T, w)
         if layer.biases is not None:
             z += layer.biases[k]
-    y = z.reshape(batch, *layer.out_dims)
-    if cache is not None:
-        cache.intermediates.append(y)
-    return y
+    return z.reshape(batch, *layer.out_dims)
 
 
 def forward(layer: NdLinearLayer, x: np.ndarray) -> tuple[np.ndarray, LayerCache]:
@@ -273,16 +256,16 @@ def backward(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray) -> NdLine
     excludes bias work, so the traced and counted FLOPs stay the gemms'.
     """
     n = layer.n_modes
-    if len(cache.intermediates) != n + 1:
-        raise ShapeError(f"cache holds {len(cache.intermediates)} tensors, expected {n + 1}")
-    batch = cache.intermediates[0].shape[0]
+    if len(cache.intermediates) != n:
+        raise ShapeError(f"cache holds {len(cache.intermediates)} tensors, expected {n}")
+    batch = cache.intermediates[0].shape[-1]
     for k, z in enumerate(cache.intermediates):
-        want = (batch, *layer.out_dims[:k], *layer.in_dims[k:])
+        want = (*layer.in_dims[k:], batch, *layer.out_dims[:k])
         if z.shape != want:
             raise ShapeError(f"cache entry {k} has shape {z.shape}, layer expects {want}")
     d_y = np.ascontiguousarray(np.asarray(d_y, dtype=np.float64))
-    if d_y.shape != cache.intermediates[-1].shape:
-        raise ShapeError(f"d_y shape {d_y.shape} != output shape {cache.intermediates[-1].shape}")
+    if d_y.shape != (batch, *layer.out_dims):
+        raise ShapeError(f"d_y shape {d_y.shape} != output shape {(batch, *layer.out_dims)}")
 
     d_weights: list[np.ndarray | None] = [None] * n
     d_biases: list[np.ndarray | None] | None = [None] * n if layer.with_bias else None
@@ -290,15 +273,15 @@ def backward(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray) -> NdLine
     for k in range(n, 0, -1):
         w = layer.weights[k - 1]
         g = g.reshape(-1, w.shape[1])
-        # one operand layout for any cache; free for forward's views (N >= 2)
-        z = np.ascontiguousarray(cache.intermediates[k - 1].transpose(_step_axes(n + 1, k - 1)))
+        # one operand layout for any cache; free for forward's buffers (N >= 2)
+        z = np.ascontiguousarray(cache.intermediates[k - 1])
         d_weights[k - 1] = matmul(z.reshape(w.shape[0], -1), g)
         if d_biases is not None:
             d_biases[k - 1] = np.ones(g.shape[0]) @ g
         g = matmul(w, g.T)
 
-    g = g.reshape(*layer.in_dims, batch)
-    return NdLinearGrads(d_weights, d_biases, permute(g, _unstep_axes(n + 1, 0)))
+    d_x = permute(g.reshape(-1, batch), (1, 0))  # dL/dX, from step layout (D_1..D_N, B)
+    return NdLinearGrads(d_weights, d_biases, d_x.reshape(batch, *layer.in_dims))
 
 
 def param_count(in_dims, out_dims, with_bias: bool) -> int:
@@ -454,4 +437,7 @@ def load_layer(path) -> NdLinearLayer:
     biases = None
     if with_bias:
         biases = [ndt.read(root / f"b_{k}.ndt") for k in range(1, n + 1)]
-    return NdLinearLayer(in_dims, out_dims, weights, biases)
+    try:
+        return NdLinearLayer(in_dims, out_dims, weights, biases)
+    except ShapeError as exc:
+        raise ndt.FormatError(f"{root}: tensor files do not fit {_META_NAME}: {exc}") from exc

@@ -31,12 +31,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import layer as layer_mod
 from .layer import NdLinearLayer
-from .tensor import ShapeError, is_positive_int, make_rng, positive_int, validate_shape
+from .tensor import ShapeError, make_rng, positive_int, validate_shape
 
 LOSSES = ("mse", "cross_entropy")
 
@@ -399,7 +400,7 @@ def evaluate(model: Model, x: np.ndarray, targets: np.ndarray):
     """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets)
-    n = x.shape[0]
+    n = positive_int(x.shape[0], "evaluate row count")
     if x.shape[1:] != model.in_dims:
         raise ShapeError(f"input features {x.shape[1:]} != model in_dims {model.in_dims}")
     want = (n, *model.out_shape) if model.loss == "mse" else (n,)
@@ -433,10 +434,9 @@ def train(model: Model, data: TrainSplit, config: TrainConfig, optimizer,
     classification) from ``evaluate``, and ``epoch_wall_ns``, the
     ``perf_counter_ns`` duration of the epoch, evaluation included.
     """
-    if len(data.x_train) == 0:
-        raise ValueError("empty training set")
+    n = positive_int(len(data.x_train), "training set size")
+    positive_int(len(data.x_test), "test set size")
     params = model.params()
-    n = len(data.x_train)
     log: list[dict] = []
     for epoch in range(1, config.epochs + 1):
         start_ns = time.perf_counter_ns()
@@ -606,19 +606,15 @@ class ConfigError(ValueError):
     """Model config did not validate; message carries the field path."""
 
 
-def _cfg_dims(entry: dict, key: str, where: str) -> tuple[int, ...]:
-    value = entry.get(key)
-    if (not isinstance(value, list) or not value
-            or not all(is_positive_int(d) for d in value)):
-        raise ConfigError(f"{where}.{key}: expected a list of positive ints, got {value!r}")
-    return tuple(value)
+_WIDTH = partial(positive_int, what="width")  # a dense layer's in or out
 
 
-def _cfg_int(entry: dict, key: str, where: str) -> int:
-    value = entry.get(key)
-    if not is_positive_int(value):
-        raise ConfigError(f"{where}.{key}: expected a positive int, got {value!r}")
-    return value
+def _cfg_field(entry: dict, key: str, where: str, rule=validate_shape):
+    """``rule(entry[key])``, a library size rule, its error a ConfigError naming the field."""
+    try:
+        return rule(entry.get(key))
+    except ShapeError as exc:
+        raise ConfigError(f"{where}.{key}: {exc}") from exc
 
 
 def build_model(config: dict, rng: np.random.Generator) -> Model:
@@ -649,23 +645,21 @@ def build_model(config: dict, rng: np.random.Generator) -> Model:
         if kind in ("ndlinear", "dense") and not isinstance(bias, bool):
             raise ConfigError(f"{where}.bias: expected a bool, got {bias!r}")
         if kind == "ndlinear":
-            dims_in = _cfg_dims(entry, "in", where)
-            dims_out = _cfg_dims(entry, "out", where)
+            dims_in, dims_out = (_cfg_field(entry, key, where) for key in ("in", "out"))
             if len(dims_in) != len(dims_out):
                 raise ConfigError(f"{where}: in and out must have the same rank")
             layers.append(NdLinear(layer_mod.init_xavier(dims_in, dims_out, bias, rng)))
             if in_dims is None:
                 in_dims = dims_in
         elif kind == "dense":
-            d = _cfg_int(entry, "in", where)
-            h = _cfg_int(entry, "out", where)
+            d, h = (_cfg_field(entry, key, where, _WIDTH) for key in ("in", "out"))
             layers.append(init_dense(d, h, bias, rng))
             if in_dims is None:
                 in_dims = (d,)
         elif kind == "relu":
             layers.append(ReLU())
         elif kind == "reshape":
-            layers.append(Reshape(_cfg_dims(entry, "dims", where)))
+            layers.append(Reshape(_cfg_field(entry, "dims", where)))
         else:
             raise ConfigError(f"{where}.type: unknown layer type {kind!r}")
         if in_dims is None:

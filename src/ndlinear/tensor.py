@@ -58,16 +58,16 @@ def validate_shape(dims) -> tuple[int, ...]:
     Requires rank >= 1, every dim a positive int (``is_positive_int``),
     and an element count that fits in a platform word.
     """
-    dims = tuple(dims)
-    if len(dims) == 0:
-        raise ShapeError("shape must have rank >= 1")
-    if not all(map(is_positive_int, dims)):
-        raise ShapeError(f"all dims must be positive ints, got {dims}")
-    dims = tuple(map(int, dims))
-    count = math.prod(dims)
+    shape = tuple(dims) if np.iterable(dims) else ()
+    if len(shape) == 0:
+        raise ShapeError(f"shape must be a non-empty sequence of dims, got {dims!r}")
+    if not all(map(is_positive_int, shape)):
+        raise ShapeError(f"all dims must be positive ints, got {dims!r}")
+    shape = tuple(map(int, shape))
+    count = math.prod(shape)
     if count > INDEX_MAX:
         raise OverflowError(f"element count {count} overflows platform word")
-    return dims
+    return shape
 
 
 def make_rng(seed: int) -> np.random.Generator:

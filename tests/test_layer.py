@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -161,9 +162,12 @@ class TestForward:
         x = rng.standard_normal((batch, *lyr.in_dims))
         y, cache = forward(lyr, x)
         assert y.shape == (batch, *lyr.out_dims)
-        assert len(cache.intermediates) == lyr.n_modes + 1
+        # one gemm operand per mode step, in step layout; Y is not kept
+        assert len(cache.intermediates) == lyr.n_modes
         for k, z in enumerate(cache.intermediates):
-            assert z.shape == (batch, *lyr.out_dims[:k], *lyr.in_dims[k:])
+            assert z.shape == (*lyr.in_dims[k:], batch, *lyr.out_dims[:k])
+            # backward's ascontiguousarray copies nothing of forward's buffers
+            assert z.flags.c_contiguous or lyr.n_modes == 1
 
     def test_forward_only_matches_forward(self):
         rng, lyr = random_layer(7)
@@ -248,6 +252,16 @@ class TestKernelProperties:
         again = backward(lyr, copied, d_y)
         for got, want in zip(grad_arrays(again), grad_arrays(grads), strict=True):
             assert np.array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(layer_cases())
+    def test_batch_moves_once_at_each_end(self, case):
+        # into step layout (a free view when N = 1) and back out as dL/dX;
+        # no mode step and no cache read copies through permute
+        lyr, x, d_y = case
+        with mock.patch.object(layer, "permute", wraps=layer.permute) as spy:
+            backward(lyr, forward(lyr, x)[1], d_y)
+        assert spy.call_count == (1 if lyr.n_modes == 1 else 2)
 
 
 def brute_force_min_cost(in_dims, out_dims):
@@ -471,6 +485,14 @@ class TestSerialization:
         for got, want in zip(back.weights + back.biases, first.weights + first.biases):
             assert got.tobytes() == want.tobytes()
         assert [p.name for p in tmp_path.iterdir()] == ["lyr"]
+
+    def test_tensor_that_does_not_fit_meta_is_a_format_error(self, tmp_path):
+        save_layer(init_xavier((2, 3), (4, 5), True, make_rng(0)), tmp_path / "lyr")
+        ndt.write(tmp_path / "lyr" / "W_1.ndt", np.zeros((4, 5)))
+        with pytest.raises(ndt.FormatError) as info:
+            load_layer(tmp_path / "lyr")
+        assert str(tmp_path / "lyr") in str(info.value)
+        assert "meta.json" in str(info.value)
 
     @pytest.mark.parametrize("meta, problem", [
         (b'{"N": 2,', "not valid JSON"),

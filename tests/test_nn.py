@@ -7,7 +7,7 @@ import pytest
 from conftest import model_analytic_grads, model_numeric_grads
 from ndlinear import layer, nn
 from ndlinear.oracle import max_rel_err
-from ndlinear.tensor import ShapeError, make_rng
+from ndlinear.tensor import ShapeError, make_rng, positive_int, validate_shape
 
 
 def small_mse_model(seed=0):
@@ -245,6 +245,20 @@ class TestTraining:
         model = nn.Model([nn.init_dense(4, 2, True, make_rng(2))], "cross_entropy", (4, 1))
         with pytest.raises(ShapeError, match="labels"):
             nn.train(model, data, nn.TrainConfig(epochs=1), nn.SGD(0.1), make_rng(0))
+
+    @pytest.mark.parametrize("split, field", [("train", "training set size"),
+                                              ("test", "test set size")])
+    def test_empty_set_refused_before_training(self, split, field):
+        data = self._data()
+        setattr(data, f"x_{split}", data.x_train[:0])
+        setattr(data, f"y_{split}", data.y_train[:0])
+        model = nn.Model(
+            [nn.NdLinear(layer.init_xavier((3, 2), (2, 3), False, make_rng(1)))],
+            "mse", (3, 2))
+        before = [p.copy() for p in model.params()]
+        with pytest.raises(ShapeError, match=field):
+            nn.train(model, data, nn.TrainConfig(epochs=1), nn.SGD(0.1), make_rng(0))
+        assert all(np.array_equal(a, b) for a, b in zip(before, model.params()))
 
     def test_train_needs_a_generator(self):
         model = nn.Model([nn.ReLU()], "mse", (3,))
@@ -526,6 +540,12 @@ class TestEvaluate:
         with pytest.raises(ShapeError, match="target"):
             nn.evaluate(model, x, t[:3])
 
+    def test_zero_rows_is_a_shape_error(self):
+        model = skewed_mse_model()
+        x, t = self._data(model, 1)
+        with pytest.raises(ShapeError, match="row count"):
+            nn.evaluate(model, x[:0], t[:0])
+
 
 class TestModelConfig:
     GOOD = {
@@ -565,6 +585,27 @@ class TestModelConfig:
         with pytest.raises(nn.ConfigError) as info:
             nn.build_model({"layers": [layer], "loss": "mse"}, make_rng(0))
         assert str(info.value).startswith(field + ":")
+
+    @pytest.mark.parametrize("layer, key", [
+        ({"type": "ndlinear", "out": [8]}, "in"),
+        ({"type": "ndlinear", "in": 8, "out": [8]}, "in"),
+        ({"type": "ndlinear", "in": [8], "out": []}, "out"),
+        ({"type": "ndlinear", "in": [8], "out": "8"}, "out"),
+        ({"type": "dense", "in": [8], "out": 8}, "in"),
+        ({"type": "dense", "in": 8}, "out"),
+    ])
+    def test_sizes_follow_the_library_rule(self, layer, key):
+        # the library's own message behind the field, showing the value given
+        value = layer.get(key)
+        with pytest.raises(ShapeError) as lib:
+            if layer["type"] == "ndlinear":
+                validate_shape(value)
+            else:
+                positive_int(value, "width")
+        with pytest.raises(nn.ConfigError) as info:
+            nn.build_model({"layers": [layer], "loss": "mse"}, make_rng(0))
+        assert str(info.value) == f"layers[0].{key}: {lib.value}"
+        assert str(info.value).endswith(f"got {value!r}")
 
     def test_reshape_dims_must_be_ints(self):
         config = {"layers": [{"type": "dense", "in": 6, "out": 6},

@@ -26,6 +26,12 @@ class TestValidateShape:
         with pytest.raises(ShapeError):
             validate_shape(dims)
 
+    @pytest.mark.parametrize("dims", [None, 8, 2.5])
+    def test_non_sequence_is_a_shape_error(self, dims):
+        # used to end in "'NoneType' object is not iterable"
+        with pytest.raises(ShapeError, match=f"got {dims!r}"):
+            validate_shape(dims)
+
     def test_numpy_ints_become_python_ints(self):
         dims = validate_shape(np.array([2, 3]))
         assert dims == (2, 3) and all(type(d) is int for d in dims)
