@@ -34,7 +34,7 @@ EXIT_USAGE = 2
 
 EQUIVALENCE_TOL = 1e-10
 KRONECKER_TOL = 1e-12
-GRADIENT_TOL = 1e-6
+GRADIENT_TOL = 1e-9
 
 
 class UsageError(Exception):

@@ -22,7 +22,8 @@ backward reshapes it; with G the (rest, H_k) gradient of step k, for k = N..1:
 
     dW_k = Z G,    db_k = 1^T G,    G <- W_k G^T
 
-W_k G^T is already in Z's layout, and one transpose returns dL/dX.
+W_k G^T is already in Z's layout, and one transpose returns dL/dX; a
+training step skips the last W_1 G^T and that transpose (``_backward_into``).
 
 Inference (``forward_only``) applies the modes in the order with the
 fewest FLOPs (``plan_modes``). Mode products on different axes commute,
@@ -248,9 +249,19 @@ def effective_bias(layer: NdLinearLayer) -> np.ndarray:
 
 
 def backward(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray) -> NdLinearGrads:
-    """Propagate dL/dY back through every mode step.
+    """Propagate dL/dY back through every mode step; ``cache`` must come
+    from ``forward`` on the same layer and input."""
+    d_params = [np.empty(p.shape) for p in layer.params()]
+    d_x = _backward_into(layer, cache, d_y, d_params, need_input=True)
+    return NdLinearGrads(d_params[:layer.n_modes], d_params[layer.n_modes:] or None, d_x)
 
-    ``cache`` must come from ``forward`` on the same layer and input.
+
+def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
+                   d_params: list[np.ndarray], need_input: bool) -> np.ndarray | None:
+    """``backward``, writing the gradients into ``d_params`` (C-contiguous, in
+    ``params`` order). dL/dX, the last W_1 G^T and its transpose, is computed
+    and returned only if ``need_input``; training's first layer skips it.
+
     Each bias gradient is the gemv 1^T G, 3-4x faster than ``G.sum(axis=0)``
     on these shapes. It goes to numpy, not ``matmul``: ``flop_count``
     excludes bias work, so the traced and counted FLOPs stay the gemms'.
@@ -267,21 +278,21 @@ def backward(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray) -> NdLine
     if d_y.shape != (batch, *layer.out_dims):
         raise ShapeError(f"d_y shape {d_y.shape} != output shape {(batch, *layer.out_dims)}")
 
-    d_weights: list[np.ndarray | None] = [None] * n
-    d_biases: list[np.ndarray | None] | None = [None] * n if layer.with_bias else None
     g = d_y
     for k in range(n, 0, -1):
         w = layer.weights[k - 1]
         g = g.reshape(-1, w.shape[1])
         # one operand layout for any cache; free for forward's buffers (N >= 2)
         z = np.ascontiguousarray(cache.intermediates[k - 1])
-        d_weights[k - 1] = matmul(z.reshape(w.shape[0], -1), g)
-        if d_biases is not None:
-            d_biases[k - 1] = np.ones(g.shape[0]) @ g
-        g = matmul(w, g.T)
-
+        d_params[k - 1][...] = matmul(z.reshape(w.shape[0], -1), g)
+        if layer.biases is not None:
+            np.matmul(np.ones(g.shape[0]), g, out=d_params[n + k - 1])
+        if k > 1 or need_input:
+            g = matmul(w, g.T)
+    if not need_input:
+        return None
     d_x = permute(g.reshape(-1, batch), (1, 0))  # dL/dX, from step layout (D_1..D_N, B)
-    return NdLinearGrads(d_weights, d_biases, d_x.reshape(batch, *layer.in_dims))
+    return d_x.reshape(batch, *layer.in_dims)
 
 
 def param_count(in_dims, out_dims, with_bias: bool) -> int:

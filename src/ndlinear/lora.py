@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import layer as layer_mod
-from . import oracle
+from . import nn, oracle
 from .layer import NdLinearLayer
 from .nn import Adam, Dense, mse_loss
 from .tensor import ShapeError, make_rng, positive_int
@@ -163,19 +163,22 @@ def adapter_param_counts(d: int, h: int, rank: int,
 
 def fit_ndlora(base: FrozenDense, adapter: NdLoRAAdapter, x: np.ndarray,
                y_target: np.ndarray, steps: int, lr: float) -> list[float]:
-    """Full-batch Adam on the adapter factors only; returns the loss curve."""
+    """Full-batch Adam on the adapter factors only; returns the loss curve.
+
+    The factors train as an ``nn.Model``, so they become views of its ``flat``.
+    """
     batch = x.shape[0]
     x_nd = x.reshape(batch, *adapter.in_factors)
-    y_base = base.forward(x)
-    delta_target_out = y_target - y_base
+    delta_target = y_target - base.forward(x)
+    model = nn.Model([nn.NdLinear(adapter.nd), nn.Reshape(delta_target.shape[1:])], "mse",
+                     adapter.in_factors)
     optimizer = Adam(lr)
-    params = adapter.nd.params()
     losses = []
     for _ in range(steps):
-        delta, cache = layer_mod.forward(adapter.nd, x_nd)
-        loss, d_flat = mse_loss(delta.reshape(batch, -1), delta_target_out)
-        grads = layer_mod.backward(adapter.nd, cache, d_flat.reshape(delta.shape))
-        optimizer.step(params, grads.params())
+        delta, caches = nn.model_forward(model, x_nd)
+        loss, d_delta = mse_loss(delta, delta_target)
+        nn._backward(model, caches, d_delta, need_input=False)
+        optimizer.step(model.flat, model.grad)
         losses.append(loss)
     return losses
 

@@ -10,10 +10,14 @@ the synthetic-data generators used to probe its inductive bias. Losses:
 
 Training is single-threaded and deterministic given its generator.
 
-The optimizers keep their state as flat vectors (``_FlatState``): a
-fixed handful of numpy calls per step instead of ~15 per parameter, with
-updates bitwise equal to a per-parameter loop. The learning rate is
-their one setting; momentum, betas, eps and weight decay are constants.
+A ``Model`` packs its parameters once, at construction, into one vector
+``flat`` (``params()`` order) and rebinds each layer's arrays to views of
+it. Parameters that share memory, such as a layer listed twice, are
+refused: one vector cannot hold an array twice. A training step writes
+the gradients into views of ``grad`` and skips the model input's
+gradient; the optimizer then updates ``flat`` in place, a fixed handful
+of numpy calls per step (``_FlatState``). The learning rate is the
+optimizers' one setting; momentum, betas, eps and weight decay are constants.
 
 ``evaluate`` (the per-epoch train and test losses) is an inference
 pass, block-wise and cache-free: it runs the rows in blocks through
@@ -28,6 +32,7 @@ batch through the training forward.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -47,7 +52,7 @@ _EVAL_BLOCK_BYTES = 512 * 1024
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss becomes non-finite."""
+    """Raised when a training loss or gradient becomes non-finite."""
 
 
 # ---------------------------------------------------------------- layers
@@ -82,9 +87,12 @@ class NdLinear:
     def infer(self, x):
         return layer_mod.forward_only(self.inner, x)
 
-    def backward(self, cache, d_y):
-        g = layer_mod.backward(self.inner, cache, d_y)
-        return g.d_input, g.params()
+    def bind(self, arrays):
+        n = self.inner.n_modes
+        self.inner.weights, self.inner.biases = arrays[:n], arrays[n:] or None
+
+    def backward(self, cache, d_y, d_params, need_input):
+        return layer_mod._backward_into(self.inner, cache, d_y, d_params, need_input)
 
 
 class Dense(_Layer):
@@ -107,6 +115,11 @@ class Dense(_Layer):
     def params(self):
         return [self.w] if self.b is None else [self.w, self.b]
 
+    def bind(self, arrays):
+        self.w = arrays[0]
+        if self.b is not None:
+            self.b = arrays[1]
+
     def forward(self, x):
         batch = x.shape[0]
         x_flat = np.ascontiguousarray(x).reshape(batch, -1)
@@ -115,13 +128,12 @@ class Dense(_Layer):
             y = y + self.b
         return y, (x_flat, x.shape)
 
-    def backward(self, cache, d_y):
+    def backward(self, cache, d_y, d_params, need_input):
         x_flat, in_shape = cache
-        d_w = x_flat.T @ d_y
-        d_x = (d_y @ self.w.T).reshape(in_shape)
-        if self.b is None:
-            return d_x, [d_w]
-        return d_x, [d_w, d_y.sum(axis=0)]
+        np.matmul(x_flat.T, d_y, out=d_params[0])
+        if self.b is not None:
+            d_y.sum(axis=0, out=d_params[1])
+        return (d_y @ self.w.T).reshape(in_shape) if need_input else None
 
 
 class ReLU(_Layer):
@@ -135,8 +147,8 @@ class ReLU(_Layer):
     def infer(self, x):
         return np.maximum(x, 0.0)
 
-    def backward(self, cache, d_y):
-        return d_y * cache, []
+    def backward(self, cache, d_y, d_params, need_input):
+        return d_y * cache
 
 
 class Reshape(_Layer):
@@ -153,8 +165,8 @@ class Reshape(_Layer):
     def forward(self, x):
         return np.ascontiguousarray(x).reshape(x.shape[0], *self.dims), x.shape
 
-    def backward(self, cache, d_y):
-        return np.ascontiguousarray(d_y).reshape(cache), []
+    def backward(self, cache, d_y, d_params, need_input):
+        return np.ascontiguousarray(d_y).reshape(cache)
 
 
 def init_dense(d: int, h: int, with_bias: bool, rng: np.random.Generator) -> Dense:
@@ -167,12 +179,17 @@ def init_dense(d: int, h: int, with_bias: bool, rng: np.random.Generator) -> Den
 
 @dataclass
 class Model:
+    """Layers in order, their parameters packed (see the module docstring)."""
+
     layers: list
     loss: str
     in_dims: tuple[int, ...]
     out_shape: tuple[int, ...] = field(init=False)
     # largest per-sample feature count of the input and every layer output
     widest: int = field(init=False)
+    # every parameter in params() order, and the last backward sweep's gradients
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    grad: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.loss not in LOSSES:
@@ -190,11 +207,27 @@ class Model:
             raise ShapeError(f"cross_entropy needs rank-1 outputs, model emits {shape}")
         self.out_shape = tuple(shape)
 
+        owned = [(i, p) for i, lyr in enumerate(self.layers) for p in lyr.params()]
+        for (i, p), (j, q) in itertools.combinations(owned, 2):
+            if np.shares_memory(p, q):
+                raise ShapeError(f"layers {i} and {j} share parameter memory")
+        self.flat = np.concatenate([np.zeros(0), *(p for _, p in owned)], axis=None)
+        self.grad = np.empty_like(self.flat)
+        self._grads = self._unpack(self.grad)
+        for lyr, views in zip(self.layers, self._unpack(self.flat)):
+            if views:
+                lyr.bind(views)
+
     def params(self):
         out = []
         for lyr in self.layers:
             out += lyr.params()
         return out
+
+    def _unpack(self, vec: np.ndarray) -> list[list[np.ndarray]]:
+        """Per layer, views of a packed vector shaped like that layer's parameters."""
+        parts = iter(np.split(vec, np.cumsum([p.size for p in self.params()])[:-1]))
+        return [[next(parts).reshape(p.shape) for p in lyr.params()] for lyr in self.layers]
 
 
 def model_forward(model: Model, x: np.ndarray):
@@ -210,16 +243,25 @@ def model_forward(model: Model, x: np.ndarray):
 
 
 def model_backward(model: Model, caches: list, d_y: np.ndarray):
-    """Reverse sweep. Returns (flat gradient list aligned with
-    model.params(), gradient w.r.t. the model input)."""
+    """Reverse sweep. Returns (gradient list aligned with model.params(),
+    gradient w.r.t. the model input)."""
+    d_x = _backward(model, caches, d_y, need_input=True)
+    return [g.copy() for views in model._grads for g in views], d_x
+
+
+def _backward(model: Model, caches: list, d_y: np.ndarray, need_input: bool):
+    """Fill ``model.grad``: layer i's ``backward(cache, d_y, d_params, need_input)``
+    writes into its views and returns dL/d(its input). A training step (``train``,
+    ``lora.fit_ndlora``) passes ``need_input=False``: the sweep then ends at the
+    first layer with parameters, which skips its input gradient, as nobody reads it."""
     if len(caches) != len(model.layers):
         raise ShapeError(f"got {len(caches)} caches for {len(model.layers)} layers")
-    flat = []
+    grads = model._grads
+    stop = 0 if need_input else next((i for i, g in enumerate(grads) if g), len(grads))
     d_z = d_y
-    for lyr, cache in zip(reversed(model.layers), reversed(caches)):
-        d_z, grads = lyr.backward(cache, d_z)
-        flat = grads + flat
-    return flat, d_z
+    for i in range(len(model.layers) - 1, stop - 1, -1):
+        d_z = model.layers[i].backward(caches[i], d_z, grads[i], need_input or i > stop)
+    return d_z
 
 
 # ---------------------------------------------------------------- losses
@@ -271,43 +313,31 @@ def _apply_loss(model: Model, y: np.ndarray, targets: np.ndarray):
 class _FlatState:
     """Optimizer state as flat vectors over all parameters.
 
-    A step updates the concatenated parameters once and copies each slice
-    back in place, so callers keep their arrays. Elementwise IEEE
-    arithmetic does not depend on grouping, so the update is bitwise equal
-    to a per-parameter loop. The first step fixes the parameter shapes
-    (others raise ``ValueError``) and zeroes the vectors named in ``STATE``.
+    ``step(p, g)`` updates the parameter vector ``p`` (a ``Model.flat``) in
+    place from the gradient vector ``g`` (its ``grad``), bitwise equal to a
+    per-parameter loop: elementwise IEEE arithmetic does not depend on
+    grouping. The first step zeroes the vectors named in ``STATE`` at
+    ``p``'s shape; vectors of another shape then raise ValueError.
     """
 
     STATE: tuple[str, ...] = ()
-    _shapes = None
+    _shape = None
 
     def __init__(self, lr: float):
         self.lr = lr
 
-    def _gather(self, params, grads) -> tuple[np.ndarray, np.ndarray]:
-        shapes = [p.shape for p in params]
-        if self._shapes is None:
-            self._shapes = shapes
+    def _check(self, p: np.ndarray, g: np.ndarray) -> None:
+        if self._shape is None:
+            self._shape = p.shape
             for name in self.STATE:
-                setattr(self, name, np.zeros(sum(p.size for p in params)))
-        if shapes != self._shapes or [g.shape for g in grads] != shapes:
-            raise ValueError(f"optimizer state is for parameter shapes {self._shapes}, got "
-                             f"parameters {shapes}, gradients {[g.shape for g in grads]}")
-        if not shapes:  # a model without parameters
-            return np.zeros(0), np.zeros(0)
-        return np.concatenate(params, axis=None), np.concatenate(grads, axis=None)
+                setattr(self, name, np.zeros(p.shape))
+        if p.shape != self._shape or g.shape != self._shape:
+            raise ValueError(f"optimizer state has shape {self._shape}, got parameters "
+                             f"{p.shape}, gradients {g.shape}")
 
-    @staticmethod
-    def _scatter(flat: np.ndarray, params) -> None:
-        start = 0
-        for p in params:
-            p[...] = flat[start:start + p.size].reshape(p.shape)
-            start += p.size
-
-    def step(self, params, grads):
-        p, g = self._gather(params, grads)
+    def step(self, p: np.ndarray, g: np.ndarray) -> None:
+        self._check(p, g)
         self._update(p, g)
-        self._scatter(p, params)
 
 
 class SGD(_FlatState):
@@ -345,11 +375,10 @@ class AdamW(Adam):
 
     WEIGHT_DECAY = 0.01
 
-    def step(self, params, grads):
-        p, g = self._gather(params, grads)
+    def step(self, p: np.ndarray, g: np.ndarray) -> None:
+        self._check(p, g)
         p -= self.lr * self.WEIGHT_DECAY * p
         self._update(p, g)
-        self._scatter(p, params)
 
 
 OPTIMIZERS = {"sgd": SGD, "adam": Adam, "adamw": AdamW}
@@ -428,15 +457,17 @@ def train(model: Model, data: TrainSplit, config: TrainConfig, optimizer,
           rng: np.random.Generator) -> TrainResult:
     """Minibatch training loop; each epoch's shuffle is drawn from ``rng``.
 
-    Raises TrainingDiverged on a non-finite batch loss, or a non-finite
-    train or test loss at the end of an epoch. The returned log
+    Raises TrainingDiverged on a non-finite batch loss or gradient, before
+    that step's update, or on a non-finite train or test loss at the end
+    of an epoch. The returned log
     holds one record per epoch with train/test loss (and accuracy for
     classification) from ``evaluate``, and ``epoch_wall_ns``, the
     ``perf_counter_ns`` duration of the epoch, evaluation included.
     """
     n = positive_int(len(data.x_train), "training set size")
     positive_int(len(data.x_test), "test set size")
-    params = model.params()
+    if any(p.base is not model.flat for p in model.params()):  # e.g. packed by another Model
+        raise ValueError("the layers' parameters are no longer views of model.flat")
     log: list[dict] = []
     for epoch in range(1, config.epochs + 1):
         start_ns = time.perf_counter_ns()
@@ -449,8 +480,14 @@ def train(model: Model, data: TrainSplit, config: TrainConfig, optimizer,
                 raise TrainingDiverged(
                     f"non-finite loss {loss} at epoch {epoch}, batch offset {start}"
                 )
-            grads, _ = model_backward(model, caches, d_y)
-            optimizer.step(params, grads)
+            _backward(model, caches, d_y, need_input=False)
+            if not np.isfinite(model.grad).all():
+                i = next(i for i, views in enumerate(model._grads)
+                         if not all(np.isfinite(v).all() for v in views))
+                raise TrainingDiverged(f"non-finite gradient at epoch {epoch}, batch offset "
+                                       f"{start}, first in layer {i} "
+                                       f"({type(model.layers[i]).__name__})")
+            optimizer.step(model.flat, model.grad)
 
         train_loss, train_acc = evaluate(model, data.x_train, data.y_train)
         test_loss, test_acc = evaluate(model, data.x_test, data.y_test)

@@ -33,7 +33,7 @@ class TestLayers:
     def test_relu_grad_zero_at_tie(self):
         lyr = nn.ReLU()
         y, cache = lyr.forward(np.array([0.0, -1.0, 3.0]))
-        d_x, _ = lyr.backward(cache, np.ones(3))
+        d_x = lyr.backward(cache, np.ones(3), [], True)
         assert d_x.tolist() == [0.0, 0.0, 1.0]
 
     def test_tabular_classifier_shape(self):
@@ -227,6 +227,22 @@ class TestTraining:
             nn.train(model, data, nn.TrainConfig(epochs=1, batch_size=32),
                      nn.SGD(lr=1e200), make_rng(0))
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_gradient_aborts_before_the_update(self):
+        # h = x w1 = 1e8 and y = h give a finite loss (1e16) and a finite
+        # dW2, but dW1 = x^T dL/dh = 4 * 1e308 * 5e7 overflows
+        x = np.full((4, 1), 1e308)
+        data = nn.TrainSplit(x, np.zeros((4, 1)), x[:1], np.zeros((1, 1)), "regression")
+        model = nn.Model([nn.Dense(np.array([[1e-300]])), nn.Dense(np.ones((1, 1)))],
+                         "mse", (1,))
+        before = model.flat.copy()
+        with pytest.raises(nn.TrainingDiverged, match=r"non-finite gradient at epoch 1, "
+                           r"batch offset 0, first in layer 0 \(Dense\)"):
+            nn.train(model, data, nn.TrainConfig(epochs=1, batch_size=4), nn.SGD(0.1),
+                     make_rng(0))
+        assert np.array_equal(model.flat, before)
+        assert np.isfinite(model.grad[1]) and not np.isfinite(model.grad[0])
+
     @pytest.mark.parametrize("with_bias", [False, True])
     def test_ndlinear_layer_shares_the_inner_parameter_order(self, with_bias):
         inner = layer.init_xavier((3, 2), (2, 3), with_bias, make_rng(2))
@@ -234,7 +250,8 @@ class TestTraining:
         assert all(p is q for p, q in zip(lyr.params(), inner.params(), strict=True))
         x = make_rng(3).standard_normal((4, 3, 2))
         y, cache = lyr.forward(x)
-        d_x, grads = lyr.backward(cache, y)
+        grads = [np.empty_like(p) for p in lyr.params()]
+        d_x = lyr.backward(cache, y, grads, True)
         want = layer.backward(inner, layer.forward(inner, x)[1], y)
         assert np.array_equal(d_x, want.d_input)
         assert all(np.array_equal(g, w) for g, w in zip(grads, want.params(), strict=True))
@@ -328,6 +345,13 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _packed(arrays):
+    """The arrays copied into one vector, and views of it shaped like them."""
+    vec = np.concatenate(arrays, axis=None)
+    bounds = np.cumsum([0, *(a.size for a in arrays)])
+    return vec, [vec[i:j].reshape(a.shape) for i, j, a in zip(bounds, bounds[1:], arrays)]
+
+
 OPTIMIZER_PAIRS = {
     "sgd": (lambda: nn.SGD(0.05), lambda: _LoopSGD(0.05, 0.9)),
     "adam": (lambda: nn.Adam(0.01), lambda: _LoopAdam(0.01)),
@@ -341,31 +365,30 @@ class TestFlatOptimizers:
         make, make_ref = OPTIMIZER_PAIRS[name]
         opt, ref = make(), make_ref()
         rng = make_rng(7)
-        params = [rng.standard_normal(s) for s in [(3, 4), (4,), (2, 5), (5,), (1, 1)]]
-        arrays = list(params)
+        vec, params = _packed([rng.standard_normal(s)
+                               for s in [(3, 4), (4,), (2, 5), (5,), (1, 1)]])
         ref_params = [p.copy() for p in params]
         for step in range(5):
             if step == 2:  # the caller edits a parameter between steps
                 params[2][0] = ref_params[2][0] = 3.0
             grads = [rng.standard_normal(p.shape) for p in params]
-            opt.step(params, grads)
+            opt.step(vec, np.concatenate(grads, axis=None))
             ref.step(ref_params, [g.copy() for g in grads])
-            assert all(p is a for p, a in zip(params, arrays))
             assert all(_same_bits(p, q) for p, q in zip(params, ref_params))
             for attr, ref_state in ref.state().items():
                 assert _same_bits(getattr(opt, attr), np.concatenate(ref_state, axis=None))
 
     @pytest.mark.parametrize("name", sorted(OPTIMIZER_PAIRS))
     def test_changed_parameter_layout_raises(self, name):
+        # a layout change reaches the optimizer as a vector of another size
         opt = OPTIMIZER_PAIRS[name][0]()
-        params = [np.zeros((2, 3)), np.zeros(3)]
-        opt.step(params, [np.ones_like(p) for p in params])
-        for other in ([np.zeros((3, 2)), np.zeros(3)], params[:1],
-                      [*params, np.zeros(1)]):
-            with pytest.raises(ValueError, match="shapes"):
-                opt.step(other, [np.ones_like(p) for p in other])
-        with pytest.raises(ValueError, match="shapes"):
-            opt.step(params, [np.ones(6), np.ones(3)])
+        vec = np.zeros(9)
+        opt.step(vec, np.ones(9))
+        for other in (np.zeros(6), np.zeros(10), np.zeros(1)):
+            with pytest.raises(ValueError, match="shape"):
+                opt.step(other, np.ones_like(other))
+            with pytest.raises(ValueError, match="shape"):
+                opt.step(vec, np.ones_like(other))
 
     @pytest.mark.parametrize("name", sorted(OPTIMIZER_PAIRS))
     def test_model_without_parameters_trains(self, name):
@@ -376,6 +399,83 @@ class TestFlatOptimizers:
         res = nn.train(model, data, nn.TrainConfig(epochs=2, batch_size=4),
                        OPTIMIZER_PAIRS[name][0](), make_rng(42))
         assert res.final["train_loss"] == res.log[0]["train_loss"]
+
+
+class TestPackedParameters:
+    def _layers(self):
+        rng = make_rng(4)
+        return [nn.NdLinear(layer.init_xavier((2, 3), (3, 2), True, rng)), nn.ReLU(),
+                nn.NdLinear(layer.init_xavier((3, 2), (2, 2), True, rng))]
+
+    def _model(self):
+        return nn.Model(self._layers(), "mse", (2, 3))
+
+    def _data(self, rows):
+        rng = make_rng(5)
+        x = rng.standard_normal((rows, 2, 3))
+        t = rng.standard_normal((rows, 2, 2))
+        return nn.TrainSplit(x, t, x[:2], t[:2], "regression")
+
+    def test_parameters_stay_views_of_the_vector_through_training(self):
+        model = self._model()
+        values = [p for lyr in self._layers() for p in lyr.params()]
+        assert np.array_equal(model.flat, np.concatenate(values, axis=None))
+        nn.train(model, self._data(16), nn.TrainConfig(epochs=2, batch_size=4),
+                 nn.AdamW(0.01), make_rng(0))
+        assert not np.array_equal(model.flat, np.concatenate(values, axis=None))
+        assert all(np.shares_memory(p, model.flat) for p in model.params())
+        assert np.array_equal(model.flat, np.concatenate(model.params(), axis=None))
+
+    @pytest.mark.parametrize("shared", ["ndlinear", "dense"])
+    def test_a_layer_listed_twice_is_refused(self, shared):
+        # SGD used to apply only the second occurrence's gradient
+        if shared == "ndlinear":
+            inner = layer.init_xavier((2, 2), (2, 2), True, make_rng(0))
+            layers, in_dims = [nn.NdLinear(inner), nn.ReLU(), nn.NdLinear(inner)], (2, 2)
+        else:
+            dense = nn.Dense(np.eye(4), np.zeros(4))
+            layers, in_dims = [nn.ReLU(), dense, dense], (4,)
+        pair = "0 and 2" if shared == "ndlinear" else "1 and 2"
+        with pytest.raises(ShapeError, match=f"layers {pair} share parameter memory"):
+            nn.Model(layers, "mse", in_dims)
+
+    def test_layers_packed_again_are_refused(self):
+        model = self._model()
+        nn.Model(model.layers, "mse", (2, 3))  # rebinds the layers to its own vector
+        with pytest.raises(ValueError, match="views of model.flat"):
+            nn.train(model, self._data(8), nn.TrainConfig(epochs=1), nn.SGD(0.1),
+                     make_rng(0))
+
+    def test_saved_views_load_back(self, tmp_path):
+        model = self._model()
+        inner = model.layers[0].inner
+        assert all(p.base is model.flat for p in inner.params())
+        layer.save_layer(inner, tmp_path / "layer")
+        loaded = layer.load_layer(tmp_path / "layer")
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(loaded.params(), inner.params(), strict=True))
+
+    def test_a_step_skips_the_input_gradient(self, monkeypatch):
+        # the first layer's last W_1 G^T and its batch transpose go: one
+        # gemm and one permute fewer than model_forward + model_backward
+        model = self._model()
+        data = self._data(4)
+        calls = {"matmul": 0, "permute": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(layer, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(layer, name, counted)
+
+        y, caches = nn.model_forward(model, data.x_train)
+        nn.model_backward(model, caches, nn.mse_loss(y, data.y_train)[1])
+        full = dict(calls)
+        calls.update(matmul=0, permute=0)
+        monkeypatch.setattr(nn, "evaluate", lambda *args: (1.0, None))  # count the step only
+        nn.train(model, data, nn.TrainConfig(epochs=1, batch_size=4), nn.SGD(0.1),
+                 make_rng(0))
+        assert full == {"matmul": 12, "permute": 4}
+        assert calls == {"matmul": 11, "permute": 3}
 
 
 class TestData:
