@@ -20,6 +20,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -248,7 +249,8 @@ def cmd_bench(args) -> int:
             or not (math.isfinite(args.mem_cap_gib) and args.mem_cap_gib >= 0)):
         raise UsageError("need --batch >= 1, --trials >= 1, --warmup >= 0 "
                          "and a finite --mem-cap-gib >= 0")
-    mem_cap_bytes = int(args.mem_cap_gib * (1 << 30))
+    # exact: the float product overflows past 1.7e299 GiB
+    mem_cap_bytes = int(Fraction(args.mem_cap_gib) * (1 << 30))
     # the weights, input and output, and the dense weight if it is timed
     dense_bytes = 8 * math.prod(in_dims) * math.prod(out_dims)
     nbytes = (8 * sum(d * h for d, h in zip(in_dims, out_dims))

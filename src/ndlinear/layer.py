@@ -22,8 +22,12 @@ backward reshapes it; with G the (rest, H_k) gradient of step k, for k = N..1:
 
     dW_k = Z G,    db_k = 1^T G,    G <- W_k G^T
 
-W_k G^T is already in Z's layout, and one transpose returns dL/dX; a
-training step skips the last W_1 G^T and that transpose (``_backward_into``).
+W_k G^T is already in Z's layout, so it is written into Z's own buffer
+once dW_k has read it, and backward consumes the cache. The one
+exception is Z_0 when N = 1, a view of the caller's input. So for
+N >= 2 backward allocates no step buffer but dL/dX, which one transpose
+returns. A training step skips the last W_1 G^T and that transpose
+(``_backward_into``).
 
 Inference (``forward_only``) applies the modes in the order with the
 fewest FLOPs (``plan_modes``). Mode products on different axes commute,
@@ -53,6 +57,7 @@ from .tensor import (
     checked_u64,
     is_positive_int,
     matmul,
+    permutation,
     permute,
     positive_int,
     validate_shape,
@@ -117,6 +122,11 @@ class LayerCache:
     the step layout (D_{k+1}..D_N, B, H_1..H_k) that step k+1 multiplies;
     Y is not kept. ``backward`` reads forward's contiguous buffers (N >= 2)
     without a copy; any other array costs one copy.
+
+    A cache serves one backward. It overwrites each Z_k with the gradient
+    that shares its layout, except Z_0 when N = 1, which views the input
+    (for N >= 2 it is forward's copy), and empties ``intermediates``, so a
+    second backward on it raises ``ShapeError``.
     """
 
     intermediates: list[np.ndarray] = field(default_factory=list)
@@ -250,7 +260,9 @@ def effective_bias(layer: NdLinearLayer) -> np.ndarray:
 
 def backward(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray) -> NdLinearGrads:
     """Propagate dL/dY back through every mode step; ``cache`` must come
-    from ``forward`` on the same layer and input."""
+    from ``forward`` on the same layer and input, and is consumed: its
+    buffers hold gradients afterwards and its list is emptied (``LayerCache``).
+    Neither ``d_y`` nor the forward input is written."""
     d_params = [np.empty(p.shape) for p in layer.params()]
     d_x = _backward_into(layer, cache, d_y, d_params, need_input=True)
     return NdLinearGrads(d_params[:layer.n_modes], d_params[layer.n_modes:] or None, d_x)
@@ -262,8 +274,9 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
     ``params`` order). dL/dX, the last W_1 G^T and its transpose, is computed
     and returned only if ``need_input``; training's first layer skips it.
 
-    Each bias gradient is the gemv 1^T G, 3-4x faster than ``G.sum(axis=0)``
-    on these shapes. It goes to numpy, not ``matmul``: ``flop_count``
+    Consumes ``cache`` as ``backward`` does. Each bias gradient is the gemv
+    1^T G, 3-4x faster than ``G.sum(axis=0)`` on these shapes, with one ones
+    vector per call. It goes to numpy, not ``matmul``: ``flop_count``
     excludes bias work, so the traced and counted FLOPs stay the gemms'.
     """
     n = layer.n_modes
@@ -278,17 +291,23 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
     if d_y.shape != (batch, *layer.out_dims):
         raise ShapeError(f"d_y shape {d_y.shape} != output shape {(batch, *layer.out_dims)}")
 
+    zs = list(cache.intermediates)
+    cache.intermediates.clear()  # consumed: the entries are overwritten below
+    if layer.biases is not None:  # 1^T for the longest G; each mode takes a prefix
+        ones = np.ones(max(z.size // z.shape[0] for z in zs))
     g = d_y
     for k in range(n, 0, -1):
         w = layer.weights[k - 1]
         g = g.reshape(-1, w.shape[1])
         # one operand layout for any cache; free for forward's buffers (N >= 2)
-        z = np.ascontiguousarray(cache.intermediates[k - 1])
-        d_params[k - 1][...] = matmul(z.reshape(w.shape[0], -1), g)
+        z = np.ascontiguousarray(zs[k - 1]).reshape(w.shape[0], -1)
+        d_params[k - 1][...] = matmul(z, g)
         if layer.biases is not None:
-            np.matmul(np.ones(g.shape[0]), g, out=d_params[n + k - 1])
+            np.matmul(ones[:g.shape[0]], g, out=d_params[n + k - 1])
         if k > 1 or need_input:
-            g = matmul(w, g.T)
+            # dL/dZ_{k-1} takes Z_{k-1}'s place, which dW_k has finished reading;
+            # but Z_0 views the caller's input when N = 1 (forward's copy if N >= 2)
+            g = matmul(w, g.T, out=z if n > 1 else None)
     if not need_input:
         return None
     d_x = permute(g.reshape(-1, batch), (1, 0))  # dL/dX, from step layout (D_1..D_N, B)
@@ -364,9 +383,8 @@ def flop_count(batch: int, in_dims, out_dims, order=None) -> int:
     batch = positive_int(batch, "batch")
     if order is None:
         order = plan_modes(in_dims, out_dims)
-    elif sorted(order) != list(range(len(in_dims))):
-        raise ShapeError(f"order {tuple(order)} is not a permutation of the "
-                         f"{len(in_dims)} modes")
+    else:
+        order = permutation(order, len(in_dims), "order")
     return checked_u64(2 * batch * _order_cost(in_dims, out_dims, order), "flop count")
 
 

@@ -324,6 +324,13 @@ class TestBench:
                      "--mem-cap-gib", "0", "--json", str(out), "--quiet"]) == 0
         assert read_report(out)["wall_ns_dense"] is None
 
+    def test_mem_cap_past_float_range_in_bytes(self, tmp_path):
+        # 1e300 GiB is a finite float, but 1e300 * 2**30 is not: int() of it raised
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--in-dims", "2", "--out-dims", "2", "--trials", "1",
+                     "--mem-cap-gib", "1e300", "--json", str(out), "--quiet"]) == 0
+        assert read_report(out)["config"]["mem_cap_bytes"] == int(1e300) << 30
+
     def test_dense_weight_under_the_cap_counts_toward_the_bytes(self, capsys):
         # 2**46 x 2**46 dense entries fit a 2**90 GiB cap; the layer alone
         # (2**47 weights, 2**46 inputs and outputs) is past a 47-bit address space

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -241,14 +242,15 @@ class TestKernelProperties:
         dense = oracle.probe_full_map(lyr)
         assert np.max(np.abs(y - oracle.flat_forward(dense, x))) < cli.EQUIVALENCE_TOL
 
+        # the kernel's cache holds views of its step buffers; plain
+        # contiguous arrays of the same values must give the same bits
+        # (copied first: backward consumes the cache)
+        copied = LayerCache([z.copy() for z in cache.intermediates])
         grads = backward(lyr, cache, d_y)
         batch = x.shape[0]
         d_x_dense = d_y.reshape(batch, -1) @ dense.w_full.T
         assert np.max(np.abs(grads.d_input.reshape(batch, -1) - d_x_dense)) \
             < cli.EQUIVALENCE_TOL
-        # the kernel's cache holds views of its step buffers; plain
-        # contiguous arrays of the same values must give the same bits
-        copied = LayerCache([np.ascontiguousarray(z) for z in cache.intermediates])
         again = backward(lyr, copied, d_y)
         for got, want in zip(grad_arrays(again), grad_arrays(grads), strict=True):
             assert np.array_equal(got, want)
@@ -355,6 +357,86 @@ class TestBackward:
             backward(lyr, cache, y)
 
 
+def fresh_buffer_backward(lyr, zs, d_y):
+    """The sweep with a fresh buffer for every product, a ones vector per
+    bias and one numpy transpose: what backward computed before it wrote
+    into its cache, as (d_input, *d_weights, *d_biases)."""
+    n, batch = lyr.n_modes, d_y.shape[0]
+    d_w, d_b = [None] * n, [None] * n
+    g = d_y
+    for k in range(n, 0, -1):
+        w = lyr.weights[k - 1]
+        g = g.reshape(-1, w.shape[1])
+        d_w[k - 1] = np.ascontiguousarray(zs[k - 1]).reshape(w.shape[0], -1) @ g
+        d_b[k - 1] = np.ones(g.shape[0]) @ g
+        g = w @ g.T
+    d_x = np.transpose(g.reshape(-1, batch)).copy().reshape(batch, *lyr.in_dims)
+    return [d_x, *d_w, *(d_b if lyr.with_bias else [])]
+
+
+class TestCacheIsConsumed:
+    @settings(max_examples=150, deadline=None)
+    @given(layer_cases())
+    def test_same_bits_as_fresh_buffers(self, case):
+        lyr, x, d_y = case
+        y, cache = forward(lyr, x)
+        want = fresh_buffer_backward(lyr, [z.copy() for z in cache.intermediates], d_y)
+        got = grad_arrays(backward(lyr, cache, d_y))
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_second_backward_raises(self, n):
+        rng, lyr = random_layer(40, n=n, with_bias=True)
+        x = rng.standard_normal((2, *lyr.in_dims))
+        y, cache = forward(lyr, x)
+        backward(lyr, cache, y)
+        assert cache.intermediates == []
+        with pytest.raises(ShapeError, match=f"cache holds 0 tensors, expected {n}"):
+            backward(lyr, cache, y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(layer_cases())
+    def test_input_and_upstream_gradient_are_never_written(self, case):
+        lyr, x, d_y = case
+        x_was, d_y_was = x.copy(), d_y.copy()
+        x.flags.writeable = d_y.flags.writeable = False  # a write raises
+        y, cache = forward(lyr, x)
+        backward(lyr, cache, d_y)
+        assert np.array_equal(x, x_was) and np.array_equal(d_y, d_y_was)
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_one_mode_input_is_never_written(self, batch):
+        # at B = 1, Z_0 = x.T is C-contiguous: a view of x that backward must not write
+        rng, lyr = random_layer(41, n=1, with_bias=True)
+        x = rng.standard_normal((batch, *lyr.in_dims))
+        x_was = x.copy()
+        y, cache = forward(lyr, x)
+        assert np.shares_memory(cache.intermediates[0], x)
+        backward(lyr, cache, y)
+        assert np.array_equal(x, x_was)
+
+    @pytest.mark.parametrize("in_dims, out_dims", [((4, 64, 64, 8), (8, 64, 64, 8)),
+                                                   ((4, 64, 64, 8), (4, 64, 64, 8))])
+    def test_backward_allocates_no_step_buffer_beside_d_input(self, in_dims, out_dims):
+        # step buffers of 4-8 MiB, above L2. A fresh W_k G^T for every k held
+        # one or two of them beside d_input: 12 MiB for the first layer, 4 MiB
+        # for the second. Now each goes into the cache entry of its layout.
+        lyr = init_xavier(in_dims, out_dims, True, make_rng(42))
+        x = make_rng(43).standard_normal((4, *in_dims))
+        y, cache = forward(lyr, x)
+        step = min(z.nbytes for z in cache.intermediates)
+        ones = 8 * max(z.size // z.shape[0] for z in cache.intermediates)  # 1^T of the longest G
+        small = sum(p.nbytes for p in lyr.params()) + ones + 2**16
+        tracemalloc.start()
+        try:
+            grads = backward(lyr, cache, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - grads.d_input.nbytes <= small < step
+
+
 class TestCounts:
     def test_headline_param_counts(self):
         dims = (32, 32, 32)
@@ -399,6 +481,13 @@ class TestCounts:
         assert flop_count(2, (2, 3), (4, 5)) == 2 * 2 * (30 + 40) == 280
         with pytest.raises(ShapeError):
             flop_count(2, (2, 3), (4, 5), order=(0, 0))
+
+    @pytest.mark.parametrize("order", [(0.0, 1.0), (True, False), (1.5, 0), "01", 1, (0, 1, 2)])
+    def test_order_must_be_a_permutation_of_ints(self, order):
+        # (0.0, 1.0) ended in an untyped TypeError, and (True, False) was accepted
+        with pytest.raises(ShapeError, match="order .* is not a permutation of 0..1"):
+            flop_count(2, (2, 3), (4, 5), order=order)
+        assert flop_count(2, (2, 3), (4, 5), order=np.array([0, 1])) == 336
 
     def test_flop_n1_degeneracy(self):
         assert flop_count(3, (17,), (5,)) == dense_flop_count(3, (17,), (5,))

@@ -166,6 +166,7 @@ class TestErrorMeasures:
         numeric = oracle.finite_diff_grads(lyr, x, lambda out: 0.5 * float((out ** 2).sum()))
         assert grads_max_rel_err(analytic, numeric) < 1e-6
         for k in range(len(analytic.params())):
+            y, cache = layer.forward(lyr, x)  # a cache serves one backward
             broken = layer.backward(lyr, cache, y)
             broken.params()[k][...] = np.nan
             assert grads_max_rel_err(broken, numeric) == math.inf

@@ -1,14 +1,21 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_mode_k
 from ndlinear.oracle import mode_k_product
 from ndlinear.tensor import (
+    BAND_MIN_SIZE,
     FlopCounter,
     ShapeError,
     is_positive_int,
     make_rng,
     matmul,
+    permutation,
     permute,
     positive_int,
     validate_shape,
@@ -94,6 +101,93 @@ class TestPermute:
                 for k in range(4):
                     assert out[k, i, j] == t[i, j, k]
 
+    @pytest.mark.parametrize("axes", [(1.9, 0.2), (1.0, 0.0), (True, False), (np.bool_(True), 0),
+                                      (0, 0), (0, 2), (0,), (0, 1, 2), "10", 1, None])
+    def test_axes_must_be_a_permutation_of_ints(self, axes):
+        # (1.9, 0.2) was truncated to (1, 0), and (True, False) read as (1, 0)
+        with pytest.raises(ShapeError, match="not a permutation of 0..1"):
+            permute(np.zeros((2, 3)), axes)
+
+    def test_numpy_int_axes(self):
+        t = make_rng(12).standard_normal((2, 3))
+        assert np.array_equal(permute(t, np.array([1, 0])), t.T)
+        assert permutation(np.array([1, 0]), 2) == (1, 0)
+        assert all(type(a) is int for a in permutation(np.array([1, 0]), 2))
+        assert permutation(range(3), 3) == (0, 1, 2)
+
+
+def rotation(n, j):
+    return (*range(j, n), *range(j))
+
+
+def assert_fresh_transpose(t, axes):
+    """``permute`` is bitwise ``np.transpose(...).copy()`` in a fresh C-contiguous array."""
+    out = permute(t, axes)
+    want = np.transpose(np.asarray(t, dtype=np.float64), axes).copy()
+    assert out.dtype == np.float64 and out.shape == want.shape
+    assert out.flags.c_contiguous and not np.shares_memory(out, t)
+    assert np.array_equal(out, want)
+
+
+class TestBandedPermute:
+    # a rotation over BAND_MIN_SIZE elements is copied in bands of source rows
+    @pytest.mark.parametrize("shape, j", [
+        ((32768, 32), 1),        # train_cube's d_input move: band 1024 divides the rows
+        ((32, 32768), 1),        # and its input move: 16-row bands, 2 of them
+        ((1000, 263), 1),        # 124-row bands, the last one 8 rows
+        ((1, BAND_MIN_SIZE + 1), 1),   # one row
+        ((BAND_MIN_SIZE + 1, 1), 1),   # one column: 32768-row bands, the last one row
+        ((3, 5, 17477), 1),
+        ((3, 5, 17477), 2),
+        ((7, 8, 9, 521), 1),
+        ((7, 8, 9, 521), 2),
+        ((7, 8, 9, 521), 3),
+    ])
+    def test_rotation_above_the_threshold(self, shape, j):
+        assert math.prod(shape) > BAND_MIN_SIZE
+        t = make_rng(20).standard_normal(shape)
+        axes = rotation(len(shape), j)
+        with mock.patch.object(np, "transpose", wraps=np.transpose) as spy:
+            assert_fresh_transpose(t, axes)
+        assert spy.call_count == 1  # the reference's, not permute's
+
+    @pytest.mark.parametrize("shape, axes", [
+        ((512, 512), (1, 0)),                 # exactly BAND_MIN_SIZE: one copy
+        ((64, 64, 64), (2, 0, 1)),
+        ((64, 64, 65), (0, 2, 1)),            # above it, but not a rotation
+        ((64, 64, 65), (0, 1, 2)),            # the identity
+    ])
+    def test_below_the_threshold_or_not_a_rotation(self, shape, axes):
+        t = make_rng(21).standard_normal(shape)
+        with mock.patch.object(np, "transpose", wraps=np.transpose) as spy:
+            assert_fresh_transpose(t, axes)
+        assert spy.call_count == 2  # permute's and the reference's
+
+    @pytest.mark.parametrize("make", [
+        lambda a: a[:, ::2],                  # strided
+        lambda a: np.asfortranarray(a),       # column-major
+        lambda a: a.astype(np.int64),         # integer
+        lambda a: a.astype(np.float32),
+    ])
+    def test_any_input_layout_or_dtype(self, make):
+        base = np.round(make_rng(22).standard_normal((600, 1200)) * 1000)
+        t = make(base)
+        assert t.size > BAND_MIN_SIZE
+        assert_fresh_transpose(t, (1, 0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_numpy_transpose_near_the_threshold(self, data):
+        n = data.draw(st.integers(1, 4))
+        lead = data.draw(st.lists(st.integers(1, 40), min_size=n - 1, max_size=n - 1))
+        size = data.draw(st.integers(BAND_MIN_SIZE - 3000, BAND_MIN_SIZE + 3000))
+        shape = (*lead, -(-size // math.prod(lead)))
+        axes = tuple(data.draw(st.permutations(range(n))))
+        if data.draw(st.booleans()):
+            axes = rotation(n, data.draw(st.integers(0, n - 1)))
+        t = make_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(shape)
+        assert_fresh_transpose(t, axes)
+
 
 class TestMatmul:
     def test_identity(self):
@@ -117,6 +211,26 @@ class TestMatmul:
     def test_rank_check(self):
         with pytest.raises(ShapeError):
             matmul(np.zeros((2, 3, 4)), np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (40, 7)])
+    def test_out_gets_the_same_bits_and_the_same_count(self, shape):
+        rng = make_rng(23)
+        a = rng.standard_normal((shape[1], shape[0])).T  # a transposed view
+        b = rng.standard_normal((shape[1], 5))
+        out = np.full((shape[0], 5), np.nan)
+        with FlopCounter() as fc:
+            got = matmul(a, b, out=out)
+        assert got is out
+        assert np.array_equal(out, a @ b)
+        assert fc.multiply_adds == shape[0] * shape[1] * 5
+
+    @pytest.mark.parametrize("out", [np.zeros((2, 5)), np.zeros((4, 2)).T,
+                                     np.zeros((2, 4), dtype=np.float32), [[0.0] * 4] * 2])
+    def test_out_must_be_a_contiguous_f64_result(self, out):
+        # a strided out would reach numpy's non-BLAS loop and round differently
+        with FlopCounter() as fc, pytest.raises(ShapeError, match="out must be"):
+            matmul(np.ones((2, 3)), np.ones((3, 4)), out=out)
+        assert fc.multiply_adds == 0
 
 
 class TestModeKProduct:
