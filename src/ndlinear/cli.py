@@ -156,6 +156,7 @@ class BenchReport:
     wall_ns_nd: float
     wall_ns_dense: float | None
     speedup: float | None
+    env: dict
 
 
 CSV_COLUMNS = [
@@ -184,7 +185,8 @@ def run_bench(in_dims, out_dims, batch: int, trials: int = 30, warmup: int = 5,
     The dense baseline is materialized (as the layer's exact flattened
     equivalent) only when its weight matrix fits the memory cap;
     otherwise its timing and the speedup are null. ``mode_order`` lists
-    the modes ``forward_only`` applies, in order, numbered from 1.
+    the modes ``forward_only`` applies, in order, numbered from 1, and
+    ``env`` the numpy version, its BLAS and the CPU count.
     """
     rng = make_rng(seed)
     lyr = layer_mod.init_xavier(in_dims, out_dims, with_bias, rng)
@@ -219,7 +221,19 @@ def run_bench(in_dims, out_dims, batch: int, trials: int = 30, warmup: int = 5,
     }
     mode_order = [k + 1 for k in layer_mod.plan_modes(lyr.in_dims, lyr.out_dims)]
     return BenchReport(config, mode_order, p_nd, p_dense, f_nd, f_instr, f_dense,
-                       wall_nd, wall_dense, speedup)
+                       wall_nd, wall_dense, speedup, _environment())
+
+
+def _environment() -> dict:
+    """What the timings depend on: numpy, the BLAS it was built with
+    (null where numpy < 1.26 cannot say) and the CPU count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # show_config takes no mode before numpy 1.26
+        blas = {}
+    return {"numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "cpu_count": os.cpu_count()}
 
 
 def _write_csv(path: str | None, report: BenchReport) -> None:

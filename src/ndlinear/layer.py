@@ -35,7 +35,10 @@ so only the biases depend on the order, and they add up to the closed
 form ``effective_bias``, the layer's output on the zero input. When the
 plan is declaration order, inference runs the training steps without a
 cache. Otherwise each step consumes the trailing axis and prepends its
-output axis, and one transpose at the end restores (B, H_1..H_N).
+output axis, and one transpose at the end restores (B, H_1..H_N). Such a
+step multiplies W_k^T by the transpose of a C-contiguous unfolding, and
+when it contracts (H_k < D_k) and exceeds ``tensor.SMALL_GEMM_MNK``
+multiply-adds, ``matmul`` computes it in row bands, up to rounding.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from .tensor import (
     permutation,
     permute,
     positive_int,
+    real_array,
     validate_shape,
 )
 
@@ -170,7 +174,7 @@ def init_xavier(in_dims, out_dims, with_bias: bool, rng: np.random.Generator) ->
 
 
 def _check_input(layer: NdLinearLayer, x: np.ndarray) -> np.ndarray:
-    x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
+    x = np.ascontiguousarray(real_array(x, "layer input"))
     if x.ndim != layer.n_modes + 1:
         raise ShapeError(
             f"input rank {x.ndim} does not match batch + {layer.n_modes} feature modes"
@@ -287,7 +291,7 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
         want = (*layer.in_dims[k:], batch, *layer.out_dims[:k])
         if z.shape != want:
             raise ShapeError(f"cache entry {k} has shape {z.shape}, layer expects {want}")
-    d_y = np.ascontiguousarray(np.asarray(d_y, dtype=np.float64))
+    d_y = np.ascontiguousarray(real_array(d_y, "d_y"))
     if d_y.shape != (batch, *layer.out_dims):
         raise ShapeError(f"d_y shape {d_y.shape} != output shape {(batch, *layer.out_dims)}")
 

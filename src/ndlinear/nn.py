@@ -42,7 +42,7 @@ import numpy as np
 
 from . import layer as layer_mod
 from .layer import NdLinearLayer
-from .tensor import ShapeError, make_rng, positive_int, validate_shape
+from .tensor import ShapeError, make_rng, positive_int, real_array, validate_shape
 
 LOSSES = ("mse", "cross_entropy")
 
@@ -231,7 +231,7 @@ class Model:
 
 
 def model_forward(model: Model, x: np.ndarray):
-    x = np.asarray(x, dtype=np.float64)
+    x = real_array(x, "model input")
     if x.shape[1:] != model.in_dims:
         raise ShapeError(f"input features {x.shape[1:]} != model in_dims {model.in_dims}")
     caches = []
@@ -427,7 +427,7 @@ def evaluate(model: Model, x: np.ndarray, targets: np.ndarray):
     (``Model.widest`` float64 features per row) fits in
     ``_EVAL_BLOCK_BYTES``, and at least one row.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = real_array(x, "model input")
     targets = np.asarray(targets)
     n = positive_int(x.shape[0], "evaluate row count")
     if x.shape[1:] != model.in_dims:

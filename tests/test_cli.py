@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import math
+import os
 from dataclasses import asdict
 
 import numpy as np
@@ -292,6 +293,17 @@ class TestBench:
               "--trials", "2", "--warmup", "0", "--json", str(out), "--quiet"])
         report = read_report(out)
         assert json.loads(json.dumps(report)) == report
+
+    def test_json_names_the_environment(self, tmp_path):
+        out = tmp_path / "bench.json"
+        main(["bench", "--in-dims", "3", "--out-dims", "3", "--batch", "1", "--trials", "2",
+              "--warmup", "0", "--json", str(out), "--quiet"])
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert read_report(out)["env"] == {
+            "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "cpu_count": os.cpu_count(),
+        }
 
     def test_bad_dims_usage_error(self, capsys):
         assert main(["bench", "--in-dims", "banana", "--quiet"]) == 2

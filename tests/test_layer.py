@@ -186,6 +186,49 @@ class TestForward:
             y, _ = forward(lyr, x)
             assert np.array_equal(y, x @ w + b)
 
+    def test_one_mode_layer_is_bitwise_dense_at_scale(self):
+        # (4096, 256) @ (256, 4): over tensor.SMALL_GEMM_MNK, but an NN product
+        rng = make_rng(10)
+        w, b = rng.standard_normal((256, 4)), rng.standard_normal(4)
+        x = rng.standard_normal((4096, 256))
+        lyr = NdLinearLayer((256,), (4,), [w], [b])
+        assert np.array_equal(forward_only(lyr, x), x @ w + b)
+        assert np.array_equal(forward(lyr, x)[0], x @ w + b)
+
+    def test_banded_planned_step_matches_forward_and_the_probe(self):
+        # infer_skew's layer: its first planned step, (4, 256) @ (256, 4096),
+        # runs in row bands
+        rng = make_rng(11)
+        lyr = NdLinearLayer((16, 256), (64, 4),
+                            [rng.standard_normal((16, 64)), rng.standard_normal((256, 4))],
+                            [rng.uniform(-1, 1, size=64), rng.uniform(-1, 1, size=4)])
+        x = rng.standard_normal((256, 16, 256))
+        with mock.patch.object(np, "matmul", wraps=np.matmul) as spy:
+            y = forward_only(lyr, x)
+        assert spy.call_count == 5  # 976-row bands of 4096
+        assert np.max(np.abs(y - forward(lyr, x)[0])) < cli.EQUIVALENCE_TOL
+        dense = oracle.probe_full_map(lyr)  # 2^20 entries
+        assert np.max(np.abs(y - oracle.flat_forward(dense, x))) < cli.EQUIVALENCE_TOL
+
+    @pytest.mark.parametrize("x", [
+        np.ones((1, 2, 3)) + 1j,
+        np.array([[['1', '2', '3'], ['4', '5', '6']]]),
+        np.ones((1, 2, 3), dtype=object),
+    ])
+    def test_non_real_input_is_a_type_error(self, x):
+        # a complex x lost its imaginary part with only a warning, and a
+        # string array was parsed as numbers
+        lyr = init_xavier((2, 3), (3, 2), True, make_rng(12))
+        for run in (forward_only, forward):
+            with pytest.raises(TypeError, match="layer input must hold real numbers"):
+                run(lyr, x)
+
+    def test_bool_and_int_input_convert(self):
+        lyr = init_xavier((2, 3), (3, 2), True, make_rng(13))
+        x = np.arange(6).reshape(1, 2, 3)
+        assert np.array_equal(forward_only(lyr, x), forward_only(lyr, x.astype(float)))
+        assert np.array_equal(forward_only(lyr, x > 2), forward_only(lyr, (x > 2) * 1.0))
+
     @pytest.mark.parametrize("seed", range(8))
     def test_affine_in_input(self, seed):
         rng, lyr = random_layer(30 + seed)
@@ -345,6 +388,12 @@ class TestBackward:
         analytic = backward(lyr, cache, y)  # dL/dy = y for L = 0.5*sum(y^2)
         numeric = oracle.finite_diff_grads(lyr, x, lambda o: 0.5 * float((o**2).sum()))
         assert oracle.grads_max_rel_err(analytic, numeric) < 1e-6
+
+    def test_non_real_upstream_gradient_is_a_type_error(self):
+        lyr = init_xavier((2, 3), (3, 2), True, make_rng(14))
+        y, cache = forward(lyr, np.ones((2, 2, 3)))
+        with pytest.raises(TypeError, match="d_y must hold real numbers"):
+            backward(lyr, cache, y + 1j)
 
     def test_cache_mismatch(self):
         rng, lyr = random_layer(6, n=2, with_bias=False)

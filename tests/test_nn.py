@@ -646,6 +646,26 @@ class TestEvaluate:
         with pytest.raises(ShapeError, match="row count"):
             nn.evaluate(model, x[:0], t[:0])
 
+    @pytest.mark.parametrize("kind", [complex, str])
+    def test_non_real_input_is_a_type_error(self, kind):
+        # a complex x lost its imaginary part with only a warning, a string
+        # array was parsed as numbers
+        model = small_mse_model()
+        x, t = self._data(model, 3)
+        with pytest.raises(TypeError, match="model input must hold real numbers"):
+            nn.evaluate(model, x.astype(kind), t)
+        with pytest.raises(TypeError, match="model input must hold real numbers"):
+            nn.model_forward(model, x.astype(kind))
+
+    def test_int_and_bool_input_convert(self):
+        model = small_mse_model()
+        x, t = self._data(model, 3)
+        for kind in (int, bool):
+            want = nn.evaluate(model, x.astype(kind).astype(float), t)
+            assert nn.evaluate(model, x.astype(kind), t) == want
+            assert np.array_equal(nn.model_forward(model, x.astype(kind))[0],
+                                  nn.model_forward(model, x.astype(kind).astype(float))[0])
+
 
 class TestModelConfig:
     GOOD = {

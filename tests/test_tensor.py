@@ -10,6 +10,7 @@ from conftest import brute_force_mode_k
 from ndlinear.oracle import mode_k_product
 from ndlinear.tensor import (
     BAND_MIN_SIZE,
+    SMALL_GEMM_MNK,
     FlopCounter,
     ShapeError,
     is_positive_int,
@@ -18,6 +19,7 @@ from ndlinear.tensor import (
     permutation,
     permute,
     positive_int,
+    real_array,
     validate_shape,
 )
 
@@ -231,6 +233,124 @@ class TestMatmul:
         with FlopCounter() as fc, pytest.raises(ShapeError, match="out must be"):
             matmul(np.ones((2, 3)), np.ones((3, 4)), out=out)
         assert fc.multiply_adds == 0
+
+
+def planned_operands(m, k, n, seed=30):
+    """(m, k) a, and b the transpose of a C-contiguous (n, k) matrix, as in
+    ``forward_only``'s planned steps."""
+    rng = make_rng(seed)
+    return rng.standard_normal((k, m)).T, rng.standard_normal((n, k)).T
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestBandedMatmul:
+    # a contracting product over SMALL_GEMM_MNK whose b is a transposed
+    # C-contiguous matrix runs as SMALL_GEMM_MNK // (m k)-row bands of b^T a^T,
+    # one np.matmul each; every other product is one ``a @ b``
+    @pytest.mark.parametrize("m, k, n, bands", [
+        (4, 256, 977, 2),        # one row above the 976-row band
+        (4, 256, 4096, 5),       # infer_skew's first step: 976 does not divide 4096
+        (4, 250, 3000, 3),       # 1000-row bands that divide n
+        (125, 500, 17, 2),       # the smallest band, 16 rows
+        (1, 5000, 1000, 5),
+    ])
+    def test_banded_product_matches(self, m, k, n, bands):
+        assert m < k and m * k * n > SMALL_GEMM_MNK
+        a, b = planned_operands(m, k, n)
+        with mock.patch.object(np, "matmul", wraps=np.matmul) as spy:
+            got = matmul(a, b)
+        assert spy.call_count == bands
+        assert_close(got, a @ b)
+
+    @pytest.mark.parametrize("m, k, n", [
+        (4, 256, 976),           # at the band size: 999,424 multiply-adds, within the bound
+        (4, 256, 975),           # one row below it
+        (1, 62501, 17),          # over the bound, but a band would be 15 rows
+        (64, 4, 4096),           # expands: m > k
+        (32, 32, 2048),          # m == k
+    ])
+    def test_other_planned_layouts_are_one_product(self, m, k, n):
+        a, b = planned_operands(m, k, n)
+        with mock.patch.object(np, "matmul", wraps=np.matmul) as spy:
+            got = matmul(a, b)
+        assert spy.call_count == 0
+        assert np.array_equal(got, a @ b)
+
+    @pytest.mark.parametrize("layout", ["NN", "TN"])
+    def test_nn_and_tn_products_over_the_bound_keep_their_bits(self, layout):
+        rng = make_rng(31)
+        m, k, n = 4, 256, 4096
+        a = rng.standard_normal((m, k)) if layout == "NN" else rng.standard_normal((k, m)).T
+        b = rng.standard_normal((k, n))
+        assert np.array_equal(matmul(a, b), a @ b)
+
+    def test_out_gets_the_same_bits(self):
+        a, b = planned_operands(4, 256, 4096)
+        out = np.full((4, 4096), np.nan)
+        assert matmul(a, b, out=out) is out
+        assert np.array_equal(out, matmul(a, b))
+
+    @pytest.mark.parametrize("shared", ["a", "b"])
+    def test_out_that_shares_an_operand_reads_it_before_writing(self, shared):
+        m, k, n = 4, 256, 4096
+        a, b = planned_operands(m, k, n)
+        base = (b.T if shared == "b" else make_rng(32).standard_normal((n, k))).copy()
+        if shared == "a":
+            base.reshape(-1)[:m * k] = a.T.reshape(-1)
+            a = base.reshape(-1)[:m * k].reshape(k, m).T
+        else:
+            b = base.T
+        want = a.copy() @ b.copy()
+        out = base.reshape(-1)[:m * n].reshape(m, n)
+        assert np.shares_memory(out, a if shared == "a" else b)
+        assert_close(matmul(a, b, out=out), want)
+
+    @pytest.mark.parametrize("m, k, n", [(0, 256, 4096), (4, 0, 4096), (4, 256, 0),
+                                         (0, 0, 10**7)])
+    def test_empty_products(self, m, k, n):
+        a, b = planned_operands(m, k, n)
+        with FlopCounter() as fc:
+            got = matmul(a, b)
+        assert got.shape == (m, n) and np.array_equal(got, a @ b)
+        assert fc.multiply_adds == 0
+
+    def test_counts_the_product_once(self):
+        a, b = planned_operands(4, 256, 4096)
+        with FlopCounter() as fc:
+            matmul(a, b)
+        assert fc.multiply_adds == 4 * 256 * 4096
+
+
+class TestRealArray:
+    @pytest.mark.parametrize("x", [
+        np.array([1 + 2j]),
+        np.array([["1", "2"]]),
+        np.array([b"1"]),
+        np.array([1.0], dtype=object),
+        np.array(["2020-01-01"], dtype="datetime64[D]"),
+        np.array([1], dtype="timedelta64[s]"),
+        np.zeros(2, dtype="V8"),
+        [1.0, 2j],
+    ])
+    def test_non_real_dtypes_raise(self, x):
+        with pytest.raises(TypeError, match="input must hold real numbers"):
+            real_array(x, "input")
+
+    @pytest.mark.parametrize("x", [[True, False], np.arange(3, dtype=np.uint8),
+                                   np.arange(3), np.ones(2, dtype=np.float32),
+                                   np.arange(2, dtype=">f8"), 2.5])
+    def test_bool_int_and_float_convert(self, x):
+        got = real_array(x, "input")
+        assert got.dtype == np.float64 and got.dtype.isnative
+        assert np.array_equal(got, np.asarray(x, dtype=np.float64))
+
+    def test_float64_array_is_returned_as_it_is(self):
+        x = np.ones((2, 3))[:, ::2]
+        assert real_array(x, "input") is x
 
 
 class TestModeKProduct:
