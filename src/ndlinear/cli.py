@@ -226,10 +226,10 @@ def run_bench(in_dims, out_dims, batch: int, trials: int = 30, warmup: int = 5,
 
 def _environment() -> dict:
     """What the timings depend on: numpy, the BLAS it was built with
-    (null where numpy < 1.26 cannot say) and the CPU count."""
+    (null where numpy < 1.26 or its build cannot say) and the CPU count."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except TypeError:  # show_config takes no mode before numpy 1.26
+    except (TypeError, KeyError):  # no mode before numpy 1.26; a build without a blas entry
         blas = {}
     return {"numpy": np.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version")},

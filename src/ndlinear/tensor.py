@@ -201,12 +201,14 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     fresh one) and is returned. Feeds the active FlopCounter, if any,
     with m*k*n multiply-adds, once, however the product is computed.
 
-    One kind of product is computed in row bands: ``b`` is the transpose
-    of a C-contiguous (n, k) matrix (the layout of ``forward_only``'s
-    planned steps), it contracts (m < k), and m*k*n exceeds
+    One kind of product is computed in row bands: ``a`` and ``b`` are
+    transposes of C-contiguous (k, m) and (n, k) matrices (the layout of
+    ``forward_only``'s planned steps, W_k^T times an unfolding's
+    transpose), it contracts (1 < m < k), and m*k*n exceeds
     ``SMALL_GEMM_MNK``. Then bands of ``SMALL_GEMM_MNK // (m*k)`` rows of
     b^T a^T, if that is at least 16, go into an (n, m) scratch buffer,
-    which is transposed into the result. OpenBLAS 0.3.31 (1 thread,
+    which is transposed into the result. A one-row ``a`` is excluded: it
+    is C-contiguous too, so backward's W_k G^T for D_k = 1 would match. OpenBLAS 0.3.31 (1 thread,
     AVX-512 Xeon) takes products of at most 10^6 multiply-adds through an
     unpacked small-matrix kernel, and the cut is sharp: (976, 256) @
     (256, 4) is fast, (977, 256) @ (256, 4) is not. So (4, 256) @
@@ -217,8 +219,9 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     over the bound run the slow kernel in pieces ((64, 1024) @ (1024,
     4096): 16.7 ms in one call, 30.5 ms in bands). A banded product
     matches ``a @ b`` up to rounding, not bitwise. Every other product,
-    NN and TN ones included, is one ``a @ b``: training's steps and a
-    one-mode layer's ``x @ w + b`` keep their bits.
+    NN, TN and NT ones included, is one ``a @ b``: training's steps
+    (backward's W_k G^T is NT) and a one-mode layer's ``x @ w + b`` keep
+    their bits, and backward allocates no scratch buffer.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -234,9 +237,9 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
         raise ShapeError(f"out must be a C-contiguous float64 array of shape {(m, n)}")
     if _active_counter is not None:
         _active_counter.add(m * k * n)
-    band = SMALL_GEMM_MNK // (m * k) if m < k and m * k * n > SMALL_GEMM_MNK else 0
-    if band >= 16 and b.T.flags.c_contiguous:
-        bt, at = b.T, np.ascontiguousarray(a.T)
+    band = SMALL_GEMM_MNK // (m * k) if 1 < m < k and m * k * n > SMALL_GEMM_MNK else 0
+    if band >= 16 and a.T.flags.c_contiguous and b.T.flags.c_contiguous:
+        bt, at = b.T, a.T
         # a fresh buffer, so every read of a and b precedes the first write to out
         scratch = np.empty((n, m))
         for r in range(0, n, band):

@@ -295,15 +295,29 @@ class TestBench:
         assert json.loads(json.dumps(report)) == report
 
     def test_json_names_the_environment(self, tmp_path):
+        try:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        except (TypeError, KeyError):
+            pytest.skip("this numpy does not report its BLAS")
         out = tmp_path / "bench.json"
         main(["bench", "--in-dims", "3", "--out-dims", "3", "--batch", "1", "--trials", "2",
               "--warmup", "0", "--json", str(out), "--quiet"])
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert read_report(out)["env"] == {
             "numpy": np.__version__,
             "blas": {"name": blas["name"], "version": blas["version"]},
             "cpu_count": os.cpu_count(),
         }
+
+    @pytest.mark.parametrize("show_config", [
+        lambda: None,                                 # numpy < 1.26: no mode, TypeError
+        lambda mode: {"Build Dependencies": {}},      # a build without a blas entry
+    ])
+    def test_json_environment_without_blas_report(self, tmp_path, monkeypatch, show_config):
+        monkeypatch.setattr(np, "show_config", show_config)
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--in-dims", "3", "--out-dims", "3", "--batch", "1",
+                     "--trials", "2", "--warmup", "0", "--json", str(out), "--quiet"]) == 0
+        assert read_report(out)["env"]["blas"] == {"name": None, "version": None}
 
     def test_bad_dims_usage_error(self, capsys):
         assert main(["bench", "--in-dims", "banana", "--quiet"]) == 2

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndlinear import cli, layer, ndt, oracle
+from ndlinear import cli, layer, ndt, oracle, tensor
 from ndlinear.layer import (
     LayerCache,
     NdLinearLayer,
@@ -484,6 +484,29 @@ class TestCacheIsConsumed:
         finally:
             tracemalloc.stop()
         assert peak - grads.d_input.nbytes <= small < step
+
+    @pytest.mark.parametrize("in_dims", [(4, 4, 4), (4, 1, 4)])
+    def test_expanding_mode_over_the_bound_is_one_product_in_backward(self, in_dims):
+        # mode 2's W_2 G^T, (D_2, 256) @ (256, 4096), is contracting and over
+        # tensor.SMALL_GEMM_MNK but NT: it keeps its bits and its buffer, with
+        # no (4096, D_2) scratch beside d_input
+        lyr = init_xavier(in_dims, (4, 256, 4), False, make_rng(44))
+        x = make_rng(45).standard_normal((256, *in_dims))
+        y, cache = forward(lyr, x)
+        unbanded = mock.patch.object(tensor, "SMALL_GEMM_MNK", 2**62)
+        with unbanded:
+            want = backward(lyr, forward(lyr, x)[1], y)
+        scratch = 8 * in_dims[1] * 4096
+        tracemalloc.start()
+        try:
+            grads = backward(lyr, cache, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for got, ref in zip(grads.d_weights + [grads.d_input], want.d_weights + [want.d_input]):
+            assert np.array_equal(got, ref)
+        small = sum(p.nbytes for p in lyr.params()) + 2**14
+        assert peak - grads.d_input.nbytes <= small < scratch
 
 
 class TestCounts:

@@ -236,8 +236,8 @@ class TestMatmul:
 
 
 def planned_operands(m, k, n, seed=30):
-    """(m, k) a, and b the transpose of a C-contiguous (n, k) matrix, as in
-    ``forward_only``'s planned steps."""
+    """a and b the transposes of C-contiguous (k, m) and (n, k) matrices,
+    as in ``forward_only``'s planned steps."""
     rng = make_rng(seed)
     return rng.standard_normal((k, m)).T, rng.standard_normal((n, k)).T
 
@@ -248,15 +248,15 @@ def assert_close(got, want):
 
 
 class TestBandedMatmul:
-    # a contracting product over SMALL_GEMM_MNK whose b is a transposed
-    # C-contiguous matrix runs as SMALL_GEMM_MNK // (m k)-row bands of b^T a^T,
+    # a contracting product over SMALL_GEMM_MNK whose a and b are transposed
+    # C-contiguous matrices runs as SMALL_GEMM_MNK // (m k)-row bands of b^T a^T,
     # one np.matmul each; every other product is one ``a @ b``
     @pytest.mark.parametrize("m, k, n, bands", [
         (4, 256, 977, 2),        # one row above the 976-row band
         (4, 256, 4096, 5),       # infer_skew's first step: 976 does not divide 4096
         (4, 250, 3000, 3),       # 1000-row bands that divide n
         (125, 500, 17, 2),       # the smallest band, 16 rows
-        (1, 5000, 1000, 5),
+        (2, 5000, 1000, 10),
     ])
     def test_banded_product_matches(self, m, k, n, bands):
         assert m < k and m * k * n > SMALL_GEMM_MNK
@@ -269,7 +269,8 @@ class TestBandedMatmul:
     @pytest.mark.parametrize("m, k, n", [
         (4, 256, 976),           # at the band size: 999,424 multiply-adds, within the bound
         (4, 256, 975),           # one row below it
-        (1, 62501, 17),          # over the bound, but a band would be 15 rows
+        (2, 31251, 17),          # over the bound, but a band would be 15 rows
+        (1, 5000, 1000),         # a one-row a is C-contiguous too, like backward's W G^T
         (64, 4, 4096),           # expands: m > k
         (32, 32, 2048),          # m == k
     ])
@@ -280,13 +281,17 @@ class TestBandedMatmul:
         assert spy.call_count == 0
         assert np.array_equal(got, a @ b)
 
-    @pytest.mark.parametrize("layout", ["NN", "TN"])
-    def test_nn_and_tn_products_over_the_bound_keep_their_bits(self, layout):
+    @pytest.mark.parametrize("layout", ["NN", "TN", "NT"])
+    def test_nn_tn_and_nt_products_over_the_bound_keep_their_bits(self, layout):
+        # NT is backward's W_k G^T, which must stay one product with no scratch
         rng = make_rng(31)
         m, k, n = 4, 256, 4096
-        a = rng.standard_normal((m, k)) if layout == "NN" else rng.standard_normal((k, m)).T
-        b = rng.standard_normal((k, n))
-        assert np.array_equal(matmul(a, b), a @ b)
+        a = rng.standard_normal((k, m)).T if layout == "TN" else rng.standard_normal((m, k))
+        b = rng.standard_normal((n, k)).T if layout == "NT" else rng.standard_normal((k, n))
+        with mock.patch.object(np, "matmul", wraps=np.matmul) as spy:
+            got = matmul(a, b)
+        assert spy.call_count == 0
+        assert np.array_equal(got, a @ b)
 
     def test_out_gets_the_same_bits(self):
         a, b = planned_operands(4, 256, 4096)
