@@ -13,7 +13,7 @@ prod(D_k) * prod(H_k), at the price of only representing maps whose
 flattened matrix factors as W_1 (x) ... (x) W_N (Kronecker structure).
 
 Training (``forward``/``backward``) applies the modes in declaration
-order. Each mode step is one 2-D gemm on a rotating unfolding. The
+order. Each mode step is a 2-D gemm on a rotating unfolding. The
 input is transposed once to (D_1..D_N, B). Step k reads its buffer as
 the (D_k, rest) matrix Z and computes Z^T W_k + b_k, laid out as
 (D_{k+1}..D_N, B, H_1..H_k): the next mode leads, and step N leaves Y
@@ -29,6 +29,16 @@ N >= 2 backward allocates no step buffer but dL/dX, which one transpose
 returns. A training step skips the last W_1 G^T and that transpose
 (``_backward_into``).
 
+A step of an N >= 2 layer over ``tensor.SMALL_GEMM_MNK`` multiply-adds
+whose W_k has at most ``BAND_MAX_WEIGHT_SIZE`` entries runs over bands
+of ``SMALL_GEMM_MNK // (D_k H_k)`` rows of ``rest``, one ``matmul``
+each, and finishes a band before the next starts: forward adds b_k to
+the band it has just computed, backward adds the band's terms to dW_k
+and db_k and writes its W_k G^T into the band's columns of Z. Outputs
+match one product up to rounding, and gradients, summed band by band,
+move in the last bits. Every other step, and every step of an N = 1
+layer, is one product and keeps its bits.
+
 Inference (``forward_only``) applies the modes in the order with the
 fewest FLOPs (``plan_modes``). Mode products on different axes commute,
 so only the biases depend on the order, and they add up to the closed
@@ -37,8 +47,9 @@ plan is declaration order, inference runs the training steps without a
 cache. Otherwise each step consumes the trailing axis and prepends its
 output axis, and one transpose at the end restores (B, H_1..H_N). Such a
 step multiplies W_k^T by the transpose of a C-contiguous unfolding, and
-when it contracts (H_k < D_k) and exceeds ``tensor.SMALL_GEMM_MNK``
-multiply-adds, ``matmul`` computes it in row bands, up to rounding.
+when it contracts by at least 16 (16 H_k <= D_k) and exceeds
+``tensor.SMALL_GEMM_MNK`` multiply-adds, ``matmul`` computes it in row
+bands, up to rounding.
 """
 
 from __future__ import annotations
@@ -53,7 +64,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ndt
+from . import ndt, tensor
 from .tensor import (
     FlopCounter,
     ShapeError,
@@ -128,9 +139,11 @@ class LayerCache:
     without a copy; any other array costs one copy.
 
     A cache serves one backward. It overwrites each Z_k with the gradient
-    that shares its layout, except Z_0 when N = 1, which views the input
-    (for N >= 2 it is forward's copy), and empties ``intermediates``, so a
-    second backward on it raises ``ShapeError``.
+    W_{k+1} G^T that shares its layout, except Z_0 when N = 1, which views
+    the input (for N >= 2 it is forward's copy), and empties
+    ``intermediates``, so a second backward on it raises ``ShapeError``.
+    A banded step writes each band's W_{k+1} G^T into the band's columns
+    of Z_k once that band's dW_{k+1} term has read them.
     """
 
     intermediates: list[np.ndarray] = field(default_factory=list)
@@ -186,19 +199,51 @@ def _check_input(layer: NdLinearLayer, x: np.ndarray) -> np.ndarray:
     return x
 
 
+# A training step (rows, D_k) @ W_k of an N >= 2 layer that exceeds
+# ``tensor.SMALL_GEMM_MNK`` multiply-adds runs in bands of
+# SMALL_GEMM_MNK // (D_k H_k) rows, which OpenBLAS takes through its
+# small-matrix kernel while they sit in cache, but only if W_k has at most
+# this many entries, so that a band has at least 976 rows. Banded/one-call
+# time of the forward and backward products by D_k x H_k (OpenBLAS 0.3.31,
+# 1 thread, 2-vCPU Xeon):
+#   wins:    32x32 0.81/0.79, 16x16 0.75/0.80, 16x64 0.67/0.81, 256x4 0.44/0.80
+#   neutral: 4x256 0.96/0.97 (a whole step with such a mode: 1.00-1.06)
+#   mixed, 488-625-row bands: 40x40 0.51/1.03, 32x64 0.67/0.91, 64x32 0.90/1.03
+#   losses:  45x45 (493-row bands) 1.38 forward, 48x48 (434) 1.61,
+#            64x64 (244) 1.24/1.12, 128x128 (61) 1.61/1.64
+BAND_MAX_WEIGHT_SIZE = 1024
+
+
+def _band_rows(n_modes: int, rows: int, w: np.ndarray) -> int:
+    """Rows per band of the training step (rows, D_k) @ W_k; 0 runs it as one product."""
+    if n_modes > 1 and w.size <= BAND_MAX_WEIGHT_SIZE and rows * w.size > tensor.SMALL_GEMM_MNK:
+        return tensor.SMALL_GEMM_MNK // w.size
+    return 0
+
+
 def _run_steps(layer: NdLinearLayer, x: np.ndarray, cache: LayerCache | None) -> np.ndarray:
     """Apply every mode step to a checked input, appending each step's operand to ``cache``."""
+    n = layer.n_modes
     batch = x.shape[0]
     # Z_0 in step layout (D_1..D_N, B). A 2-D input's transposed view is
     # already that layout, which keeps N = 1 bitwise equal to x @ W_1 + b_1.
-    z = x.T if layer.n_modes == 1 else permute(x.reshape(batch, -1), (1, 0))
+    z = x.T if n == 1 else permute(x.reshape(batch, -1), (1, 0))
     for k, w in enumerate(layer.weights):
         if cache is not None:
             cache.intermediates.append(
                 z.reshape(*layer.in_dims[k:], batch, *layer.out_dims[:k]))
-        z = matmul(z.reshape(w.shape[0], -1).T, w)
-        if layer.biases is not None:
-            z += layer.biases[k]
+        a = z.reshape(w.shape[0], -1).T
+        band = _band_rows(n, a.shape[0], w)
+        if band:  # each band gets its bias while it is still in cache
+            z = np.empty((a.shape[0], w.shape[1]))
+            for s in range(0, a.shape[0], band):
+                matmul(a[s:s + band], w, out=z[s:s + band])
+                if layer.biases is not None:
+                    z[s:s + band] += layer.biases[k]
+        else:
+            z = matmul(a, w)
+            if layer.biases is not None:
+                z += layer.biases[k]
     return z.reshape(batch, *layer.out_dims)
 
 
@@ -297,14 +342,32 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
 
     zs = list(cache.intermediates)
     cache.intermediates.clear()  # consumed: the entries are overwritten below
-    if layer.biases is not None:  # 1^T for the longest G; each mode takes a prefix
-        ones = np.ones(max(z.size // z.shape[0] for z in zs))
+    rows = [z.size // z.shape[0] for z in zs]
+    bands = [_band_rows(n, r, w) for r, w in zip(rows, layer.weights)]
+    if layer.biases is not None:  # 1^T for the longest G or band; each takes a prefix
+        ones = np.ones(max(band or r for band, r in zip(bands, rows)))
     g = d_y
     for k in range(n, 0, -1):
         w = layer.weights[k - 1]
         g = g.reshape(-1, w.shape[1])
         # one operand layout for any cache; free for forward's buffers (N >= 2)
         z = np.ascontiguousarray(zs[k - 1]).reshape(w.shape[0], -1)
+        band = bands[k - 1]
+        if band:  # all of a band's work while its G and Z columns are in cache
+            d_w = d_params[k - 1]
+            d_b = d_params[n + k - 1] if layer.biases is not None else None
+            d_w.fill(0.0)
+            if d_b is not None:
+                d_b.fill(0.0)
+            for s in range(0, g.shape[0], band):
+                g_s = g[s:s + band]
+                d_w += matmul(z[:, s:s + band], g_s)
+                if d_b is not None:
+                    d_b += ones[:g_s.shape[0]] @ g_s
+                if k > 1 or need_input:  # into the columns dW_k has just read
+                    matmul(w, g_s.T, out=z[:, s:s + band])
+            g = z
+            continue
         d_params[k - 1][...] = matmul(z, g)
         if layer.biases is not None:
             np.matmul(ones[:g.shape[0]], g, out=d_params[n + k - 1])

@@ -14,11 +14,14 @@ Conventions used throughout the package:
   strided copy of one larger than the per-core L2 misses cache on every
   read, so ``permute`` copies it in bands of source rows that stay in
   cache (a (32768, 32) move: 6.5-7.2 ms, 2.2-2.3 ms in bands).
-- A planned inference step multiplies a short, wide weight by a long
-  unfolding, (m, k) @ (k, n) with m < k. OpenBLAS is faster on these
-  in its small-matrix kernel, which takes at most ``SMALL_GEMM_MNK``
-  multiply-adds, so ``matmul`` computes them in row bands within that
-  bound ((4, 256) @ (256, 4096): 1.17-1.38 ms, 0.54-0.59 ms in bands).
+- OpenBLAS runs products of at most ``SMALL_GEMM_MNK`` multiply-adds
+  in a small-matrix kernel whose operands stay in cache, and that is
+  faster on long, skinny products than one call. A planned inference
+  step, a short weight times a long unfolding that contracts by at least
+  16 ((m, k) @ (k, n) with k >= 16m), is computed by ``matmul`` in row
+  bands within that bound ((4, 256) @ (256, 4096): 1.17-1.38 ms,
+  0.54-0.59 ms in bands). A large training step is banded by ``layer``,
+  one ``matmul`` per band, whose ``out`` may then be a column band.
 - Tensors hold real numbers. ``real_array`` is the one rule for values
   from outside: bool, int and float convert to float64; complex, string,
   bytes, object, datetime and void arrays raise ``TypeError``.
@@ -196,32 +199,37 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     """Rank-2 matrix product with f64 accumulation.
 
     Operands may be strided views: a transposed one reaches BLAS as a
-    transpose flag, not a copy. ``out``, if given, is a C-contiguous
-    (m, n) float64 array that receives the product (the same bits as a
-    fresh one) and is returned. Feeds the active FlopCounter, if any,
-    with m*k*n multiply-adds, once, however the product is computed.
+    transpose flag, not a copy. ``out``, if given, is a writeable (m, n)
+    float64 array with contiguous rows (C-contiguous, or a view such as
+    a column band ``z[:, s]`` with ``strides[1] == 8`` and ``strides[0]
+    >= 8n``, which numpy hands to BLAS as it is). It receives the
+    product (the same bits as a fresh one) and is returned; a transposed
+    or read-only ``out`` raises ``ShapeError`` before anything is counted.
+    Feeds the active FlopCounter, if any, with m*k*n multiply-adds, once,
+    however the product is computed.
 
     One kind of product is computed in row bands: ``a`` and ``b`` are
     transposes of C-contiguous (k, m) and (n, k) matrices (the layout of
     ``forward_only``'s planned steps, W_k^T times an unfolding's
-    transpose), it contracts (1 < m < k), and m*k*n exceeds
-    ``SMALL_GEMM_MNK``. Then bands of ``SMALL_GEMM_MNK // (m*k)`` rows of
-    b^T a^T, if that is at least 16, go into an (n, m) scratch buffer,
-    which is transposed into the result. A one-row ``a`` is excluded: it
-    is C-contiguous too, so backward's W_k G^T for D_k = 1 would match. OpenBLAS 0.3.31 (1 thread,
-    AVX-512 Xeon) takes products of at most 10^6 multiply-adds through an
-    unpacked small-matrix kernel, and the cut is sharp: (976, 256) @
-    (256, 4) is fast, (977, 256) @ (256, 4) is not. So (4, 256) @
-    (256, 4096) took 1.17-1.38 ms in one call and 0.54-0.59 ms as
-    976-row bands. The rule is narrow because wider ones lose there:
-    with m >= k the scratch transpose costs more than it saves ((64, 4) @
-    (4, 4096): 0.28 ms in one call, 1.30 ms in bands), and 16-row bands
-    over the bound run the slow kernel in pieces ((64, 1024) @ (1024,
-    4096): 16.7 ms in one call, 30.5 ms in bands). A banded product
-    matches ``a @ b`` up to rounding, not bitwise. Every other product,
-    NN, TN and NT ones included, is one ``a @ b``: training's steps
-    (backward's W_k G^T is NT) and a one-mode layer's ``x @ w + b`` keep
-    their bits, and backward allocates no scratch buffer.
+    transpose), it contracts by at least 16 (1 < m, 16m <= k), and m*k*n
+    exceeds ``SMALL_GEMM_MNK``. Then bands of ``SMALL_GEMM_MNK // (m*k)``
+    rows of b^T a^T, if that is at least 16, go into an (n, m) scratch
+    buffer, which is transposed into the result. A one-row ``a`` is
+    excluded: it is C-contiguous too, so backward's W_k G^T for D_k = 1
+    would match. OpenBLAS 0.3.31 (1 thread, AVX-512 Xeon) takes products
+    of at most 10^6 multiply-adds through an unpacked small-matrix
+    kernel, and the cut is sharp: (976, 256) @ (256, 4) is fast, (977,
+    256) @ (256, 4) is not. The rule is narrow because wider ones lose.
+    Banded/one-call time, 3 runs each: every win had k >= 16m ((4, 256)
+    @ (256, 4096) 0.39-0.60, (8, 512) 0.56-0.64, (16, 256) 0.65-0.77),
+    every loss k/m <= 4, where the scratch transpose costs more than the
+    small kernel saves ((16, 64) @ (64, 16384) 1.15-1.38, (32, 64)
+    1.61-1.72, (32, 128) @ (128, 8192) 1.06-1.20). 16-row bands over the
+    bound run the slow kernel in pieces ((64, 1024) @ (1024, 4096): 16.7
+    ms in one call, 30.5 ms in bands). A banded product matches ``a @ b``
+    up to rounding, not bitwise. Every other product, NN, TN and NT ones
+    included, is one ``a @ b``; training bands its large steps itself
+    (``layer``), one ``matmul`` per band.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -233,11 +241,14 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     n = b.shape[1]
     if out is not None and not (
             isinstance(out, np.ndarray) and out.dtype == np.float64
-            and out.shape == (m, n) and out.flags.c_contiguous):
-        raise ShapeError(f"out must be a C-contiguous float64 array of shape {(m, n)}")
+            and out.shape == (m, n) and out.flags.writeable
+            and (out.flags.c_contiguous or out.strides[1] == 8 and out.strides[0] >= 8 * n)):
+        raise ShapeError(f"out must be a writeable float64 array of shape {(m, n)} "
+                         "with contiguous rows")
     if _active_counter is not None:
         _active_counter.add(m * k * n)
-    band = SMALL_GEMM_MNK // (m * k) if 1 < m < k and m * k * n > SMALL_GEMM_MNK else 0
+    band = (SMALL_GEMM_MNK // (m * k)
+            if 1 < m and 16 * m <= k and m * k * n > SMALL_GEMM_MNK else 0)
     if band >= 16 and a.T.flags.c_contiguous and b.T.flags.c_contiguous:
         bt, at = b.T, a.T
         # a fresh buffer, so every read of a and b precedes the first write to out

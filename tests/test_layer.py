@@ -486,15 +486,15 @@ class TestCacheIsConsumed:
         assert peak - grads.d_input.nbytes <= small < step
 
     @pytest.mark.parametrize("in_dims", [(4, 4, 4), (4, 1, 4)])
-    def test_expanding_mode_over_the_bound_is_one_product_in_backward(self, in_dims):
-        # mode 2's W_2 G^T, (D_2, 256) @ (256, 4096), is contracting and over
-        # tensor.SMALL_GEMM_MNK but NT: it keeps its bits and its buffer, with
-        # no (4096, D_2) scratch beside d_input
+    def test_expanding_mode_over_the_bound_is_banded_in_place_in_backward(self, in_dims):
+        # mode 2, (4096, D_2) @ (D_2, 256), is over tensor.SMALL_GEMM_MNK with
+        # D_2 * 256 <= layer.BAND_MAX_WEIGHT_SIZE: backward runs it in bands and
+        # writes each band's W_2 G^T into the cache, with no (4096, D_2) scratch
+        # beside d_input
         lyr = init_xavier(in_dims, (4, 256, 4), False, make_rng(44))
         x = make_rng(45).standard_normal((256, *in_dims))
         y, cache = forward(lyr, x)
-        unbanded = mock.patch.object(tensor, "SMALL_GEMM_MNK", 2**62)
-        with unbanded:
+        with UNBANDED:
             want = backward(lyr, forward(lyr, x)[1], y)
         scratch = 8 * in_dims[1] * 4096
         tracemalloc.start()
@@ -504,9 +504,96 @@ class TestCacheIsConsumed:
         finally:
             tracemalloc.stop()
         for got, ref in zip(grads.d_weights + [grads.d_input], want.d_weights + [want.d_input]):
-            assert np.array_equal(got, ref)
+            assert_within_rounding(got, ref)
         small = sum(p.nbytes for p in lyr.params()) + 2**14
         assert peak - grads.d_input.nbytes <= small < scratch
+
+
+# tensor.SMALL_GEMM_MNK out of reach: every training step is one product
+UNBANDED = mock.patch.object(tensor, "SMALL_GEMM_MNK", 2**62)
+
+
+def assert_within_rounding(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def biased_layer(seed, in_dims, out_dims):
+    rng = make_rng(seed)
+    weights = init_xavier(in_dims, out_dims, False, rng).weights
+    return rng, NdLinearLayer(in_dims, out_dims, weights,
+                              [rng.uniform(-1, 1, size=h) for h in out_dims])
+
+
+class TestBandedTrainingSteps:
+    # (in_dims, out_dims, batch, 976-row bands per step): 32^3 steps have
+    # 32768 rows; (16,256)->(64,4) has 65536 rows in step 1, 16384 in step 2
+    CASES = [((32, 32, 32), (32, 32, 32), 32, (34, 34, 34)),
+             ((16, 256), (64, 4), 256, (68, 17))]
+
+    def step(self, lyr, x, d_y):
+        y, cache = forward(lyr, x)
+        return y, backward(lyr, cache, d_y)
+
+    @pytest.mark.parametrize("in_dims, out_dims, batch, bands", CASES)
+    def test_outputs_and_gradients_match_one_product(self, in_dims, out_dims, batch, bands):
+        rng, lyr = biased_layer(50, in_dims, out_dims)
+        x = rng.standard_normal((batch, *in_dims))
+        d_y = rng.standard_normal((batch, *out_dims))
+        y, grads = self.step(lyr, x, d_y)
+        with UNBANDED:
+            want_y, want = self.step(lyr, x, d_y)
+        assert_within_rounding(y, want_y)
+        for got, ref in zip(grads.params() + [grads.d_input], want.params() + [want.d_input]):
+            assert_within_rounding(got, ref)
+        if plan_modes(in_dims, out_dims) == tuple(range(lyr.n_modes)):
+            assert np.array_equal(forward_only(lyr, x), y)  # the same banded steps
+
+    @pytest.mark.parametrize("in_dims, out_dims, batch, bands", CASES)
+    def test_each_band_is_one_product_and_the_count_is_exact(self, in_dims, out_dims, batch,
+                                                             bands):
+        rng, lyr = biased_layer(51, in_dims, out_dims)
+        x = rng.standard_normal((batch, *in_dims))
+        # a band's product into its slice of the step buffer is np.matmul(..., out=)
+        with mock.patch.object(np, "matmul", wraps=np.matmul) as spy, FlopCounter() as fc:
+            y, cache = forward(lyr, x)
+            assert spy.call_count == sum(bands)
+            backward(lyr, cache, y)
+        assert spy.call_count == 2 * sum(bands)  # W_k G^T into Z's columns
+        order = range(lyr.n_modes)
+        assert 2 * fc.multiply_adds == 3 * flop_count(batch, in_dims, out_dims, order)
+
+    @pytest.mark.parametrize("in_dims, out_dims, batch, bands", CASES)
+    def test_backward_allocates_no_step_scratch(self, in_dims, out_dims, batch, bands):
+        rng, lyr = biased_layer(52, in_dims, out_dims)
+        x = rng.standard_normal((batch, *in_dims))
+        y, cache = forward(lyr, x)
+        scratch = min(z.nbytes for z in cache.intermediates)  # a (rows, D_k) buffer
+        tracemalloc.start()
+        try:
+            grads = backward(lyr, cache, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        small = sum(p.nbytes for p in lyr.params()) + 8 * 976 + 2**16
+        assert peak - grads.d_input.nbytes <= small < scratch
+
+    @pytest.mark.parametrize("in_dims, out_dims, batch", [
+        ((8, 8), (16, 16), 32),     # a train_sep step: within the bound
+        ((64, 64), (64, 64), 32),   # over it, but a band would be 244 rows
+    ])
+    def test_other_steps_are_one_product_and_keep_their_bits(self, in_dims, out_dims, batch):
+        rng, lyr = biased_layer(53, in_dims, out_dims)
+        x = rng.standard_normal((batch, *in_dims))
+        d_y = rng.standard_normal((batch, *out_dims))
+        with mock.patch.object(layer, "matmul", wraps=tensor.matmul) as spy:
+            y, grads = self.step(lyr, x, d_y)
+        assert spy.call_count == 3 * lyr.n_modes
+        with UNBANDED:
+            want_y, want = self.step(lyr, x, d_y)
+        for got, ref in zip([y, *grads.params(), grads.d_input],
+                            [want_y, *want.params(), want.d_input]):
+            assert np.array_equal(got, ref)
 
 
 class TestCounts:

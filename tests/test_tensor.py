@@ -235,6 +235,28 @@ class TestMatmul:
         assert fc.multiply_adds == 0
 
 
+    def test_read_only_out_is_refused_before_counting(self):
+        out = np.zeros((2, 4))
+        out.flags.writeable = False
+        with FlopCounter() as fc, pytest.raises(ShapeError, match="out must be"):
+            matmul(np.ones((2, 3)), np.ones((3, 4)), out=out)
+        assert fc.multiply_adds == 0
+
+    @pytest.mark.parametrize("layout", ["NN", "NT"])
+    def test_out_may_be_a_column_band_with_contiguous_rows(self, layout):
+        # backward writes each band's W_k G^T into z[:, s]: strides (8 cols, 8)
+        rng = make_rng(24)
+        a = rng.standard_normal((3, 5))
+        b = rng.standard_normal((7, 5)).T if layout == "NT" else rng.standard_normal((5, 7))
+        z = np.full((3, 20), np.nan)
+        band = z[:, 4:11]
+        with FlopCounter() as fc:
+            assert matmul(a, b, out=band) is band
+        assert np.array_equal(band, a @ b)
+        assert np.isnan(z[:, :4]).all() and np.isnan(z[:, 11:]).all()
+        assert fc.multiply_adds == 3 * 5 * 7
+
+
 def planned_operands(m, k, n, seed=30):
     """a and b the transposes of C-contiguous (k, m) and (n, k) matrices,
     as in ``forward_only``'s planned steps."""
@@ -248,18 +270,19 @@ def assert_close(got, want):
 
 
 class TestBandedMatmul:
-    # a contracting product over SMALL_GEMM_MNK whose a and b are transposed
-    # C-contiguous matrices runs as SMALL_GEMM_MNK // (m k)-row bands of b^T a^T,
-    # one np.matmul each; every other product is one ``a @ b``
+    # a product over SMALL_GEMM_MNK that contracts by at least 16 and whose a and
+    # b are transposed C-contiguous matrices runs as SMALL_GEMM_MNK // (m k)-row
+    # bands of b^T a^T, one np.matmul each; every other product is one ``a @ b``
     @pytest.mark.parametrize("m, k, n, bands", [
         (4, 256, 977, 2),        # one row above the 976-row band
         (4, 256, 4096, 5),       # infer_skew's first step: 976 does not divide 4096
         (4, 250, 3000, 3),       # 1000-row bands that divide n
-        (125, 500, 17, 2),       # the smallest band, 16 rows
+        (62, 1008, 17, 2),       # the smallest band, 16 rows
+        (16, 256, 4096, 17),     # k = 16 m, the least contraction that is banded
         (2, 5000, 1000, 10),
     ])
     def test_banded_product_matches(self, m, k, n, bands):
-        assert m < k and m * k * n > SMALL_GEMM_MNK
+        assert 16 * m <= k and m * k * n > SMALL_GEMM_MNK
         a, b = planned_operands(m, k, n)
         with mock.patch.object(np, "matmul", wraps=np.matmul) as spy:
             got = matmul(a, b)
@@ -270,6 +293,9 @@ class TestBandedMatmul:
         (4, 256, 976),           # at the band size: 999,424 multiply-adds, within the bound
         (4, 256, 975),           # one row below it
         (2, 31251, 17),          # over the bound, but a band would be 15 rows
+        (125, 500, 17),          # contracts, but k = 4 m: the scratch transpose costs more
+        (16, 64, 16384),         # k = 4 m
+        (32, 64, 16384),         # k = 2 m
         (1, 5000, 1000),         # a one-row a is C-contiguous too, like backward's W G^T
         (64, 4, 4096),           # expands: m > k
         (32, 32, 2048),          # m == k
