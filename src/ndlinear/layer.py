@@ -13,31 +13,29 @@ prod(D_k) * prod(H_k), at the price of only representing maps whose
 flattened matrix factors as W_1 (x) ... (x) W_N (Kronecker structure).
 
 Training (``forward``/``backward``) applies the modes in declaration
-order. Each mode step is a 2-D gemm on a rotating unfolding. The
-input is transposed once to (D_1..D_N, B). Step k reads its buffer as
-the (D_k, rest) matrix Z and computes Z^T W_k + b_k, laid out as
-(D_{k+1}..D_N, B, H_1..H_k): the next mode leads, and step N leaves Y
-in (B, H_1..H_N). ``forward`` caches each step's buffer Z, not Y, and
-backward reshapes it; with G the (rest, H_k) gradient of step k, for k = N..1:
+order. Each mode transforms every sample on its own, so the batch runs
+in chunks of c samples (``_chunking``: as many as keep the largest step
+within ``tensor.SMALL_GEMM_MNK`` multiply-adds, at least one; B when
+N = 1), and a chunk goes through all N steps, and back, while it is in
+cache. Each step is a 2-D gemm on a rotating unfolding of the chunk,
+whose input is transposed to (D_1..D_N, c) (no copy at c = 1: a sample
+is its own layout). Step k reads its buffer as the (D_k, rest) matrix Z
+and computes Z^T W_k + b_k, laid out as (D_{k+1}..D_N, c, H_1..H_k):
+the next mode leads, and step N leaves the chunk's Y in (c, H_1..H_N).
+``forward`` caches each step's buffer Z, not Y, and backward reshapes
+it; with G the (rest, H_k) gradient of step k, for k = N..1, summed
+over the chunks in batch order:
 
     dW_k = Z G,    db_k = 1^T G,    G <- W_k G^T
 
 W_k G^T is already in Z's layout, so it is written into Z's own buffer
-once dW_k has read it, and backward consumes the cache. The one
-exception is Z_0 when N = 1, a view of the caller's input. So for
-N >= 2 backward allocates no step buffer but dL/dX, which one transpose
-returns. A training step skips the last W_1 G^T and that transpose
-(``_backward_into``).
-
-A step of an N >= 2 layer over ``tensor.SMALL_GEMM_MNK`` multiply-adds
-whose W_k has at most ``BAND_MAX_WEIGHT_SIZE`` entries runs over bands
-of ``SMALL_GEMM_MNK // (D_k H_k)`` rows of ``rest``, one ``matmul``
-each, and finishes a band before the next starts: forward adds b_k to
-the band it has just computed, backward adds the band's terms to dW_k
-and db_k and writes its W_k G^T into the band's columns of Z. Outputs
-match one product up to rounding, and gradients, summed band by band,
-move in the last bits. Every other step, and every step of an N = 1
-layer, is one product and keeps its bits.
+once dW_k has read it, and backward consumes the cache, except Z_0 when
+it views the caller's input (N = 1 or c = 1; at c = 1 the last W_1 G^T
+goes straight into the sample's rows of dL/dX). So for N >= 2 backward
+allocates no step buffer but dL/dX, which one transpose per chunk fills
+(none at c = 1); a training step skips the last W_1 G^T and that
+transpose (``_backward_into``). A batch of one chunk keeps the
+one-product bits; more chunks move the summed gradients in the last bits.
 
 Inference (``forward_only``) applies the modes in the order with the
 fewest FLOPs (``plan_modes``). Mode products on different axes commute,
@@ -133,17 +131,20 @@ class NdLinearLayer:
 class LayerCache:
     """The N gemm operands Z_0 = X, Z_1, ..., Z_{N-1} kept for backward.
 
-    Z_k, the running tensor after modes 1..k (bias included), is kept in
-    the step layout (D_{k+1}..D_N, B, H_1..H_k) that step k+1 multiplies;
-    Y is not kept. ``backward`` reads forward's contiguous buffers (N >= 2)
-    without a copy; any other array costs one copy.
+    Entry k holds Z_k, the running tensor after modes 1..k (bias
+    included), chunk after chunk in C order, each chunk of samples
+    b0..b1-1 in the step layout (D_{k+1}..D_N, b1 - b0, H_1..H_k) that
+    step k+1 multiplies; Y is not kept. Its shape is (D_{k+1}..D_N, B,
+    H_1..H_k), which indexes Z_k when the batch is one chunk; otherwise
+    only the C order counts (at c = 1, sample after sample, and Z_0 views
+    the input). ``backward`` derives c from the layer and B as ``forward``
+    does, and reads forward's buffers without a copy; any other array
+    costs one copy.
 
     A cache serves one backward. It overwrites each Z_k with the gradient
-    W_{k+1} G^T that shares its layout, except Z_0 when N = 1, which views
-    the input (for N >= 2 it is forward's copy), and empties
-    ``intermediates``, so a second backward on it raises ``ShapeError``.
-    A banded step writes each band's W_{k+1} G^T into the band's columns
-    of Z_k once that band's dW_{k+1} term has read them.
+    W_{k+1} G^T that shares its layout, except Z_0 when it views the
+    input (N = 1 or c = 1), and empties ``intermediates``, so a second
+    backward on it raises ``ShapeError``.
     """
 
     intermediates: list[np.ndarray] = field(default_factory=list)
@@ -199,52 +200,54 @@ def _check_input(layer: NdLinearLayer, x: np.ndarray) -> np.ndarray:
     return x
 
 
-# A training step (rows, D_k) @ W_k of an N >= 2 layer that exceeds
-# ``tensor.SMALL_GEMM_MNK`` multiply-adds runs in bands of
-# SMALL_GEMM_MNK // (D_k H_k) rows, which OpenBLAS takes through its
-# small-matrix kernel while they sit in cache, but only if W_k has at most
-# this many entries, so that a band has at least 976 rows. Banded/one-call
-# time of the forward and backward products by D_k x H_k (OpenBLAS 0.3.31,
-# 1 thread, 2-vCPU Xeon):
-#   wins:    32x32 0.81/0.79, 16x16 0.75/0.80, 16x64 0.67/0.81, 256x4 0.44/0.80
-#   neutral: 4x256 0.96/0.97 (a whole step with such a mode: 1.00-1.06)
-#   mixed, 488-625-row bands: 40x40 0.51/1.03, 32x64 0.67/0.91, 64x32 0.90/1.03
-#   losses:  45x45 (493-row bands) 1.38 forward, 48x48 (434) 1.61,
-#            64x64 (244) 1.24/1.12, 128x128 (61) 1.61/1.64
-BAND_MAX_WEIGHT_SIZE = 1024
+@lru_cache(maxsize=1024)
+def _chunking(in_dims: tuple[int, ...], out_dims: tuple[int, ...], batch: int,
+              bound: int) -> tuple[int, tuple[int, ...], int]:
+    """Samples per training chunk c (the last one may be shorter); values a
+    sample of Z_0..Z_N, prod(H_1..H_k) prod(D_{k+1}..D_N); rows of a chunk's longest G."""
+    sizes = tuple(math.prod(out_dims[:k] + in_dims[k:]) for k in range(len(in_dims) + 1))
+    most = max(s * h for s, h in zip(sizes, out_dims))  # a sample's largest step
+    c = batch if len(in_dims) == 1 else min(batch, max(1, bound // most))
+    return c, sizes, c * max(s // h for s, h in zip(sizes[1:], out_dims))
 
 
-def _band_rows(n_modes: int, rows: int, w: np.ndarray) -> int:
-    """Rows per band of the training step (rows, D_k) @ W_k; 0 runs it as one product."""
-    if n_modes > 1 and w.size <= BAND_MAX_WEIGHT_SIZE and rows * w.size > tensor.SMALL_GEMM_MNK:
-        return tensor.SMALL_GEMM_MNK // w.size
-    return 0
+def _samples(buf: np.ndarray, size: int, start: int, count: int) -> np.ndarray:
+    """Samples start..start+count-1, as a flat view, of a chunk-major buffer of
+    ``size`` values a sample. A buffer of one chunk holds each chunk in turn."""
+    start %= buf.size // size
+    return buf.reshape(-1)[start * size:(start + count) * size]
 
 
 def _run_steps(layer: NdLinearLayer, x: np.ndarray, cache: LayerCache | None) -> np.ndarray:
-    """Apply every mode step to a checked input, appending each step's operand to ``cache``."""
-    n = layer.n_modes
-    batch = x.shape[0]
-    # Z_0 in step layout (D_1..D_N, B). A 2-D input's transposed view is
-    # already that layout, which keeps N = 1 bitwise equal to x @ W_1 + b_1.
-    z = x.T if n == 1 else permute(x.reshape(batch, -1), (1, 0))
-    for k, w in enumerate(layer.weights):
-        if cache is not None:
-            cache.intermediates.append(
-                z.reshape(*layer.in_dims[k:], batch, *layer.out_dims[:k]))
-        a = z.reshape(w.shape[0], -1).T
-        band = _band_rows(n, a.shape[0], w)
-        if band:  # each band gets its bias while it is still in cache
-            z = np.empty((a.shape[0], w.shape[1]))
-            for s in range(0, a.shape[0], band):
-                matmul(a[s:s + band], w, out=z[s:s + band])
-                if layer.biases is not None:
-                    z[s:s + band] += layer.biases[k]
-        else:
-            z = matmul(a, w)
+    """Apply every mode step to a checked input, chunk by chunk, appending each
+    step's operand to ``cache``."""
+    n, batch = layer.n_modes, x.shape[0]
+    c, sizes, _ = _chunking(layer.in_dims, layer.out_dims, batch, tensor.SMALL_GEMM_MNK)
+    flat = x.reshape(batch, -1)
+    # Z_0..Z_{N-1}, Y. One chunk takes each product as its buffer, and x.T
+    # keeps N = 1 bitwise x @ W_1 + b_1; at c = 1 x is Z_0. Without a cache,
+    # one chunk's step buffers serve every chunk in turn.
+    if c == batch:
+        bufs = [flat.T if n == 1 else permute(flat, (1, 0)), *[None] * n]
+    else:
+        held = batch if cache is not None else c
+        bufs = [flat if c == 1 else np.empty(held * sizes[0]),
+                *(np.empty(held * s) for s in sizes[1:n]), np.empty(batch * sizes[n])]
+    for b0 in range(0, batch, c):
+        nb = min(c, batch - b0)
+        part = bufs if nb == batch else [_samples(buf, s, b0, nb) for buf, s in zip(bufs, sizes)]
+        if 1 < c < batch:  # this chunk of X, transposed into step layout
+            part[0].reshape(-1, nb)[...] = flat[b0:b0 + nb].T
+        for k, w in enumerate(layer.weights):
+            a = part[k].reshape(w.shape[0], -1).T
+            out = None if nb == batch else part[k + 1].reshape(a.shape[0], -1)
+            part[k + 1] = z = matmul(a, w, out=out)  # one chunk: the product is the buffer
             if layer.biases is not None:
                 z += layer.biases[k]
-    return z.reshape(batch, *layer.out_dims)
+    if cache is not None:
+        cache.intermediates += [z.reshape(*layer.in_dims[k:], batch, *layer.out_dims[:k])
+                                for k, z in enumerate(bufs[:n])]
+    return bufs[n].reshape(batch, *layer.out_dims)
 
 
 def forward(layer: NdLinearLayer, x: np.ndarray) -> tuple[np.ndarray, LayerCache]:
@@ -340,45 +343,42 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
     if d_y.shape != (batch, *layer.out_dims):
         raise ShapeError(f"d_y shape {d_y.shape} != output shape {(batch, *layer.out_dims)}")
 
-    zs = list(cache.intermediates)
+    # one operand layout for any cache; free for forward's buffers (N >= 2)
+    zs = [*map(np.ascontiguousarray, cache.intermediates), d_y]
     cache.intermediates.clear()  # consumed: the entries are overwritten below
-    rows = [z.size // z.shape[0] for z in zs]
-    bands = [_band_rows(n, r, w) for r, w in zip(rows, layer.weights)]
-    if layer.biases is not None:  # 1^T for the longest G or band; each takes a prefix
-        ones = np.ones(max(band or r for band, r in zip(bands, rows)))
-    g = d_y
-    for k in range(n, 0, -1):
-        w = layer.weights[k - 1]
-        g = g.reshape(-1, w.shape[1])
-        # one operand layout for any cache; free for forward's buffers (N >= 2)
-        z = np.ascontiguousarray(zs[k - 1]).reshape(w.shape[0], -1)
-        band = bands[k - 1]
-        if band:  # all of a band's work while its G and Z columns are in cache
-            d_w = d_params[k - 1]
-            d_b = d_params[n + k - 1] if layer.biases is not None else None
-            d_w.fill(0.0)
-            if d_b is not None:
-                d_b.fill(0.0)
-            for s in range(0, g.shape[0], band):
-                g_s = g[s:s + band]
-                d_w += matmul(z[:, s:s + band], g_s)
-                if d_b is not None:
-                    d_b += ones[:g_s.shape[0]] @ g_s
-                if k > 1 or need_input:  # into the columns dW_k has just read
-                    matmul(w, g_s.T, out=z[:, s:s + band])
-            g = z
+    c, sizes, rows = _chunking(layer.in_dims, layer.out_dims, batch, tensor.SMALL_GEMM_MNK)
+    if layer.biases is not None:  # 1^T for a chunk's longest G; each takes a prefix
+        ones = np.ones(rows)
+    d_x = np.empty((batch, sizes[0])) if need_input and c < batch else None
+    for b0 in range(0, batch, c):
+        nb = min(c, batch - b0)
+        part = zs if nb == batch else [_samples(buf, s, b0, nb) for buf, s in zip(zs, sizes)]
+        g = part[n]
+        for k in range(n, 0, -1):
+            w = layer.weights[k - 1]
+            g = g.reshape(-1, w.shape[1])
+            z = part[k - 1].reshape(w.shape[0], -1)
+            if b0:  # later chunks add their terms, in batch order
+                d_params[k - 1] += matmul(z, g)
+                if layer.biases is not None:
+                    d_params[n + k - 1] += ones[:g.shape[0]] @ g
+            else:
+                d_params[k - 1][...] = matmul(z, g)
+                if layer.biases is not None:
+                    np.matmul(ones[:g.shape[0]], g, out=d_params[n + k - 1])
+            if k > 1:  # dL/dZ_{k-1} takes Z_{k-1}'s place, which dW_k has read
+                g = matmul(w, g.T, out=z)
+        if not need_input:
             continue
-        d_params[k - 1][...] = matmul(z, g)
-        if layer.biases is not None:
-            np.matmul(ones[:g.shape[0]], g, out=d_params[n + k - 1])
-        if k > 1 or need_input:
-            # dL/dZ_{k-1} takes Z_{k-1}'s place, which dW_k has finished reading;
-            # but Z_0 views the caller's input when N = 1 (forward's copy if N >= 2)
+        # dL/dX from step layout (D_1..D_N, nb); Z_0 views x if N = 1 or c = 1
+        if nb == batch:
             g = matmul(w, g.T, out=z if n > 1 else None)
-    if not need_input:
-        return None
-    d_x = permute(g.reshape(-1, batch), (1, 0))  # dL/dX, from step layout (D_1..D_N, B)
-    return d_x.reshape(batch, *layer.in_dims)
+            d_x = permute(g.reshape(-1, batch), (1, 0))
+        elif nb == 1:  # a sample is its own step layout
+            matmul(w, g.T, out=d_x[b0].reshape(w.shape[0], -1))
+        else:
+            d_x[b0:b0 + nb] = matmul(w, g.T, out=z).reshape(-1, nb).T
+    return None if d_x is None else d_x.reshape(batch, *layer.in_dims)
 
 
 def param_count(in_dims, out_dims, with_bias: bool) -> int:

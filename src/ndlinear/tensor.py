@@ -20,8 +20,8 @@ Conventions used throughout the package:
   step, a short weight times a long unfolding that contracts by at least
   16 ((m, k) @ (k, n) with k >= 16m), is computed by ``matmul`` in row
   bands within that bound ((4, 256) @ (256, 4096): 1.17-1.38 ms,
-  0.54-0.59 ms in bands). A large training step is banded by ``layer``,
-  one ``matmul`` per band, whose ``out`` may then be a column band.
+  0.54-0.59 ms in bands). Training keeps its steps within it by
+  running the batch in sample chunks (``layer``), one ``matmul`` each.
 - Tensors hold real numbers. ``real_array`` is the one rule for values
   from outside: bool, int and float convert to float64; complex, string,
   bytes, object, datetime and void arrays raise ``TypeError``.
@@ -228,8 +228,8 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     bound run the slow kernel in pieces ((64, 1024) @ (1024, 4096): 16.7
     ms in one call, 30.5 ms in bands). A banded product matches ``a @ b``
     up to rounding, not bitwise. Every other product, NN, TN and NT ones
-    included, is one ``a @ b``; training bands its large steps itself
-    (``layer``), one ``matmul`` per band.
+    included, is one ``a @ b``; training splits its batch into sample
+    chunks itself (``layer``), one ``matmul`` a step and chunk.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -487,16 +487,17 @@ class TestCacheIsConsumed:
 
     @pytest.mark.parametrize("in_dims", [(4, 4, 4), (4, 1, 4)])
     def test_expanding_mode_over_the_bound_is_banded_in_place_in_backward(self, in_dims):
-        # mode 2, (4096, D_2) @ (D_2, 256), is over tensor.SMALL_GEMM_MNK with
-        # D_2 * 256 <= layer.BAND_MAX_WEIGHT_SIZE: backward runs it in bands and
-        # writes each band's W_2 G^T into the cache, with no (4096, D_2) scratch
-        # beside d_input
+        # its largest step costs 16384 multiply-adds a sample, so the batch runs in
+        # chunks of 61 (tensor.SMALL_GEMM_MNK // 16384), the last one of 12;
+        # backward writes each chunk's W_k G^T into the cache, with no scratch
+        # beside d_input such as the batch's (4096, D_2) W_2 G^T
         lyr = init_xavier(in_dims, (4, 256, 4), False, make_rng(44))
         x = make_rng(45).standard_normal((256, *in_dims))
+        assert chunk_size(lyr, 256) == 61
         y, cache = forward(lyr, x)
-        with UNBANDED:
+        with ONE_CHUNK:
             want = backward(lyr, forward(lyr, x)[1], y)
-        scratch = 8 * in_dims[1] * 4096
+        scratch = 8 * in_dims[1] * 16 * 256
         tracemalloc.start()
         try:
             grads = backward(lyr, cache, y)
@@ -509,8 +510,8 @@ class TestCacheIsConsumed:
         assert peak - grads.d_input.nbytes <= small < scratch
 
 
-# tensor.SMALL_GEMM_MNK out of reach: every training step is one product
-UNBANDED = mock.patch.object(tensor, "SMALL_GEMM_MNK", 2**62)
+# tensor.SMALL_GEMM_MNK out of reach: every training step runs the batch as one chunk
+ONE_CHUNK = mock.patch.object(tensor, "SMALL_GEMM_MNK", 2**62)
 
 
 def assert_within_rounding(got, want):
@@ -525,72 +526,154 @@ def biased_layer(seed, in_dims, out_dims):
                               [rng.uniform(-1, 1, size=h) for h in out_dims])
 
 
+def training_step(lyr, x, d_y):
+    y, cache = forward(lyr, x)
+    return y, backward(lyr, cache, d_y)
+
+
+def chunk_size(lyr, batch):
+    return layer._chunking(lyr.in_dims, lyr.out_dims, batch, tensor.SMALL_GEMM_MNK)[0]
+
+
+def largest_step(lyr):
+    """Multiply-adds a sample of the layer's largest training step."""
+    return max(math.prod(lyr.out_dims[:k]) * d * h * math.prod(lyr.in_dims[k + 1:])
+               for k, (d, h) in enumerate(zip(lyr.in_dims, lyr.out_dims)))
+
+
+@st.composite
+def chunked_cases(draw):
+    """A layer with N 2..4 and dims 1..4, a batch of 3..9 and a chunk size
+    1 < c < B, which tensor.SMALL_GEMM_MNK is set to give: B is a multiple
+    of c or not (a last chunk of B mod c samples)."""
+    n = draw(st.integers(2, 4))
+    dims = st.lists(st.integers(1, 4), min_size=n, max_size=n).map(tuple)
+    in_dims, out_dims = draw(dims), draw(dims)
+    batch = draw(st.integers(3, 9))
+    chunk = draw(st.integers(2, batch - 1))
+    rng, lyr = biased_layer(draw(st.integers(0, 2**32 - 1)), in_dims, out_dims)
+    if not draw(st.booleans()):
+        lyr = NdLinearLayer(in_dims, out_dims, lyr.weights)
+    x = rng.standard_normal((batch, *in_dims))
+    return lyr, x, rng.standard_normal((batch, *out_dims)), chunk
+
+
 class TestBandedTrainingSteps:
-    # (in_dims, out_dims, batch, 976-row bands per step): 32^3 steps have
-    # 32768 rows; (16,256)->(64,4) has 65536 rows in step 1, 16384 in step 2
-    CASES = [((32, 32, 32), (32, 32, 32), 32, (34, 34, 34)),
-             ((16, 256), (64, 4), 256, (68, 17))]
+    """A training step of an N >= 2 layer runs its batch in bands of c samples,
+    the chunks of ``layer._chunking``: c = 1 on the 32^3 cube (a step is 2^20
+    multiply-adds a sample) and 3 on (16,256)->(64,4), 256 = 85 * 3 + 1."""
 
-    def step(self, lyr, x, d_y):
-        y, cache = forward(lyr, x)
-        return y, backward(lyr, cache, d_y)
+    CASES = [((32, 32, 32), (32, 32, 32), 32, 1),
+             ((16, 256), (64, 4), 256, 3)]
 
-    @pytest.mark.parametrize("in_dims, out_dims, batch, bands", CASES)
-    def test_outputs_and_gradients_match_one_product(self, in_dims, out_dims, batch, bands):
+    @pytest.mark.parametrize("in_dims, out_dims, batch, chunk", CASES)
+    def test_outputs_and_gradients_match_one_product(self, in_dims, out_dims, batch, chunk):
         rng, lyr = biased_layer(50, in_dims, out_dims)
+        assert chunk_size(lyr, batch) == chunk
         x = rng.standard_normal((batch, *in_dims))
         d_y = rng.standard_normal((batch, *out_dims))
-        y, grads = self.step(lyr, x, d_y)
-        with UNBANDED:
-            want_y, want = self.step(lyr, x, d_y)
+        y, grads = training_step(lyr, x, d_y)
+        with ONE_CHUNK:
+            want_y, want = training_step(lyr, x, d_y)
         assert_within_rounding(y, want_y)
         for got, ref in zip(grads.params() + [grads.d_input], want.params() + [want.d_input]):
             assert_within_rounding(got, ref)
         if plan_modes(in_dims, out_dims) == tuple(range(lyr.n_modes)):
-            assert np.array_equal(forward_only(lyr, x), y)  # the same banded steps
+            assert np.array_equal(forward_only(lyr, x), y)  # the same chunked steps
 
-    @pytest.mark.parametrize("in_dims, out_dims, batch, bands", CASES)
+    @pytest.mark.parametrize("in_dims, out_dims, batch, chunk", CASES)
     def test_each_band_is_one_product_and_the_count_is_exact(self, in_dims, out_dims, batch,
-                                                             bands):
+                                                             chunk):
         rng, lyr = biased_layer(51, in_dims, out_dims)
         x = rng.standard_normal((batch, *in_dims))
-        # a band's product into its slice of the step buffer is np.matmul(..., out=)
-        with mock.patch.object(np, "matmul", wraps=np.matmul) as spy, FlopCounter() as fc:
+        chunks, n = -(-batch // chunk), lyr.n_modes
+        # a chunk's step writes into its slice of the step buffer: np.matmul(..., out=)
+        with mock.patch.object(np, "matmul", wraps=np.matmul) as spy, \
+                mock.patch.object(layer, "matmul", wraps=tensor.matmul) as products, \
+                FlopCounter() as fc:
             y, cache = forward(lyr, x)
-            assert spy.call_count == sum(bands)
+            assert spy.call_count == products.call_count == chunks * n
             backward(lyr, cache, y)
-        assert spy.call_count == 2 * sum(bands)  # W_k G^T into Z's columns
-        order = range(lyr.n_modes)
-        assert 2 * fc.multiply_adds == 3 * flop_count(batch, in_dims, out_dims, order)
+        assert products.call_count == 3 * chunks * n  # dW_k and W_k G^T a chunk
+        assert 2 * fc.multiply_adds == 3 * flop_count(batch, in_dims, out_dims, range(n))
 
-    @pytest.mark.parametrize("in_dims, out_dims, batch, bands", CASES)
-    def test_backward_allocates_no_step_scratch(self, in_dims, out_dims, batch, bands):
+    @pytest.mark.parametrize("in_dims, out_dims, batch, chunk", CASES)
+    def test_backward_allocates_no_step_scratch(self, in_dims, out_dims, batch, chunk):
         rng, lyr = biased_layer(52, in_dims, out_dims)
         x = rng.standard_normal((batch, *in_dims))
         y, cache = forward(lyr, x)
-        scratch = min(z.nbytes for z in cache.intermediates)  # a (rows, D_k) buffer
+        # a step's (rows, D_k) buffer for one chunk, and 1^T for a chunk's longest G
+        scratch = min(z.nbytes for z in cache.intermediates) * chunk // batch
+        ones = 8 * chunk * max(z.size // z.shape[0] for z in cache.intermediates) // batch
         tracemalloc.start()
         try:
             grads = backward(lyr, cache, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        small = sum(p.nbytes for p in lyr.params()) + 8 * 976 + 2**16
+        small = sum(p.nbytes for p in lyr.params()) + ones + 2**16
         assert peak - grads.d_input.nbytes <= small < scratch
 
+    def test_one_sample_chunks_view_the_input(self):
+        # c = 1: Z_0 is x itself, no permute copies the batch in or out, and
+        # backward writes nothing of x
+        rng, lyr = biased_layer(54, (32, 32, 32), (32, 32, 32))
+        x = rng.standard_normal((32, 32, 32, 32))
+        x_was = x.copy()
+        x.flags.writeable = False  # a write raises
+        with mock.patch.object(layer, "permute", wraps=layer.permute) as spy:
+            y, cache = forward(lyr, x)
+            assert np.shares_memory(cache.intermediates[0], x)
+            grads = backward(lyr, cache, y)
+        assert spy.call_count == 0
+        assert np.array_equal(x, x_was)
+        assert np.array_equal(forward_only(lyr, x), y)
+        with ONE_CHUNK:
+            want = backward(lyr, forward(lyr, x)[1], y)
+        assert_within_rounding(grads.d_input, want.d_input)
+
+    def test_inference_holds_one_chunk_of_step_buffers(self):
+        # no cache to keep: Z_1 and Z_2 take one sample's 256 KiB, not 8 MiB each
+        rng, lyr = biased_layer(55, (32, 32, 32), (32, 32, 32))
+        x = rng.standard_normal((32, 32, 32, 32))
+        tracemalloc.start()
+        try:
+            y = forward_only(lyr, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - y.nbytes <= 2 * x[0].nbytes + 2**17 < x.nbytes
+
+    @settings(max_examples=100, deadline=None)
+    @given(chunked_cases())
+    def test_chunks_of_any_size_match_one_chunk(self, case):
+        lyr, x, d_y, chunk = case
+        batch = x.shape[0]
+        with mock.patch.object(tensor, "SMALL_GEMM_MNK", chunk * largest_step(lyr)):
+            assert chunk_size(lyr, batch) == chunk
+            y, grads = training_step(lyr, x, d_y)
+            assert_matches_forward(lyr, forward_only(lyr, x), y)
+        with ONE_CHUNK:
+            want_y, want = training_step(lyr, x, d_y)
+        # the summed terms are O(1) (unit inputs, weights and biases), and a sum
+        # that cancels ends far below them: judged against max(1, max |want|)
+        for got, ref in zip([y, *grad_arrays(grads)], [want_y, *grad_arrays(want)], strict=True):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
     @pytest.mark.parametrize("in_dims, out_dims, batch", [
-        ((8, 8), (16, 16), 32),     # a train_sep step: within the bound
-        ((64, 64), (64, 64), 32),   # over it, but a band would be 244 rows
+        ((8, 8), (16, 16), 32),     # a train_sep step
+        ((8, 8), (16, 16), 256),    # and one of its evaluate blocks
+        ((256,), (4,), 4096),       # one mode: never chunked
     ])
     def test_other_steps_are_one_product_and_keep_their_bits(self, in_dims, out_dims, batch):
         rng, lyr = biased_layer(53, in_dims, out_dims)
         x = rng.standard_normal((batch, *in_dims))
         d_y = rng.standard_normal((batch, *out_dims))
         with mock.patch.object(layer, "matmul", wraps=tensor.matmul) as spy:
-            y, grads = self.step(lyr, x, d_y)
+            y, grads = training_step(lyr, x, d_y)
         assert spy.call_count == 3 * lyr.n_modes
-        with UNBANDED:
-            want_y, want = self.step(lyr, x, d_y)
+        with ONE_CHUNK:
+            want_y, want = training_step(lyr, x, d_y)
         for got, ref in zip([y, *grads.params(), grads.d_input],
                             [want_y, *want.params(), want.d_input]):
             assert np.array_equal(got, ref)

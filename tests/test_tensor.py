@@ -244,7 +244,7 @@ class TestMatmul:
 
     @pytest.mark.parametrize("layout", ["NN", "NT"])
     def test_out_may_be_a_column_band_with_contiguous_rows(self, layout):
-        # backward writes each band's W_k G^T into z[:, s]: strides (8 cols, 8)
+        # a column band z[:, s] of a wider buffer: strides (8 cols, 8)
         rng = make_rng(24)
         a = rng.standard_normal((3, 5))
         b = rng.standard_normal((7, 5)).T if layout == "NT" else rng.standard_normal((5, 7))
