@@ -13,11 +13,12 @@ prod(D_k) * prod(H_k), at the price of only representing maps whose
 flattened matrix factors as W_1 (x) ... (x) W_N (Kronecker structure).
 
 Training (``forward``/``backward``) applies the modes in declaration
-order. Each mode transforms every sample on its own, so the batch runs
-in chunks of c samples (``_chunking``: as many as keep the largest step
-within ``tensor.SMALL_GEMM_MNK`` multiply-adds, at least one; B when
-N = 1), and a chunk goes through all N steps, and back, while it is in
-cache. Each step is a 2-D gemm on a rotating unfolding of the chunk,
+order. A one-mode layer is the dense map, X W_1 + b_1 and back, with no
+copy or transpose. For N >= 2 each mode transforms every sample on its
+own, so the batch runs in chunks of c samples (``_chunking``: as many as
+keep the largest step within ``tensor.SMALL_GEMM_MNK`` multiply-adds, at
+least one), and a chunk goes through all N steps, and back, while it is
+in cache. Each step is a 2-D gemm on a rotating unfolding of the chunk,
 whose input is transposed to (D_1..D_N, c) (no copy at c = 1: a sample
 is its own layout). Step k reads its buffer as the (D_k, rest) matrix Z
 and computes Z^T W_k + b_k, laid out as (D_{k+1}..D_N, c, H_1..H_k):
@@ -30,12 +31,12 @@ over the chunks in batch order:
 
 W_k G^T is already in Z's layout, so it is written into Z's own buffer
 once dW_k has read it, and backward consumes the cache, except Z_0 when
-it views the caller's input (N = 1 or c = 1; at c = 1 the last W_1 G^T
-goes straight into the sample's rows of dL/dX). So for N >= 2 backward
-allocates no step buffer but dL/dX, which one transpose per chunk fills
-(none at c = 1); a training step skips the last W_1 G^T and that
-transpose (``_backward_into``). A batch of one chunk keeps the
-one-product bits; more chunks move the summed gradients in the last bits.
+it views the caller's input (at c = 1 the last W_1 G^T goes straight into
+the sample's rows of dL/dX). So backward allocates no step buffer but
+dL/dX, which one transpose per chunk fills (none at c = 1); a training
+step skips the last W_1 G^T and that transpose (``_backward_into``). A
+batch of one chunk keeps the one-product bits; more chunks move the
+summed gradients in the last bits.
 
 Inference (``forward_only``) applies the modes in the order with the
 fewest FLOPs (``plan_modes``). Mode products on different axes commute,
@@ -143,8 +144,8 @@ class LayerCache:
 
     A cache serves one backward. It overwrites each Z_k with the gradient
     W_{k+1} G^T that shares its layout, except Z_0 when it views the
-    input (N = 1 or c = 1), and empties ``intermediates``, so a second
-    backward on it raises ``ShapeError``.
+    input, and empties ``intermediates``, so a second backward on it
+    raises ``ShapeError``.
     """
 
     intermediates: list[np.ndarray] = field(default_factory=list)
@@ -326,9 +327,9 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
     ``params`` order). dL/dX, the last W_1 G^T and its transpose, is computed
     and returned only if ``need_input``; training's first layer skips it.
 
-    Consumes ``cache`` as ``backward`` does. Each bias gradient is the gemv
-    1^T G, 3-4x faster than ``G.sum(axis=0)`` on these shapes, with one ones
-    vector per call. It goes to numpy, not ``matmul``: ``flop_count``
+    Consumes ``cache`` as ``backward`` does. For N >= 2 each bias gradient is
+    the gemv 1^T G, 3-4x faster than ``G.sum(axis=0)`` on these shapes, with
+    one ones vector per call. It goes to numpy, not ``matmul``: ``flop_count``
     excludes bias work, so the traced and counted FLOPs stay the gemms'.
     """
     n = layer.n_modes
@@ -343,7 +344,13 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
     if d_y.shape != (batch, *layer.out_dims):
         raise ShapeError(f"d_y shape {d_y.shape} != output shape {(batch, *layer.out_dims)}")
 
-    # one operand layout for any cache; free for forward's buffers (N >= 2)
+    if n == 1:  # the dense statements; X^T in forward's layout for any cache
+        x_t = np.ascontiguousarray(cache.intermediates.pop().T).T
+        matmul(x_t, d_y, out=d_params[0])
+        if layer.biases is not None:
+            d_y.sum(axis=0, out=d_params[1])
+        return matmul(d_y, layer.weights[0].T) if need_input else None
+    # one operand layout for any cache; free for forward's buffers
     zs = [*map(np.ascontiguousarray, cache.intermediates), d_y]
     cache.intermediates.clear()  # consumed: the entries are overwritten below
     c, sizes, rows = _chunking(layer.in_dims, layer.out_dims, batch, tensor.SMALL_GEMM_MNK)
@@ -370,9 +377,9 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
                 g = matmul(w, g.T, out=z)
         if not need_input:
             continue
-        # dL/dX from step layout (D_1..D_N, nb); Z_0 views x if N = 1 or c = 1
+        # dL/dX from step layout (D_1..D_N, nb); Z_0 views x if c = 1
         if nb == batch:
-            g = matmul(w, g.T, out=z if n > 1 else None)
+            g = matmul(w, g.T, out=z)
             d_x = permute(g.reshape(-1, batch), (1, 0))
         elif nb == 1:  # a sample is its own step layout
             matmul(w, g.T, out=d_x[b0].reshape(w.shape[0], -1))

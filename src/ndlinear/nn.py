@@ -1,8 +1,8 @@
 """Minimal layer-graph training engine.
 
-Just enough machinery to train small MLP-style stacks that mix the
-factorized N-D linear layer with dense layers, ReLU, and reshapes, plus
-the synthetic-data generators used to probe its inductive bias. Losses:
+Just enough machinery to train small MLP-style stacks of the factorized
+N-D linear layer (``Dense`` is its one-mode case), ReLU, and reshapes,
+plus the synthetic-data generators used to probe its inductive bias. Losses:
 
 - ``mse``: L = sum((y - t)^2) / (B * M), M = output feature count.
 - ``cross_entropy``: softmax cross-entropy over logits (B, C) with
@@ -95,45 +95,32 @@ class NdLinear:
         return layer_mod._backward_into(self.inner, cache, d_y, d_params, need_input)
 
 
-class Dense(_Layer):
-    """Plain affine layer; flattens feature axes row-major on the way in."""
+class Dense(NdLinear):
+    """Plain affine layer y = x w + b: a one-mode ``NdLinear`` on the feature
+    axes flattened row-major."""
 
     def __init__(self, w: np.ndarray, b: np.ndarray | None = None):
         if w.ndim != 2:
             raise ShapeError(f"dense weight must be a matrix, got {w.shape}")
-        if b is not None and b.shape != (w.shape[1],):
-            raise ShapeError(f"dense bias shape {b.shape} != ({w.shape[1]},)")
-        self.w = w
-        self.b = b
+        super().__init__(NdLinearLayer(w.shape[:1], w.shape[1:], [w], None if b is None else [b]))
 
     def out_shape(self, in_shape):
         flat = math.prod(in_shape)
-        if flat != self.w.shape[0]:
-            raise ShapeError(f"dense expects {self.w.shape[0]} features, gets {flat}")
-        return (self.w.shape[1],)
-
-    def params(self):
-        return [self.w] if self.b is None else [self.w, self.b]
-
-    def bind(self, arrays):
-        self.w = arrays[0]
-        if self.b is not None:
-            self.b = arrays[1]
+        if flat != self.inner.in_dims[0]:
+            raise ShapeError(f"dense expects {self.inner.in_dims[0]} features, gets {flat}")
+        return self.inner.out_dims
 
     def forward(self, x):
-        batch = x.shape[0]
-        x_flat = np.ascontiguousarray(x).reshape(batch, -1)
-        y = x_flat @ self.w
-        if self.b is not None:
-            y = y + self.b
-        return y, (x_flat, x.shape)
+        y, cache = super().forward(x.reshape(x.shape[0], -1))
+        return y, (cache, x.shape)
+
+    def infer(self, x):
+        return super().infer(x.reshape(x.shape[0], -1))
 
     def backward(self, cache, d_y, d_params, need_input):
-        x_flat, in_shape = cache
-        np.matmul(x_flat.T, d_y, out=d_params[0])
-        if self.b is not None:
-            d_y.sum(axis=0, out=d_params[1])
-        return (d_y @ self.w.T).reshape(in_shape) if need_input else None
+        cache, in_shape = cache
+        d_x = super().backward(cache, d_y, d_params, need_input)
+        return None if d_x is None else d_x.reshape(in_shape)
 
 
 class ReLU(_Layer):

@@ -10,18 +10,10 @@ Conventions used throughout the package:
   instead of being copied first, and writes into ``out`` when given
   one. These two are the layer's only compute primitives; the
   reference mode-k product lives in ``oracle``.
-- The layer's batch moves are axis rotations: 2-D transposes. numpy's
-  strided copy of one larger than the per-core L2 misses cache on every
-  read, so ``permute`` copies it in bands of source rows that stay in
-  cache (a (32768, 32) move: 6.5-7.2 ms, 2.2-2.3 ms in bands).
 - OpenBLAS runs products of at most ``SMALL_GEMM_MNK`` multiply-adds
-  in a small-matrix kernel whose operands stay in cache, and that is
-  faster on long, skinny products than one call. A planned inference
-  step, a short weight times a long unfolding that contracts by at least
-  16 ((m, k) @ (k, n) with k >= 16m), is computed by ``matmul`` in row
-  bands within that bound ((4, 256) @ (256, 4096): 1.17-1.38 ms,
-  0.54-0.59 ms in bands). Training keeps its steps within it by
-  running the batch in sample chunks (``layer``), one ``matmul`` each.
+  in a faster small-matrix kernel. ``matmul`` computes a long planned
+  inference step in row bands within that bound; training stays within
+  it by running the batch in sample chunks (``layer``).
 - Tensors hold real numbers. ``real_array`` is the one rule for values
   from outside: bool, int and float convert to float64; complex, string,
   bytes, object, datetime and void arrays raise ``TypeError``.
@@ -158,36 +150,11 @@ class FlopCounter:
 _active_counter: FlopCounter | None = None
 
 
-# Rotations of more elements than this (2 MiB of float64, the per-core
-# L2) are copied in bands; see ``permute``.
-BAND_MIN_SIZE = 2**18
-
-
 def permute(t: np.ndarray, axes) -> np.ndarray:
-    """Reorder axes so output axis i is input axis ``axes[i]``.
-
-    Always materializes a fresh contiguous copy, including for the
-    identity permutation. A rotation (j..n-1, 0..j-1) is the transpose
-    of the (prod(shape[:j]), rest) matrix. Over ``BAND_MIN_SIZE``
-    elements it is copied in bands of ``max(16, 2**15 // cols)`` source
-    rows, each read while it sits in cache. On a 2 MiB-L2 Xeon the
-    (32768, 32) transpose took 6.5-7.2 ms as one strided copy and 2.2-2.3
-    ms in bands, and the (32, 32768) one 2.9-3.1 and 1.6-1.7 ms. Any other
-    permutation, and any smaller tensor, is one ``np.transpose(...).copy()``.
-    The values are the same either way.
-    """
-    t = np.ascontiguousarray(t, dtype=np.float64)
-    axes = permutation(axes, t.ndim)
-    j = axes[0] if t.size > BAND_MIN_SIZE else 0
-    if j > 0 and axes == (*range(j, t.ndim), *range(j)):
-        rows = math.prod(t.shape[:j])
-        src = t.reshape(rows, -1)
-        out = np.empty((src.shape[1], rows))
-        band = max(16, 2**15 // src.shape[1])
-        for r in range(0, rows, band):
-            out[:, r:r + band] = src[r:r + band].T
-        return out.reshape(t.shape[j:] + t.shape[:j])
-    return np.transpose(t, axes).copy(order="C")
+    """Reorder axes so output axis i is input axis ``axes[i]``, as a fresh
+    C-contiguous float64 copy, including for the identity permutation."""
+    t = np.asarray(t, dtype=np.float64)
+    return np.transpose(t, permutation(axes, t.ndim)).copy(order="C")
 
 
 # Products of at most this many multiply-adds run OpenBLAS's unpacked
@@ -199,37 +166,22 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     """Rank-2 matrix product with f64 accumulation.
 
     Operands may be strided views: a transposed one reaches BLAS as a
-    transpose flag, not a copy. ``out``, if given, is a writeable (m, n)
-    float64 array with contiguous rows (C-contiguous, or a view such as
-    a column band ``z[:, s]`` with ``strides[1] == 8`` and ``strides[0]
-    >= 8n``, which numpy hands to BLAS as it is). It receives the
-    product (the same bits as a fresh one) and is returned; a transposed
-    or read-only ``out`` raises ``ShapeError`` before anything is counted.
-    Feeds the active FlopCounter, if any, with m*k*n multiply-adds, once,
-    however the product is computed.
+    transpose flag, not a copy. ``out``, if given, is a writeable
+    C-contiguous (m, n) float64 array; it receives the product (the same
+    bits as a fresh one) and is returned. Any other ``out`` raises
+    ``ShapeError`` before anything is counted. Feeds the active
+    FlopCounter, if any, with m*k*n multiply-adds, once, however the
+    product is computed.
 
-    One kind of product is computed in row bands: ``a`` and ``b`` are
-    transposes of C-contiguous (k, m) and (n, k) matrices (the layout of
-    ``forward_only``'s planned steps, W_k^T times an unfolding's
-    transpose), it contracts by at least 16 (1 < m, 16m <= k), and m*k*n
+    One kind of product runs in row bands: ``a`` and ``b`` are transposes
+    of C-contiguous (k, m) and (n, k) matrices (``forward_only``'s planned
+    steps), it contracts by at least 16 (1 < m, 16m <= k; a one-row ``a``
+    is C-contiguous too, as in backward's W_k G^T for D_k = 1), and m*k*n
     exceeds ``SMALL_GEMM_MNK``. Then bands of ``SMALL_GEMM_MNK // (m*k)``
-    rows of b^T a^T, if that is at least 16, go into an (n, m) scratch
-    buffer, which is transposed into the result. A one-row ``a`` is
-    excluded: it is C-contiguous too, so backward's W_k G^T for D_k = 1
-    would match. OpenBLAS 0.3.31 (1 thread, AVX-512 Xeon) takes products
-    of at most 10^6 multiply-adds through an unpacked small-matrix
-    kernel, and the cut is sharp: (976, 256) @ (256, 4) is fast, (977,
-    256) @ (256, 4) is not. The rule is narrow because wider ones lose.
-    Banded/one-call time, 3 runs each: every win had k >= 16m ((4, 256)
-    @ (256, 4096) 0.39-0.60, (8, 512) 0.56-0.64, (16, 256) 0.65-0.77),
-    every loss k/m <= 4, where the scratch transpose costs more than the
-    small kernel saves ((16, 64) @ (64, 16384) 1.15-1.38, (32, 64)
-    1.61-1.72, (32, 128) @ (128, 8192) 1.06-1.20). 16-row bands over the
-    bound run the slow kernel in pieces ((64, 1024) @ (1024, 4096): 16.7
-    ms in one call, 30.5 ms in bands). A banded product matches ``a @ b``
-    up to rounding, not bitwise. Every other product, NN, TN and NT ones
-    included, is one ``a @ b``; training splits its batch into sample
-    chunks itself (``layer``), one ``matmul`` a step and chunk.
+    rows of b^T a^T, if that is at least 16, go through OpenBLAS's small
+    kernel into a scratch buffer that is transposed into the result, which
+    matches ``a @ b`` up to rounding ((4, 256) @ (256, 4096): 1.17-1.38 ms
+    in one call, 0.54-0.59 ms in bands). Every other product is one ``a @ b``.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -241,10 +193,8 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     n = b.shape[1]
     if out is not None and not (
             isinstance(out, np.ndarray) and out.dtype == np.float64
-            and out.shape == (m, n) and out.flags.writeable
-            and (out.flags.c_contiguous or out.strides[1] == 8 and out.strides[0] >= 8 * n)):
-        raise ShapeError(f"out must be a writeable float64 array of shape {(m, n)} "
-                         "with contiguous rows")
+            and out.shape == (m, n) and out.flags.writeable and out.flags.c_contiguous):
+        raise ShapeError(f"out must be a writeable C-contiguous float64 array of shape {(m, n)}")
     if _active_counter is not None:
         _active_counter.add(m * k * n)
     band = (SMALL_GEMM_MNK // (m * k)

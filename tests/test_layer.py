@@ -301,12 +301,12 @@ class TestKernelProperties:
     @settings(max_examples=100, deadline=None)
     @given(layer_cases())
     def test_batch_moves_once_at_each_end(self, case):
-        # into step layout (a free view when N = 1) and back out as dL/dX;
-        # no mode step and no cache read copies through permute
+        # into step layout and back out as dL/dX; no mode step and no cache
+        # read copies through permute, and a one-mode layer moves nothing
         lyr, x, d_y = case
         with mock.patch.object(layer, "permute", wraps=layer.permute) as spy:
             backward(lyr, forward(lyr, x)[1], d_y)
-        assert spy.call_count == (1 if lyr.n_modes == 1 else 2)
+        assert spy.call_count == (0 if lyr.n_modes == 1 else 2)
 
 
 def brute_force_min_cost(in_dims, out_dims):
@@ -409,8 +409,12 @@ class TestBackward:
 def fresh_buffer_backward(lyr, zs, d_y):
     """The sweep with a fresh buffer for every product, a ones vector per
     bias and one numpy transpose: what backward computed before it wrote
-    into its cache, as (d_input, *d_weights, *d_biases)."""
+    into its cache, as (d_input, *d_weights, *d_biases). At N = 1 it is the
+    dense layer's x^T @ d_y, d_y.sum(axis=0) and d_y @ W^T on forward's x^T."""
     n, batch = lyr.n_modes, d_y.shape[0]
+    if n == 1:
+        x_t, w = np.ascontiguousarray(zs[0].T).T, lyr.weights[0]
+        return [d_y @ w.T, x_t @ d_y, *([d_y.sum(axis=0)] if lyr.with_bias else [])]
     d_w, d_b = [None] * n, [None] * n
     g = d_y
     for k in range(n, 0, -1):
@@ -677,6 +681,40 @@ class TestBandedTrainingSteps:
         for got, ref in zip([y, *grads.params(), grads.d_input],
                             [want_y, *want.params(), want.d_input]):
             assert np.array_equal(got, ref)
+
+
+def per_sample_outer(vs):
+    """Sample b of the result is vs[0][b] (x) vs[1][b] (x) ... (x) vs[-1][b]."""
+    out = vs[0]
+    for v in vs[1:]:
+        out = np.einsum("b...,bj->b...j", out, v)
+    return out
+
+
+class TestRankOneSamples:
+    """Mode products map a rank-one sample u_1 (x) ... (x) u_N to the rank-one
+    (u_1^T W_1) (x) ... (x) (u_N^T W_N), so forward(x) - forward(0) has a closed
+    form for any batch that no chunking or banding can change."""
+
+    @pytest.mark.parametrize("in_dims, out_dims, batch, chunk, run", [
+        ((32, 32, 32), (32, 32, 32), 2, 1, "forward"),     # c = 1: Z_0 views x
+        ((16, 256), (64, 4), 7, 3, "forward"),             # ragged: chunks of 3, 3, 1
+        ((16, 256), (64, 4), 4096, 1, "forward_only"),     # planned, row-banded first step
+    ])
+    def test_matches_the_outer_product_of_the_mode_maps(self, in_dims, out_dims, batch,
+                                                        chunk, run):
+        rng, lyr = biased_layer(56, in_dims, out_dims)
+        us = [rng.standard_normal((batch, d)) for d in in_dims]
+        if run == "forward":
+            assert chunk_size(lyr, batch) == chunk
+            apply = lambda x: forward(lyr, x)[0]
+        else:
+            assert plan_modes(in_dims, out_dims) != tuple(range(lyr.n_modes))
+            apply = lambda x: forward_only(lyr, x)
+        got = apply(per_sample_outer(us)) - apply(np.zeros((1, *in_dims)))
+        want = per_sample_outer([u @ w for u, w in zip(us, lyr.weights)])
+        assert got.shape == want.shape == (batch, *out_dims)
+        assert np.max(np.abs(got - want)) < cli.EQUIVALENCE_TOL
 
 
 class TestCounts:

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import model_analytic_grads, model_numeric_grads
 from ndlinear import layer, nn
 from ndlinear.oracle import max_rel_err
-from ndlinear.tensor import ShapeError, make_rng, positive_int, validate_shape
+from ndlinear.tensor import FlopCounter, ShapeError, make_rng, positive_int, validate_shape
 
 
 def small_mse_model(seed=0):
@@ -518,15 +520,113 @@ class TestData:
 
 @pytest.mark.parametrize("with_bias", [False, True])
 def test_init_dense_draws_the_one_mode_xavier_weights(with_bias):
-    dense = nn.init_dense(6, 5, with_bias, make_rng(3))
+    dense = nn.init_dense(6, 5, with_bias, make_rng(3)).inner
     lyr = layer.init_xavier((6,), (5,), with_bias, make_rng(3))
-    assert np.array_equal(dense.w, lyr.weights[0])
+    assert np.array_equal(dense.weights[0], lyr.weights[0])
     bound = np.sqrt(6.0 / (6 + 5))  # the Xavier rule written out
-    assert np.array_equal(dense.w, make_rng(3).uniform(-bound, bound, size=(6, 5)))
+    assert np.array_equal(dense.weights[0], make_rng(3).uniform(-bound, bound, size=(6, 5)))
     if with_bias:
-        assert np.array_equal(dense.b, np.zeros(5))
+        assert np.array_equal(dense.biases[0], np.zeros(5))
     else:
-        assert dense.b is None
+        assert dense.biases is None
+
+
+def reference_dense_forward(w, b, x):
+    """The dense layer's own forward statements, before it was a one-mode
+    NdLinear: (y, x_flat)."""
+    x_flat = np.ascontiguousarray(x).reshape(x.shape[0], -1)
+    y = x_flat @ w
+    if b is not None:
+        y = y + b
+    return y, x_flat
+
+
+def reference_dense_backward(w, b, x_flat, in_shape, d_y):
+    """Its backward statements: (dW, db or None, dL/dX)."""
+    d_w = np.empty(w.shape)
+    np.matmul(x_flat.T, d_y, out=d_w)
+    d_b = None
+    if b is not None:
+        d_b = np.empty(b.shape)
+        d_y.sum(axis=0, out=d_b)
+    return d_w, d_b, (d_y @ w.T).reshape(in_shape)
+
+
+@st.composite
+def dense_cases(draw):
+    """A Dense layer, an input of 1-3 feature axes (d their product) laid out
+    C-contiguous, read-only, strided or column-major, and a d_y."""
+    feature = tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3)))
+    batch, h = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.standard_normal((math.prod(feature), h))
+    b = rng.standard_normal(h) if draw(st.booleans()) else None
+    layout = draw(st.sampled_from(["C", "read-only", "strided", "F"]))
+    if layout == "strided":
+        x = rng.standard_normal((batch, *feature[:-1], 2 * feature[-1]))[..., ::2]
+    else:
+        x = rng.standard_normal((batch, *feature))
+        if layout == "F":
+            x = np.asfortranarray(x)
+        x.flags.writeable = layout != "read-only"
+    return nn.Dense(w, b), w, b, x, rng.standard_normal((batch, h))
+
+
+class TestDenseIsOneModeNdLinear:
+    @settings(max_examples=300, deadline=None)
+    @given(dense_cases())
+    def test_same_bits_as_the_dense_statements(self, case):
+        dense, w, b, x, d_y = case
+        want_y, x_flat = reference_dense_forward(w, b, x)
+        want = reference_dense_backward(w, b, x_flat, x.shape, d_y)
+        y, cache = dense.forward(x)
+        assert np.array_equal(y, want_y) and np.array_equal(dense.infer(x), want_y)
+        grads = [np.empty(p.shape) for p in dense.params()]
+        d_x = dense.backward(cache, d_y, grads, True)
+        assert d_x.shape == x.shape and np.array_equal(d_x, want[2])
+        assert np.array_equal(grads[0], want[0])
+        assert len(grads) == (1 if b is None else 2)
+        if b is not None:
+            assert np.array_equal(grads[1], want[1])
+        again = [np.empty(p.shape) for p in dense.params()]
+        assert dense.backward(dense.forward(x)[1], d_y, again, False) is None
+        assert all(np.array_equal(g, a) for g, a in zip(grads, again, strict=True))
+
+    def test_parameters_are_the_inner_layers(self):
+        w, b = np.ones((6, 4)), np.zeros(4)
+        dense = nn.Dense(w, b)
+        assert dense.inner.in_dims == (6,) and dense.inner.out_dims == (4,)
+        assert dense.params()[0] is w and dense.params()[1] is b
+        assert dense.out_shape((2, 3)) == (4,)
+        with pytest.raises(ShapeError, match="dense expects 6 features, gets 5"):
+            dense.out_shape((5,))
+
+    @pytest.mark.parametrize("w, b", [
+        (np.ones(4), None),                  # a vector, not a matrix
+        (np.ones((2, 3, 4)), None),
+        (np.ones((4, 3)), np.ones(4)),       # bias of the input width
+        (np.ones((4, 3)), np.ones((1, 3))),
+    ])
+    def test_bad_shapes_raise(self, w, b):
+        with pytest.raises(ShapeError):
+            nn.Dense(w, b)
+
+    def test_flop_counter_counts_the_dense_products(self):
+        # B d h multiply-adds forward, and dW and dL/dX backward; nothing for the bias
+        batch, d, h = 5, 12, 7
+        rng = make_rng(8)
+        dense = nn.Dense(rng.standard_normal((d, h)), rng.standard_normal(h))
+        x = rng.standard_normal((batch, 3, 4))
+        grads = [np.empty(p.shape) for p in dense.params()]
+        with FlopCounter() as fc:
+            y, cache = dense.forward(x)
+        assert fc.multiply_adds == batch * d * h
+        with FlopCounter() as fc:
+            dense.backward(cache, y, grads, True)
+        assert fc.multiply_adds == 2 * batch * d * h
+        with FlopCounter() as fc:
+            dense.backward(dense.forward(x)[1], y, grads, False)
+        assert fc.multiply_adds == 2 * batch * d * h  # its forward, and dW alone
 
 
 class TestMatchedBaseline:
