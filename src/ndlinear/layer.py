@@ -23,9 +23,12 @@ whose input is transposed to (D_1..D_N, c) (no copy at c = 1: a sample
 is its own layout). Step k reads its buffer as the (D_k, rest) matrix Z
 and computes Z^T W_k + b_k, laid out as (D_{k+1}..D_N, c, H_1..H_k):
 the next mode leads, and step N leaves the chunk's Y in (c, H_1..H_N).
+At c = 1 a step over the bound, and its dW_k, runs in equal row bands of
+``rest`` if a band is as tall as W_k is wide (``_chunking``): (1024, 32) @
+(32, 32) takes 0.64 of one product's time in 2 bands of 512 rows.
 ``forward`` caches each step's buffer Z, not Y, and backward reshapes
 it; with G the (rest, H_k) gradient of step k, for k = N..1, summed
-over the chunks in batch order:
+over the chunks and bands in batch order:
 
     dW_k = Z G,    db_k = 1^T G,    G <- W_k G^T
 
@@ -35,8 +38,8 @@ it views the caller's input (at c = 1 the last W_1 G^T goes straight into
 the sample's rows of dL/dX). So backward allocates no step buffer but
 dL/dX, which one transpose per chunk fills (none at c = 1); a training
 step skips the last W_1 G^T and that transpose (``_backward_into``). A
-batch of one chunk keeps the one-product bits; more chunks move the
-summed gradients in the last bits.
+batch of one unbanded chunk keeps the one-product bits; more chunks or
+bands move the summed gradients in the last bits.
 
 Inference (``forward_only``) applies the modes in the order with the
 fewest FLOPs (``plan_modes``). Mode products on different axes commute,
@@ -135,12 +138,12 @@ class LayerCache:
     Entry k holds Z_k, the running tensor after modes 1..k (bias
     included), chunk after chunk in C order, each chunk of samples
     b0..b1-1 in the step layout (D_{k+1}..D_N, b1 - b0, H_1..H_k) that
-    step k+1 multiplies; Y is not kept. Its shape is (D_{k+1}..D_N, B,
-    H_1..H_k), which indexes Z_k when the batch is one chunk; otherwise
-    only the C order counts (at c = 1, sample after sample, and Z_0 views
-    the input). ``backward`` derives c from the layer and B as ``forward``
-    does, and reads forward's buffers without a copy; any other array
-    costs one copy.
+    step k+1 multiplies (in ``_chunking``'s bands); Y is not kept. Its
+    shape is (D_{k+1}..D_N, B, H_1..H_k), which indexes Z_k when the batch
+    is one chunk; otherwise only the C order counts (at c = 1, sample
+    after sample, and Z_0 views the input). ``backward`` derives c from
+    the layer and B as ``forward`` does, and reads forward's buffers
+    without a copy; any other array costs one copy.
 
     A cache serves one backward. It overwrites each Z_k with the gradient
     W_{k+1} G^T that shares its layout, except Z_0 when it views the
@@ -189,11 +192,12 @@ def init_xavier(in_dims, out_dims, with_bias: bool, rng: np.random.Generator) ->
 
 
 def _check_input(layer: NdLinearLayer, x: np.ndarray) -> np.ndarray:
-    x = np.ascontiguousarray(real_array(x, "layer input"))
-    if x.ndim != layer.n_modes + 1:
+    x = real_array(x, "layer input")
+    if x.ndim != layer.n_modes + 1:  # before the copy, which makes a 0-d input 1-d
         raise ShapeError(
             f"input rank {x.ndim} does not match batch + {layer.n_modes} feature modes"
         )
+    x = np.ascontiguousarray(x)
     if x.shape[0] < 1:
         raise ShapeError("batch must be >= 1")
     if x.shape[1:] != layer.in_dims:
@@ -203,13 +207,20 @@ def _check_input(layer: NdLinearLayer, x: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1024)
 def _chunking(in_dims: tuple[int, ...], out_dims: tuple[int, ...], batch: int,
-              bound: int) -> tuple[int, tuple[int, ...], int]:
+              bound: int) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
     """Samples per training chunk c (the last one may be shorter); values a
-    sample of Z_0..Z_N, prod(H_1..H_k) prod(D_{k+1}..D_N); rows of a chunk's longest G."""
+    sample of Z_0..Z_N, prod(H_1..H_k) prod(D_{k+1}..D_N); rows of a chunk's
+    longest G; rows of step k's (rest, D_k) operand that one ``matmul`` takes,
+    forward and in dW_k: all c rest, unless c = 1 and the step exceeds the
+    bound. Then ceil(rest D_k H_k / bound) equal bands (the last ragged) run
+    it, if a band has at least H_k rows, as W_k is wide."""
     sizes = tuple(math.prod(out_dims[:k] + in_dims[k:]) for k in range(len(in_dims) + 1))
     most = max(s * h for s, h in zip(sizes, out_dims))  # a sample's largest step
     c = batch if len(in_dims) == 1 else min(batch, max(1, bound // most))
-    return c, sizes, c * max(s // h for s, h in zip(sizes[1:], out_dims))
+    rest = [s // d for s, d in zip(sizes, in_dims)]
+    cut = [-(-r // -(-s * h // bound)) for r, s, h in zip(rest, sizes, out_dims)]
+    bands = tuple(b if c == 1 and b >= h else c * r for b, r, h in zip(cut, rest, out_dims))
+    return c, sizes, c * max(s // h for s, h in zip(sizes[1:], out_dims)), bands
 
 
 def _samples(buf: np.ndarray, size: int, start: int, count: int) -> np.ndarray:
@@ -223,7 +234,7 @@ def _run_steps(layer: NdLinearLayer, x: np.ndarray, cache: LayerCache | None) ->
     """Apply every mode step to a checked input, chunk by chunk, appending each
     step's operand to ``cache``."""
     n, batch = layer.n_modes, x.shape[0]
-    c, sizes, _ = _chunking(layer.in_dims, layer.out_dims, batch, tensor.SMALL_GEMM_MNK)
+    c, sizes, _, bands = _chunking(layer.in_dims, layer.out_dims, batch, tensor.SMALL_GEMM_MNK)
     flat = x.reshape(batch, -1)
     # Z_0..Z_{N-1}, Y. One chunk takes each product as its buffer, and x.T
     # keeps N = 1 bitwise x @ W_1 + b_1; at c = 1 x is Z_0. Without a cache,
@@ -240,9 +251,14 @@ def _run_steps(layer: NdLinearLayer, x: np.ndarray, cache: LayerCache | None) ->
         if 1 < c < batch:  # this chunk of X, transposed into step layout
             part[0].reshape(-1, nb)[...] = flat[b0:b0 + nb].T
         for k, w in enumerate(layer.weights):
-            a = part[k].reshape(w.shape[0], -1).T
-            out = None if nb == batch else part[k + 1].reshape(a.shape[0], -1)
-            part[k + 1] = z = matmul(a, w, out=out)  # one chunk: the product is the buffer
+            a, band = part[k].reshape(w.shape[0], -1).T, bands[k]
+            if nb == batch and band >= len(a):  # one chunk, one product: it is the buffer
+                part[k + 1] = z = matmul(a, w)
+            else:  # the chunk's rows of the step buffer (a fresh one at batch 1), by band
+                part[k + 1] = z = (np.empty((len(a), w.shape[1])) if nb == batch
+                                   else part[k + 1].reshape(len(a), -1))
+                for r in range(0, len(a), band):
+                    matmul(a[r:r + band], w, out=z[r:r + band])
             if layer.biases is not None:
                 z += layer.biases[k]
     if cache is not None:
@@ -353,7 +369,8 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
     # one operand layout for any cache; free for forward's buffers
     zs = [*map(np.ascontiguousarray, cache.intermediates), d_y]
     cache.intermediates.clear()  # consumed: the entries are overwritten below
-    c, sizes, rows = _chunking(layer.in_dims, layer.out_dims, batch, tensor.SMALL_GEMM_MNK)
+    c, sizes, rows, bands = _chunking(layer.in_dims, layer.out_dims, batch,
+                                      tensor.SMALL_GEMM_MNK)
     if layer.biases is not None:  # 1^T for a chunk's longest G; each takes a prefix
         ones = np.ones(rows)
     d_x = np.empty((batch, sizes[0])) if need_input and c < batch else None
@@ -365,12 +382,15 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
             w = layer.weights[k - 1]
             g = g.reshape(-1, w.shape[1])
             z = part[k - 1].reshape(w.shape[0], -1)
+            band = bands[k - 1]
+            d_w = matmul(z, g) if band >= len(g) else sum(  # the bands' partial products
+                matmul(z[:, r:r + band], g[r:r + band]) for r in range(0, len(g), band))
             if b0:  # later chunks add their terms, in batch order
-                d_params[k - 1] += matmul(z, g)
+                d_params[k - 1] += d_w
                 if layer.biases is not None:
                     d_params[n + k - 1] += ones[:g.shape[0]] @ g
             else:
-                d_params[k - 1][...] = matmul(z, g)
+                d_params[k - 1][...] = d_w
                 if layer.biases is not None:
                     np.matmul(ones[:g.shape[0]], g, out=d_params[n + k - 1])
             if k > 1:  # dL/dZ_{k-1} takes Z_{k-1}'s place, which dW_k has read

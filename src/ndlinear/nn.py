@@ -416,9 +416,9 @@ def evaluate(model: Model, x: np.ndarray, targets: np.ndarray):
     """
     x = real_array(x, "model input")
     targets = np.asarray(targets)
+    if x.shape[1:] != model.in_dims:  # first: a 0-d x has no row count
+        raise ShapeError(f"input shape {x.shape} is not (rows, *model in_dims {model.in_dims})")
     n = positive_int(x.shape[0], "evaluate row count")
-    if x.shape[1:] != model.in_dims:
-        raise ShapeError(f"input features {x.shape[1:]} != model in_dims {model.in_dims}")
     want = (n, *model.out_shape) if model.loss == "mse" else (n,)
     if targets.shape != want:
         raise ShapeError(f"target shape {targets.shape} != {want}")

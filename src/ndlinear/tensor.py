@@ -13,7 +13,8 @@ Conventions used throughout the package:
 - OpenBLAS runs products of at most ``SMALL_GEMM_MNK`` multiply-adds
   in a faster small-matrix kernel. ``matmul`` computes a long planned
   inference step in row bands within that bound; training stays within
-  it by running the batch in sample chunks (``layer``).
+  it by running the batch in sample chunks, and a one-sample step over
+  it in row bands (``layer``).
 - Tensors hold real numbers. ``real_array`` is the one rule for values
   from outside: bool, int and float convert to float64; complex, string,
   bytes, object, datetime and void arrays raise ``TypeError``.

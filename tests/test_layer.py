@@ -156,6 +156,13 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(lyr, np.zeros((1, 2)))
 
+    def test_zero_d_input_reports_rank_zero(self):
+        # the contiguous copy made a 0-d input 1-d, reported as "input rank 1"
+        lyr = init_xavier((2,), (3,), False, make_rng(0))
+        for run in (lambda x: forward(lyr, x), lambda x: forward_only(lyr, x)):
+            with pytest.raises(ShapeError, match="input rank 0 does not match"):
+                run(np.float64(1.0))
+
     @pytest.mark.parametrize("seed", range(12))
     def test_output_shape_law(self, seed):
         rng, lyr = random_layer(seed)
@@ -539,6 +546,11 @@ def chunk_size(lyr, batch):
     return layer._chunking(lyr.in_dims, lyr.out_dims, batch, tensor.SMALL_GEMM_MNK)[0]
 
 
+def product_size(a, b, out=None):
+    """Multiply-adds of one ``matmul(a, b)``."""
+    return a.shape[0] * a.shape[1] * b.shape[1]
+
+
 def largest_step(lyr):
     """Multiply-adds a sample of the layer's largest training step."""
     return max(math.prod(lyr.out_dims[:k]) * d * h * math.prod(lyr.in_dims[k + 1:])
@@ -588,18 +600,59 @@ class TestBandedTrainingSteps:
     @pytest.mark.parametrize("in_dims, out_dims, batch, chunk", CASES)
     def test_each_band_is_one_product_and_the_count_is_exact(self, in_dims, out_dims, batch,
                                                              chunk):
+        # a one-sample step over the bound, (1024, 32) @ (32, 32) at 2^20 multiply-adds,
+        # runs forward and dW_k in 2 row bands; W_k G^T stays one product
         rng, lyr = biased_layer(51, in_dims, out_dims)
         x = rng.standard_normal((batch, *in_dims))
         chunks, n = -(-batch // chunk), lyr.n_modes
-        # a chunk's step writes into its slice of the step buffer: np.matmul(..., out=)
+        bands = 2 if chunk == 1 else 1
+        # a band writes into its rows of the step buffer: np.matmul(..., out=)
         with mock.patch.object(np, "matmul", wraps=np.matmul) as spy, \
                 mock.patch.object(layer, "matmul", wraps=tensor.matmul) as products, \
                 FlopCounter() as fc:
             y, cache = forward(lyr, x)
-            assert spy.call_count == products.call_count == chunks * n
+            assert spy.call_count == products.call_count == chunks * n * bands
+            assert max(product_size(*c.args) for c in products.call_args_list) \
+                <= tensor.SMALL_GEMM_MNK
             backward(lyr, cache, y)
-        assert products.call_count == 3 * chunks * n  # dW_k and W_k G^T a chunk
+        assert products.call_count == chunks * n * (2 * bands + 1)  # 15 a sample on 32^3
         assert 2 * fc.multiply_adds == 3 * flop_count(batch, in_dims, out_dims, range(n))
+
+    @staticmethod
+    def step_against_one_chunk(seed, in_dims, out_dims, batch):
+        """The layer and the matmul calls of a training step whose output and
+        gradients match one chunk's within rounding."""
+        rng, lyr = biased_layer(seed, in_dims, out_dims)
+        x = rng.standard_normal((batch, *in_dims))
+        d_y = rng.standard_normal((batch, *out_dims))
+        with mock.patch.object(layer, "matmul", wraps=tensor.matmul) as products:
+            y, grads = training_step(lyr, x, d_y)
+        with ONE_CHUNK:
+            want_y, want = training_step(lyr, x, d_y)
+        for got, ref in zip([y, *grad_arrays(grads)], [want_y, *grad_arrays(want)], strict=True):
+            assert_within_rounding(got, ref)
+        assert np.array_equal(forward_only(lyr, x), y)
+        return lyr, products.call_args_list
+
+    def test_a_ragged_last_band_matches_one_product(self):
+        # one sample's steps are (1089, 33) @ (33, 33), 1,185,921 multiply-adds:
+        # 2 bands of 545 and 544 rows forward, and over the rows of dW_k
+        lyr, calls = self.step_against_one_chunk(57, (33, 33, 33), (33, 33, 33), 3)
+        assert chunk_size(lyr, 3) == 1
+        assert [c.args[0].shape[0] for c in calls[:6]] == [545, 544] * 3  # sample 0's forward
+        assert len(calls) == 3 * 3 * 5
+
+    def test_bands_shorter_than_the_weight_is_wide_stay_one_product(self):
+        # (128, 128) @ (128, 128), 2^21 multiply-adds a sample, would take 3 bands
+        # of 43 rows, fewer than H_k = 128: one product a step
+        lyr, calls = self.step_against_one_chunk(58, (128, 128), (128, 128), 2)
+        assert chunk_size(lyr, 2) == 1 and largest_step(lyr) > tensor.SMALL_GEMM_MNK
+        assert len(calls) == 2 * 2 * 3
+
+    def test_a_batch_of_one_is_banded(self):
+        # one chunk, whose bands write a fresh step buffer
+        _, calls = self.step_against_one_chunk(59, (32, 32, 32), (32, 32, 32), 1)
+        assert len(calls) == 15
 
     @pytest.mark.parametrize("in_dims, out_dims, batch, chunk", CASES)
     def test_backward_allocates_no_step_scratch(self, in_dims, out_dims, batch, chunk):
@@ -700,6 +753,7 @@ class TestRankOneSamples:
         ((32, 32, 32), (32, 32, 32), 2, 1, "forward"),     # c = 1: Z_0 views x
         ((16, 256), (64, 4), 7, 3, "forward"),             # ragged: chunks of 3, 3, 1
         ((16, 256), (64, 4), 4096, 1, "forward_only"),     # planned, row-banded first step
+        ((40, 33, 31), (40, 33, 31), 2, 1, "forward"),     # c = 1, bands of 512 and 511
     ])
     def test_matches_the_outer_product_of_the_mode_maps(self, in_dims, out_dims, batch,
                                                         chunk, run):

@@ -740,6 +740,12 @@ class TestEvaluate:
         with pytest.raises(ShapeError, match="target"):
             nn.evaluate(model, x, t[:3])
 
+    def test_zero_d_input_is_a_shape_error(self):
+        # x.shape[0] of a 0-d array raised IndexError
+        model = skewed_mse_model()
+        with pytest.raises(ShapeError, match=r"input shape \(\) .* in_dims"):
+            nn.evaluate(model, np.float64(1.0), np.zeros((1, 3, 5)))
+
     def test_zero_rows_is_a_shape_error(self):
         model = skewed_mse_model()
         x, t = self._data(model, 1)
