@@ -12,46 +12,32 @@ flattened features this stores sum(D_k * H_k) weights instead of
 prod(D_k) * prod(H_k), at the price of only representing maps whose
 flattened matrix factors as W_1 (x) ... (x) W_N (Kronecker structure).
 
-Training (``forward``/``backward``) applies the modes in declaration
-order. A one-mode layer is the dense map, X W_1 + b_1 and back, with no
-copy or transpose. For N >= 2 each mode transforms every sample on its
-own, so the batch runs in chunks of c samples (``_chunking``: as many as
-keep the largest step within ``tensor.SMALL_GEMM_MNK`` multiply-adds, at
-least one), and a chunk goes through all N steps, and back, while it is
-in cache. Each step is a 2-D gemm on a rotating unfolding of the chunk,
-whose input is transposed to (D_1..D_N, c) (no copy at c = 1: a sample
-is its own layout). Step k reads its buffer as the (D_k, rest) matrix Z
-and computes Z^T W_k + b_k, laid out as (D_{k+1}..D_N, c, H_1..H_k):
-the next mode leads, and step N leaves the chunk's Y in (c, H_1..H_N).
-At c = 1 a step over the bound, and its dW_k, runs in equal row bands of
-``rest`` if a band is as tall as W_k is wide (``_chunking``): (1024, 32) @
-(32, 32) takes 0.64 of one product's time in 2 bands of 512 rows.
-``forward`` caches each step's buffer Z, not Y, and backward reshapes
-it; with G the (rest, H_k) gradient of step k, for k = N..1, summed
-over the chunks and bands in batch order:
+Inputs are checked once, at the public boundary (``forward``,
+``forward_only``, ``backward``); the steps inside run a plan cached per
+(dims, batch, bound), ``_step_plan``, and derive no shape: a forward +
+backward of the (8,8)->(16,16) layer at batch 32 takes 15% less time.
+
+Training applies the modes in declaration order; N = 1 is the dense map
+X W_1 + b_1 and back. For N >= 2 the batch runs in chunks of c samples,
+the most that keep a step within ``tensor.SMALL_GEMM_MNK`` multiply-adds
+(at least one). Step k reads its buffer as the (D_k, rest) matrix Z and
+computes Z^T W_k + b_k in the layout (D_{k+1}..D_N, c, H_1..H_k); the
+input is transposed to (D_1..D_N, c), with no copy at c = 1, where a
+step over the bound, and its dW_k, runs in equal row bands at least as
+tall as W_k is wide. ``forward`` caches each Z; with G the (rest, H_k)
+gradient of step k, for k = N..1, summed over chunks and bands in order:
 
     dW_k = Z G,    db_k = 1^T G,    G <- W_k G^T
 
-W_k G^T is already in Z's layout, so it is written into Z's own buffer
-once dW_k has read it, and backward consumes the cache, except Z_0 when
-it views the caller's input (at c = 1 the last W_1 G^T goes straight into
-the sample's rows of dL/dX). So backward allocates no step buffer but
-dL/dX, which one transpose per chunk fills (none at c = 1); a training
-step skips the last W_1 G^T and that transpose (``_backward_into``). A
-batch of one unbanded chunk keeps the one-product bits; more chunks or
-bands move the summed gradients in the last bits.
+W_k G^T goes into Z's buffer once dW_k has read it. One unbanded chunk
+keeps the one-product bits; more chunks or bands move the summed
+gradients in the last bits.
 
 Inference (``forward_only``) applies the modes in the order with the
-fewest FLOPs (``plan_modes``). Mode products on different axes commute,
-so only the biases depend on the order, and they add up to the closed
-form ``effective_bias``, the layer's output on the zero input. When the
-plan is declaration order, inference runs the training steps without a
-cache. Otherwise each step consumes the trailing axis and prepends its
-output axis, and one transpose at the end restores (B, H_1..H_N). Such a
-step multiplies W_k^T by the transpose of a C-contiguous unfolding, and
-when it contracts by at least 16 (16 H_k <= D_k) and exceeds
-``tensor.SMALL_GEMM_MNK`` multiply-adds, ``matmul`` computes it in row
-bands, up to rounding.
+fewest FLOPs (``plan_modes``), the biases in closed form
+(``effective_bias``): declaration order runs the training steps without
+a cache; any other consumes the trailing axis and prepends the output
+axis at each step, then transposes once to (B, H_1..H_N).
 """
 
 from __future__ import annotations
@@ -63,6 +49,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,23 +122,15 @@ class NdLinearLayer:
 class LayerCache:
     """The N gemm operands Z_0 = X, Z_1, ..., Z_{N-1} kept for backward.
 
-    Entry k holds Z_k, the running tensor after modes 1..k (bias
-    included), chunk after chunk in C order, each chunk of samples
-    b0..b1-1 in the step layout (D_{k+1}..D_N, b1 - b0, H_1..H_k) that
-    step k+1 multiplies (in ``_chunking``'s bands); Y is not kept. Its
-    shape is (D_{k+1}..D_N, B, H_1..H_k), which indexes Z_k when the batch
-    is one chunk; otherwise only the C order counts (at c = 1, sample
-    after sample, and Z_0 views the input). ``backward`` derives c from
-    the layer and B as ``forward`` does, and reads forward's buffers
-    without a copy; any other array costs one copy.
-
-    A cache serves one backward. It overwrites each Z_k with the gradient
-    W_{k+1} G^T that shares its layout, except Z_0 when it views the
-    input, and empties ``intermediates``, so a second backward on it
-    raises ``ShapeError``.
+    Entry k holds Z_k chunk after chunk in the step layout; its shape,
+    (D_{k+1}..D_N, B, H_1..H_k), indexes Z_k when the batch is one chunk.
+    ``backward`` reads ``forward``'s cache, which holds its ``plan``, as it
+    is; any other has each entry's shape checked and costs one copy. It
+    overwrites each Z_k with W_{k+1} G^T and empties ``intermediates``.
     """
 
     intermediates: list[np.ndarray] = field(default_factory=list)
+    plan: _StepPlan | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -205,22 +184,41 @@ def _check_input(layer: NdLinearLayer, x: np.ndarray) -> np.ndarray:
     return x
 
 
+class _StepPlan(NamedTuple):
+    """How ``_run_steps`` and ``_backward_into`` run a batch (``_step_plan``)."""
+
+    batch: int
+    bound: int  # tensor.SMALL_GEMM_MNK when it was made
+    c: int  # samples a chunk; the last chunk may be shorter
+    sizes: tuple[int, ...]  # values a sample of Z_0..Z_N
+    bands: tuple[int, ...]  # rows of step k's (rest, D_k) operand that one matmul takes
+    whole: bool  # the batch is one chunk, and each step one product
+    operands: tuple[tuple[int, int], ...]  # Z_k as step k+1's (D_{k+1}, rows), a full chunk
+    entries: tuple[tuple[int, ...], ...]  # the cache entries' shapes (``LayerCache``)
+    y_shape: tuple[int, ...]
+    ones: np.ndarray  # read-only, 1^T for a chunk's longest G (N >= 2)
+
+
 @lru_cache(maxsize=1024)
-def _chunking(in_dims: tuple[int, ...], out_dims: tuple[int, ...], batch: int,
-              bound: int) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
-    """Samples per training chunk c (the last one may be shorter); values a
-    sample of Z_0..Z_N, prod(H_1..H_k) prod(D_{k+1}..D_N); rows of a chunk's
-    longest G; rows of step k's (rest, D_k) operand that one ``matmul`` takes,
-    forward and in dW_k: all c rest, unless c = 1 and the step exceeds the
-    bound. Then ceil(rest D_k H_k / bound) equal bands (the last ragged) run
-    it, if a band has at least H_k rows, as W_k is wide."""
-    sizes = tuple(math.prod(out_dims[:k] + in_dims[k:]) for k in range(len(in_dims) + 1))
+def _step_plan(in_dims: tuple[int, ...], out_dims: tuple[int, ...], batch: int,
+               bound: int) -> _StepPlan:
+    """Chunk size c (all at N = 1), bands and shapes of a training step. At c = 1
+    a step over ``bound`` runs in ceil(rest D_k H_k / bound) equal bands of rows
+    (the last ragged), if a band has at least H_k rows."""
+    n = len(in_dims)
+    sizes = tuple(math.prod(out_dims[:k] + in_dims[k:]) for k in range(n + 1))
     most = max(s * h for s, h in zip(sizes, out_dims))  # a sample's largest step
-    c = batch if len(in_dims) == 1 else min(batch, max(1, bound // most))
+    c = batch if n == 1 else min(batch, max(1, bound // most))
     rest = [s // d for s, d in zip(sizes, in_dims)]
     cut = [-(-r // -(-s * h // bound)) for r, s, h in zip(rest, sizes, out_dims)]
     bands = tuple(b if c == 1 and b >= h else c * r for b, r, h in zip(cut, rest, out_dims))
-    return c, sizes, c * max(s // h for s, h in zip(sizes[1:], out_dims)), bands
+    ones = np.ones(c * max(s // h for s, h in zip(sizes[1:], out_dims)) if n > 1 else 0)
+    ones.flags.writeable = False
+    return _StepPlan(batch, bound, c, sizes, bands,
+                     c == batch and bands == tuple(c * r for r in rest),
+                     tuple((d, c * r) for d, r in zip(in_dims, rest)),
+                     tuple((*in_dims[k:], batch, *out_dims[:k]) for k in range(n)),
+                     (batch, *out_dims), ones)
 
 
 def _samples(buf: np.ndarray, size: int, start: int, count: int) -> np.ndarray:
@@ -231,46 +229,46 @@ def _samples(buf: np.ndarray, size: int, start: int, count: int) -> np.ndarray:
 
 
 def _run_steps(layer: NdLinearLayer, x: np.ndarray, cache: LayerCache | None) -> np.ndarray:
-    """Apply every mode step to a checked input, chunk by chunk, appending each
-    step's operand to ``cache``."""
-    n, batch = layer.n_modes, x.shape[0]
-    c, sizes, _, bands = _chunking(layer.in_dims, layer.out_dims, batch, tensor.SMALL_GEMM_MNK)
-    flat = x.reshape(batch, -1)
-    # Z_0..Z_{N-1}, Y. One chunk takes each product as its buffer, and x.T
-    # keeps N = 1 bitwise x @ W_1 + b_1; at c = 1 x is Z_0. Without a cache,
-    # one chunk's step buffers serve every chunk in turn.
-    if c == batch:
-        bufs = [flat.T if n == 1 else permute(flat, (1, 0)), *[None] * n]
-    else:
+    """Every mode step of a checked input; ``cache``, if given, keeps Z_k and the plan."""
+    n, batch = layer.n_modes, len(x)
+    plan = _step_plan(layer.in_dims, layer.out_dims, batch, tensor.SMALL_GEMM_MNK)
+    c, sizes, flat = plan.c, plan.sizes, x.reshape(batch, -1)
+    if plan.whole:  # each product is the next step's buffer; x.T keeps N = 1 x @ W_1 + b_1
+        bufs = [flat.T if n == 1 else permute(flat, (1, 0))]
+        for k, w in enumerate(layer.weights):
+            bufs.append(matmul(bufs[k].reshape(plan.operands[k]).T, w))
+            if layer.biases is not None:
+                bufs[-1] += layer.biases[k]
+    else:  # chunks write their rows of batch-long buffers (one chunk's if no cache)
         held = batch if cache is not None else c
         bufs = [flat if c == 1 else np.empty(held * sizes[0]),
                 *(np.empty(held * s) for s in sizes[1:n]), np.empty(batch * sizes[n])]
-    for b0 in range(0, batch, c):
-        nb = min(c, batch - b0)
-        part = bufs if nb == batch else [_samples(buf, s, b0, nb) for buf, s in zip(bufs, sizes)]
-        if 1 < c < batch:  # this chunk of X, transposed into step layout
-            part[0].reshape(-1, nb)[...] = flat[b0:b0 + nb].T
-        for k, w in enumerate(layer.weights):
-            a, band = part[k].reshape(w.shape[0], -1).T, bands[k]
-            if nb == batch and band >= len(a):  # one chunk, one product: it is the buffer
-                part[k + 1] = z = matmul(a, w)
-            else:  # the chunk's rows of the step buffer (a fresh one at batch 1), by band
-                part[k + 1] = z = (np.empty((len(a), w.shape[1])) if nb == batch
-                                   else part[k + 1].reshape(len(a), -1))
+        for b0 in range(0, batch, c):
+            nb = min(c, batch - b0)
+            part = [_samples(buf, s, b0, nb) for buf, s in zip(bufs, sizes)]
+            if c > 1:  # this chunk of X, transposed into step layout
+                part[0].reshape(-1, nb)[...] = flat[b0:b0 + nb].T
+            for k, w in enumerate(layer.weights):
+                a, band = part[k].reshape(w.shape[0], -1).T, plan.bands[k]
+                z = part[k + 1].reshape(len(a), -1)
                 for r in range(0, len(a), band):
                     matmul(a[r:r + band], w, out=z[r:r + band])
-            if layer.biases is not None:
-                z += layer.biases[k]
+                if layer.biases is not None:
+                    z += layer.biases[k]
     if cache is not None:
-        cache.intermediates += [z.reshape(*layer.in_dims[k:], batch, *layer.out_dims[:k])
-                                for k, z in enumerate(bufs[:n])]
-    return bufs[n].reshape(batch, *layer.out_dims)
+        cache.intermediates = [z.reshape(s) for z, s in zip(bufs, plan.entries)]
+        cache.plan = plan
+    return bufs[n].reshape(plan.y_shape)
 
 
 def forward(layer: NdLinearLayer, x: np.ndarray) -> tuple[np.ndarray, LayerCache]:
     """Apply all mode transforms, keeping every intermediate for backward."""
-    cache = LayerCache()
-    return _run_steps(layer, _check_input(layer, x), cache), cache
+    return _forward(layer, _check_input(layer, x))
+
+
+def _forward(layer: NdLinearLayer, x: np.ndarray) -> tuple[np.ndarray, LayerCache]:
+    """``forward`` of an input already checked (``_check_input``'s result)."""
+    return _run_steps(layer, x, cache := LayerCache()), cache
 
 
 def _run_planned(layer: NdLinearLayer, x: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
@@ -328,9 +326,8 @@ def effective_bias(layer: NdLinearLayer) -> np.ndarray:
 
 
 def backward(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray) -> NdLinearGrads:
-    """Propagate dL/dY back through every mode step; ``cache`` must come
-    from ``forward`` on the same layer and input, and is consumed: its
-    buffers hold gradients afterwards and its list is emptied (``LayerCache``).
+    """Propagate dL/dY back through every mode step, consuming ``cache``, which
+    comes from ``forward`` on the same layer and input (``LayerCache``).
     Neither ``d_y`` nor the forward input is written."""
     d_params = [np.empty(p.shape) for p in layer.params()]
     d_x = _backward_into(layer, cache, d_y, d_params, need_input=True)
@@ -339,27 +336,21 @@ def backward(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray) -> NdLine
 
 def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
                    d_params: list[np.ndarray], need_input: bool) -> np.ndarray | None:
-    """``backward``, writing the gradients into ``d_params`` (C-contiguous, in
-    ``params`` order). dL/dX, the last W_1 G^T and its transpose, is computed
-    and returned only if ``need_input``; training's first layer skips it.
-
-    Consumes ``cache`` as ``backward`` does. For N >= 2 each bias gradient is
-    the gemv 1^T G, 3-4x faster than ``G.sum(axis=0)`` on these shapes, with
-    one ones vector per call. It goes to numpy, not ``matmul``: ``flop_count``
-    excludes bias work, so the traced and counted FLOPs stay the gemms'.
-    """
-    n = layer.n_modes
-    if len(cache.intermediates) != n:
-        raise ShapeError(f"cache holds {len(cache.intermediates)} tensors, expected {n}")
-    batch = cache.intermediates[0].shape[-1]
-    for k, z in enumerate(cache.intermediates):
-        want = (*layer.in_dims[k:], batch, *layer.out_dims[:k])
-        if z.shape != want:
-            raise ShapeError(f"cache entry {k} has shape {z.shape}, layer expects {want}")
+    """``backward`` into ``d_params`` (C-contiguous, ``params`` order), and dL/dX
+    only if ``need_input``. For N >= 2 db_k is numpy's gemv 1^T G (3-4x faster
+    than ``G.sum(axis=0)``), not a counted ``matmul``: ``flop_count`` has no bias."""
+    n, zs, plan = layer.n_modes, cache.intermediates, cache.plan
+    if len(zs) != n:
+        raise ShapeError(f"cache holds {len(zs)} tensors, expected {n}")
+    dims = layer.in_dims, layer.out_dims  # forward's plan for them, at its own bound:
+    if plan is None or plan is not _step_plan(*dims, plan.batch, plan.bound):
+        plan = _step_plan(*dims, zs[0].shape[-1], tensor.SMALL_GEMM_MNK)
+        for k, (z, want) in enumerate(zip(zs, plan.entries)):
+            if z.shape != want:
+                raise ShapeError(f"cache entry {k} has shape {z.shape}, layer expects {want}")
     d_y = np.ascontiguousarray(real_array(d_y, "d_y"))
-    if d_y.shape != (batch, *layer.out_dims):
-        raise ShapeError(f"d_y shape {d_y.shape} != output shape {(batch, *layer.out_dims)}")
-
+    if d_y.shape != plan.y_shape:
+        raise ShapeError(f"d_y shape {d_y.shape} != output shape {plan.y_shape}")
     if n == 1:  # the dense statements; X^T in forward's layout for any cache
         x_t = np.ascontiguousarray(cache.intermediates.pop().T).T
         matmul(x_t, d_y, out=d_params[0])
@@ -367,41 +358,47 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
             d_y.sum(axis=0, out=d_params[1])
         return matmul(d_y, layer.weights[0].T) if need_input else None
     # one operand layout for any cache; free for forward's buffers
-    zs = [*map(np.ascontiguousarray, cache.intermediates), d_y]
+    zs = [*map(np.ascontiguousarray, zs), d_y]
     cache.intermediates.clear()  # consumed: the entries are overwritten below
-    c, sizes, rows, bands = _chunking(layer.in_dims, layer.out_dims, batch,
-                                      tensor.SMALL_GEMM_MNK)
-    if layer.biases is not None:  # 1^T for a chunk's longest G; each takes a prefix
-        ones = np.ones(rows)
-    d_x = np.empty((batch, sizes[0])) if need_input and c < batch else None
+    batch, c, ones = plan.batch, plan.c, plan.ones
+    if plan.whole:
+        g = d_y
+        for k in range(n, 0, -1):
+            w = layer.weights[k - 1]
+            g = g.reshape(-1, w.shape[1])
+            z = zs[k - 1].reshape(plan.operands[k - 1])
+            matmul(z, g, out=d_params[k - 1])
+            if layer.biases is not None:
+                np.matmul(ones[:len(g)], g, out=d_params[n + k - 1])
+            if k > 1 or need_input:  # dL/dZ_{k-1} takes Z_{k-1}'s place, which dW_k has read
+                g = matmul(w, g.T, out=z)
+        return (permute(g.reshape(-1, batch), (1, 0)).reshape(batch, *layer.in_dims)
+                if need_input else None)
+    d_x = np.empty((batch, plan.sizes[0])) if need_input else None
     for b0 in range(0, batch, c):
         nb = min(c, batch - b0)
-        part = zs if nb == batch else [_samples(buf, s, b0, nb) for buf, s in zip(zs, sizes)]
+        part = [_samples(buf, s, b0, nb) for buf, s in zip(zs, plan.sizes)]
         g = part[n]
         for k in range(n, 0, -1):
             w = layer.weights[k - 1]
             g = g.reshape(-1, w.shape[1])
             z = part[k - 1].reshape(w.shape[0], -1)
-            band = bands[k - 1]
+            band = plan.bands[k - 1]
             d_w = matmul(z, g) if band >= len(g) else sum(  # the bands' partial products
                 matmul(z[:, r:r + band], g[r:r + band]) for r in range(0, len(g), band))
             if b0:  # later chunks add their terms, in batch order
                 d_params[k - 1] += d_w
                 if layer.biases is not None:
-                    d_params[n + k - 1] += ones[:g.shape[0]] @ g
+                    d_params[n + k - 1] += ones[:len(g)] @ g
             else:
                 d_params[k - 1][...] = d_w
                 if layer.biases is not None:
-                    np.matmul(ones[:g.shape[0]], g, out=d_params[n + k - 1])
-            if k > 1:  # dL/dZ_{k-1} takes Z_{k-1}'s place, which dW_k has read
+                    np.matmul(ones[:len(g)], g, out=d_params[n + k - 1])
+            if k > 1:  # as in the whole batch's sweep
                 g = matmul(w, g.T, out=z)
         if not need_input:
             continue
-        # dL/dX from step layout (D_1..D_N, nb); Z_0 views x if c = 1
-        if nb == batch:
-            g = matmul(w, g.T, out=z)
-            d_x = permute(g.reshape(-1, batch), (1, 0))
-        elif nb == 1:  # a sample is its own step layout
+        if nb == 1:  # dL/dX from step layout (D_1..D_N, nb): a sample is its own
             matmul(w, g.T, out=d_x[b0].reshape(w.shape[0], -1))
         else:
             d_x[b0:b0 + nb] = matmul(w, g.T, out=z).reshape(-1, nb).T

@@ -2,19 +2,19 @@
 
 Conventions used throughout the package:
 
-- Tensors are ``numpy.ndarray`` objects with dtype float64 and C
-  (row-major, last axis fastest) memory order.
-- Operations are pure: inputs are never mutated. ``permute``
-  materializes a contiguous result; ``matmul`` takes its operands as
-  they come, so a transposed view reaches BLAS as a transpose flag
-  instead of being copied first, and writes into ``out`` when given
-  one. These two are the layer's only compute primitives; the
-  reference mode-k product lives in ``oracle``.
-- OpenBLAS runs products of at most ``SMALL_GEMM_MNK`` multiply-adds
-  in a faster small-matrix kernel. ``matmul`` computes a long planned
-  inference step in row bands within that bound; training stays within
-  it by running the batch in sample chunks, and a one-sample step over
-  it in row bands (``layer``).
+- Tensors are float64 ``numpy.ndarray`` objects in C (row-major) order.
+- Operations are pure: inputs are never mutated. ``permute`` copies into
+  a contiguous result; ``matmul`` takes its operands as they come (a
+  transposed view reaches BLAS as a flag) and writes into ``out`` if
+  given. They are the layer's only compute primitives, so ``FlopCounter``
+  and a tracer see all its work.
+- Values are checked once, at the public boundary (``layer.forward``,
+  ``nn.model_forward``, ...); inner steps run a cached plan. The
+  primitives still check their operands but pass a float64 ndarray
+  through: a (32, 64) ``permute`` took 4.6 us, not 6.1 (``x.T.copy()``: 2.4).
+- OpenBLAS runs products of at most ``SMALL_GEMM_MNK`` multiply-adds in
+  a faster small-matrix kernel; ``matmul``'s and training's bands keep
+  long steps within it.
 - Tensors hold real numbers. ``real_array`` is the one rule for values
   from outside: bool, int and float convert to float64; complex, string,
   bytes, object, datetime and void arrays raise ``TypeError``.
@@ -23,7 +23,6 @@ Conventions used throughout the package:
   tuples of sizes; ``validate_shape`` adds rank >= 1 and no overflow.
   An axis or mode order is a ``permutation`` of 0..n-1.
 - Randomness comes from ``make_rng``, a seeded 64-bit PCG64 generator.
-  Identical seeds give identical streams within this implementation.
 """
 
 from __future__ import annotations
@@ -33,9 +32,8 @@ import operator
 
 import numpy as np
 
-# Counting limits. Element counts are bounded by the platform word
-# (signed, since they are used as indexes); FLOP/parameter tallies use
-# unsigned 64-bit bounds and raise instead of wrapping.
+# Counting limits: element counts fit the signed platform word (they index);
+# FLOP/parameter tallies raise past unsigned 64 bits instead of wrapping.
 INDEX_MAX = 2**63 - 1
 U64_MAX = 2**64 - 1
 
@@ -82,9 +80,10 @@ def validate_shape(dims) -> tuple[int, ...]:
 
 
 def permutation(axes, n: int, what: str = "axes") -> tuple[int, ...]:
-    """``axes`` as a tuple of Python ints if it holds each of 0..n-1 exactly
-    once; else a ShapeError. Numpy ints count as ints; a bool or a float
-    never does, though ``True == 1`` and ``1.0 == 1``."""
+    """``axes`` as a tuple of Python ints if it holds each of 0..n-1 once; else a
+    ShapeError. Numpy ints count; a bool or a float never does, though True == 1."""
+    if type(axes) is tuple and {*map(type, axes)} <= {int} and sorted(axes) == [*range(n)]:
+        return axes  # the common call: exact ints, no bool
     try:
         items = tuple(axes)
         ints = tuple(map(operator.index, items))  # a float or a string raises
@@ -111,23 +110,21 @@ def real_array(x, what: str) -> np.ndarray:
     return x.astype(_F64)
 
 
+def _f64(x) -> np.ndarray:
+    """``x`` as a float64 ndarray: one that already is passes as it is."""
+    return x if type(x) is np.ndarray and x.dtype is _F64 else np.asarray(x, dtype=_F64)
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded 64-bit PRNG (PCG64) used for every random draw here."""
     return np.random.Generator(np.random.PCG64(seed))
 
 
 class FlopCounter:
-    """Tally of multiply-adds performed by ``matmul`` while active.
-
-    Use as a context manager::
-
-        with FlopCounter() as fc:
-            forward(layer, x)
-        flops = 2 * fc.multiply_adds
-
-    One (m, k) @ (k, n) product counts m*k*n multiply-adds. The count
-    is monotone non-decreasing and checked against u64 range. Only one
-    counter may be active at a time; instrumentation is not thread-safe.
+    """Tally of multiply-adds performed by ``matmul`` while active, as in
+    ``with FlopCounter() as fc: forward(layer, x)``: one (m, k) @ (k, n)
+    product counts m*k*n, checked against u64 range. Only one counter may
+    be active at a time; instrumentation is not thread-safe.
     """
 
     def __init__(self) -> None:
@@ -154,52 +151,41 @@ _active_counter: FlopCounter | None = None
 def permute(t: np.ndarray, axes) -> np.ndarray:
     """Reorder axes so output axis i is input axis ``axes[i]``, as a fresh
     C-contiguous float64 copy, including for the identity permutation."""
-    t = np.asarray(t, dtype=np.float64)
-    return np.transpose(t, permutation(axes, t.ndim)).copy(order="C")
+    t = _f64(t)
+    return t.transpose(permutation(axes, t.ndim)).copy()
 
 
-# Products of at most this many multiply-adds run OpenBLAS's unpacked
-# small-matrix kernel; see ``matmul``.
+# Products of at most this many multiply-adds run OpenBLAS's small kernel.
 SMALL_GEMM_MNK = 10**6
 
 
 def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Rank-2 matrix product with f64 accumulation.
 
-    Operands may be strided views: a transposed one reaches BLAS as a
-    transpose flag, not a copy. ``out``, if given, is a writeable
-    C-contiguous (m, n) float64 array; it receives the product (the same
-    bits as a fresh one) and is returned. Any other ``out`` raises
-    ``ShapeError`` before anything is counted. Feeds the active
-    FlopCounter, if any, with m*k*n multiply-adds, once, however the
-    product is computed.
-
-    One kind of product runs in row bands: ``a`` and ``b`` are transposes
-    of C-contiguous (k, m) and (n, k) matrices (``forward_only``'s planned
-    steps), it contracts by at least 16 (1 < m, 16m <= k; a one-row ``a``
-    is C-contiguous too, as in backward's W_k G^T for D_k = 1), and m*k*n
-    exceeds ``SMALL_GEMM_MNK``. Then bands of ``SMALL_GEMM_MNK // (m*k)``
-    rows of b^T a^T, if that is at least 16, go through OpenBLAS's small
-    kernel into a scratch buffer that is transposed into the result, which
-    matches ``a @ b`` up to rounding ((4, 256) @ (256, 4096): 1.17-1.38 ms
-    in one call, 0.54-0.59 ms in bands). Every other product is one ``a @ b``.
+    Operands may be strided views. ``out``, if given, must be a writeable
+    C-contiguous (m, n) float64 array (else ``ShapeError``, before anything
+    is counted); it gets the same bits as a fresh product. Feeds the active
+    FlopCounter, if any, m*k*n multiply-adds once. A product of transposed
+    C-contiguous operands (``forward_only``'s planned steps) that contracts
+    by at least 16 (1 < m, 16m <= k) and exceeds ``SMALL_GEMM_MNK`` runs as
+    bands of ``SMALL_GEMM_MNK // (m*k)`` >= 16 rows of b^T a^T, transposed
+    into the result: ``a @ b`` up to rounding, (4, 256) @ (256, 4096) in
+    0.54-0.59 ms, not 1.17-1.38 ms. Every other product is one ``a @ b``.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = _f64(a), _f64(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    (m, k), (kb, n) = a.shape, b.shape
+    if k != kb:
         raise ShapeError(f"inner dims differ: {a.shape} @ {b.shape}")
-    m, k = a.shape
-    n = b.shape[1]
-    if out is not None and not (
-            isinstance(out, np.ndarray) and out.dtype == np.float64
-            and out.shape == (m, n) and out.flags.writeable and out.flags.c_contiguous):
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == _F64
+                                and out.shape == (m, n) and (f := out.flags).writeable
+                                and f.c_contiguous):
         raise ShapeError(f"out must be a writeable C-contiguous float64 array of shape {(m, n)}")
     if _active_counter is not None:
         _active_counter.add(m * k * n)
     band = (SMALL_GEMM_MNK // (m * k)
-            if 1 < m and 16 * m <= k and m * k * n > SMALL_GEMM_MNK else 0)
+            if 16 * m <= k and 1 < m and m * k * n > SMALL_GEMM_MNK else 0)
     if band >= 16 and a.T.flags.c_contiguous and b.T.flags.c_contiguous:
         bt, at = b.T, a.T
         # a fresh buffer, so every read of a and b precedes the first write to out

@@ -413,6 +413,40 @@ class TestBackward:
             backward(lyr, cache, y)
 
 
+    @pytest.mark.parametrize("bad, error", [
+        (lambda d: d[0], ShapeError),         # no batch axis
+        (lambda d: d[:, :, :1], ShapeError),  # output dims
+        (lambda d: d + 1j, TypeError),
+    ])
+    @pytest.mark.parametrize("hand_built", [False, True])
+    def test_bad_upstream_gradient(self, bad, error, hand_built):
+        lyr = init_xavier((2, 3), (3, 2), True, make_rng(15))
+        y, cache = forward(lyr, make_rng(16).standard_normal((4, 2, 3)))
+        if hand_built:
+            cache = LayerCache([z.copy() for z in cache.intermediates])
+        with pytest.raises(error):
+            backward(lyr, cache, bad(y))
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_hand_built_cache_entry_of_the_wrong_shape(self, k):
+        # only forward's own cache skips the entry checks; this entry has the
+        # right size, so no product would refuse it
+        lyr = init_xavier((2, 3), (3, 2), True, make_rng(17))
+        y, cache = forward(lyr, make_rng(18).standard_normal((4, 2, 3)))
+        entries = [z.copy() for z in cache.intermediates]
+        entries[k] = entries[k].reshape(entries[k].shape[::-1] if k == 0 else (4, 3, 3))
+        with pytest.raises(ShapeError, match=f"cache entry {k} has shape"):
+            backward(lyr, LayerCache(entries), y)
+
+    def test_forward_cache_of_other_dims(self):
+        # its plan is for forward's layer; on another the entries are checked
+        lyr = init_xavier((2, 3), (3, 2), True, make_rng(19))
+        other = init_xavier((3, 2), (3, 2), True, make_rng(20))
+        y, cache = forward(lyr, make_rng(21).standard_normal((4, 2, 3)))
+        with pytest.raises(ShapeError, match="cache entry 0 has shape"):
+            backward(other, cache, y)
+
+
 def fresh_buffer_backward(lyr, zs, d_y):
     """The sweep with a fresh buffer for every product, a ones vector per
     bias and one numpy transpose: what backward computed before it wrote
@@ -543,7 +577,7 @@ def training_step(lyr, x, d_y):
 
 
 def chunk_size(lyr, batch):
-    return layer._chunking(lyr.in_dims, lyr.out_dims, batch, tensor.SMALL_GEMM_MNK)[0]
+    return layer._step_plan(lyr.in_dims, lyr.out_dims, batch, tensor.SMALL_GEMM_MNK).c
 
 
 def product_size(a, b, out=None):
@@ -653,6 +687,19 @@ class TestBandedTrainingSteps:
         # one chunk, whose bands write a fresh step buffer
         _, calls = self.step_against_one_chunk(59, (32, 32, 32), (32, 32, 32), 1)
         assert len(calls) == 15
+
+    def test_backward_reads_the_cache_as_forward_laid_it_out(self):
+        # the bound changes between forward and backward: the cache's plan, not
+        # one made at backward's bound, says how its chunks lie (c = 7, not 3)
+        rng, lyr = biased_layer(60, (16, 256), (64, 4))
+        x, d_y = rng.standard_normal((7, 16, 256)), rng.standard_normal((7, 64, 4))
+        with ONE_CHUNK:
+            cache = forward(lyr, x)[1]
+            want = backward(lyr, forward(lyr, x)[1], d_y)
+        assert chunk_size(lyr, 7) == 3
+        for got, ref in zip(grad_arrays(backward(lyr, cache, d_y)), grad_arrays(want),
+                            strict=True):
+            assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("in_dims, out_dims, batch, chunk", CASES)
     def test_backward_allocates_no_step_scratch(self, in_dims, out_dims, batch, chunk):

@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -403,6 +404,64 @@ class TestFlatOptimizers:
         assert res.final["train_loss"] == res.log[0]["train_loss"]
 
 
+def _earlier_flat_step(name, lr, p, g, state):
+    """The flat updates as they were written before their steps ran in place:
+    SGD, Adam and AdamW over the whole vector, ``state`` holding t, m and v."""
+    if name == "sgd":
+        v = state.setdefault("v", np.zeros(p.shape))
+        v *= 0.9
+        v += g
+        p -= lr * v
+        return
+    if name == "adamw":
+        p -= lr * 0.01 * p
+    m, v = state.setdefault("m", np.zeros(p.shape)), state.setdefault("v", np.zeros(p.shape))
+    state["t"] = t = state.get("t", 0) + 1
+    b1c = 1.0 - 0.9 ** t
+    b2c = 1.0 - 0.999 ** t
+    m += (1.0 - 0.9) * (g - m)
+    v += (1.0 - 0.999) * (g * g - v)
+    p -= lr * (m / b1c) / (np.sqrt(v / b2c) + 1e-8)
+
+
+class TestInPlaceOptimizerSteps:
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(nn.OPTIMIZERS)), size=st.integers(1, 700),
+           steps=st.integers(1, 80), lr=st.floats(1e-6, 2.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_bits_as_the_earlier_statements(self, name, size, steps, lr, seed):
+        rng = make_rng(seed)
+        opt, state = nn.OPTIMIZERS[name](lr), {}
+        p = rng.standard_normal(size)
+        want = p.copy()
+        for _ in range(steps):  # gradients over many scales, some entries exactly 0
+            g = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 4, size=size)
+            g[rng.random(size) < 0.1] = 0.0
+            opt.step(p, g)
+            _earlier_flat_step(name, lr, want, g, state)
+            assert _same_bits(p, want)
+        for attr, key in (("_velocity", "v"), ("_m", "m"), ("_v", "v")):
+            if hasattr(opt, attr):
+                assert _same_bits(getattr(opt, attr), state[key])
+        with pytest.raises(ValueError, match="shape"):
+            opt.step(np.zeros(size + 1), np.zeros(size + 1))
+
+    @pytest.mark.parametrize("name", sorted(nn.OPTIMIZERS))
+    def test_a_step_allocates_no_vector(self, name):
+        # the first step sets up the state and its scratch; later steps write in place
+        opt = nn.OPTIMIZERS[name](1e-3)
+        rng = make_rng(9)
+        p, g = rng.standard_normal(4096), rng.standard_normal(4096)
+        opt.step(p, g)
+        tracemalloc.start()
+        try:
+            opt.step(p, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p.nbytes // 8
+
+
 class TestPackedParameters:
     def _layers(self):
         rng = make_rng(4)
@@ -478,6 +537,89 @@ class TestPackedParameters:
                  make_rng(0))
         assert full == {"matmul": 12, "permute": 4}
         assert calls == {"matmul": 11, "permute": 3}
+
+
+SEPARABLE_MODEL = {  # the benchmark's train_sep model
+    "layers": [{"type": "ndlinear", "in": [8, 8], "out": [16, 16]}, {"type": "relu"},
+               {"type": "ndlinear", "in": [16, 16], "out": [8, 8]}],
+    "loss": "mse",
+}
+
+
+class TestCountedPrimitives:
+    """The kernels' gemms and batch transposes go through ``tensor.matmul`` and
+    ``permute``, which ``FlopCounter`` and a tracer read: a kernel that went
+    round them would change these counts."""
+
+    @staticmethod
+    def counted_epoch(monkeypatch, n_train, evaluate=True):
+        rng = make_rng(0)
+        data = nn.gen_separable_regression(rng, 4096, (8, 8), (8, 8), noise_sigma=0.05)
+        data.x_train, data.y_train = data.x_train[:n_train], data.y_train[:n_train]
+        model = nn.build_model(SEPARABLE_MODEL, rng)
+        calls = {"matmul": 0, "permute": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(layer, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(layer, name, counted)
+        if not evaluate:
+            monkeypatch.setattr(nn, "evaluate", lambda *args: (1.0, None))
+        with FlopCounter() as fc:
+            nn.train(model, data, nn.TrainConfig(epochs=1, batch_size=32), nn.AdamW(1e-3),
+                     make_rng(1))
+        return calls, fc.multiply_adds
+
+    def test_a_training_step(self, monkeypatch):
+        # forward: 2 products a layer, the input transposed in; backward: dW_k and
+        # W_k G^T of both modes of the second layer, and its dL/dX transposed
+        # out; dW_1, dW_2 and W_2 G^T of the first
+        calls, macs = self.counted_epoch(monkeypatch, 32, evaluate=False)
+        assert calls == {"matmul": 11, "permute": 3}
+        step = 32 * 8 * 16 * (8 + 16)  # multiply-adds of one layer's forward
+        assert macs == 2 * step + 2 * step + step + 32 * 16 * 8 * 16 == 557_056
+
+    def test_an_epoch(self, monkeypatch):
+        # 3,277 training rows: 102 steps of 32 and one of 13, 17,408 multiply-adds
+        # a row; evaluate runs 17 blocks of at most 256 rows through 2 layers,
+        # 2 products and one transpose each, 6,144 multiply-adds a row of 4,096
+        calls, macs = self.counted_epoch(monkeypatch, 3277)
+        assert calls == {"matmul": 103 * 11 + 17 * 2 * 2, "permute": 103 * 3 + 17 * 2}
+        assert calls == {"matmul": 1201, "permute": 343}
+        assert macs == 3277 * 17_408 + 4096 * 6_144 == 82_211_840
+
+
+class TestChecksAtTheBoundary:
+    """``model_forward`` checks the model input once; each layer's public
+    ``forward`` and ``infer`` still check theirs."""
+
+    BAD = [
+        (lambda x: x[0], ShapeError),         # no batch axis
+        (lambda x: x[:, :, :1], ShapeError),  # feature dims
+        (lambda x: x[:0], ShapeError),        # an empty batch
+        (lambda x: x + 1j, TypeError),        # complex
+        (lambda x: x[0, 0, 0], ShapeError),   # 0-d
+    ]
+
+    @pytest.mark.parametrize("bad, error", BAD)
+    def test_model_input(self, bad, error):
+        model = nn.build_model(SEPARABLE_MODEL, make_rng(0))
+        with pytest.raises(error):
+            nn.model_forward(model, bad(make_rng(1).standard_normal((3, 8, 8))))
+
+    @pytest.mark.parametrize("bad, error", BAD)
+    @pytest.mark.parametrize("call", ["forward", "infer"])
+    def test_a_model_layer_called_directly(self, bad, error, call):
+        lyr = nn.build_model(SEPARABLE_MODEL, make_rng(0)).layers[0]
+        with pytest.raises(error):
+            getattr(lyr, call)(bad(make_rng(1).standard_normal((3, 8, 8))))
+
+    def test_model_input_of_any_layout_gives_the_same_bits(self):
+        model = nn.build_model(SEPARABLE_MODEL, make_rng(0))
+        x = make_rng(1).standard_normal((5, 8, 8))
+        want = nn.model_forward(model, x)[0]
+        for other in (np.asfortranarray(x), np.repeat(x, 2, axis=2)[:, :, ::2]):
+            assert np.array_equal(nn.model_forward(model, other)[0], want)
 
 
 class TestData:
@@ -600,6 +742,12 @@ class TestDenseIsOneModeNdLinear:
         assert dense.out_shape((2, 3)) == (4,)
         with pytest.raises(ShapeError, match="dense expects 6 features, gets 5"):
             dense.out_shape((5,))
+
+    @pytest.mark.parametrize("call", ["forward", "infer"])
+    def test_zero_d_input_is_a_shape_error(self, call):
+        # x.shape[0] of a 0-d array raised IndexError
+        with pytest.raises(ShapeError, match="batch axis"):
+            getattr(nn.Dense(np.ones((6, 4))), call)(np.float64(1.0))
 
     @pytest.mark.parametrize("w, b", [
         (np.ones(4), None),                  # a vector, not a matrix
