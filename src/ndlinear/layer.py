@@ -125,8 +125,8 @@ class LayerCache:
     Entry k holds Z_k chunk after chunk in the step layout; its shape,
     (D_{k+1}..D_N, B, H_1..H_k), indexes Z_k when the batch is one chunk.
     ``backward`` reads ``forward``'s cache, which holds its ``plan``, as it
-    is; any other has each entry's shape checked and costs one copy. It
-    overwrites each Z_k with W_{k+1} G^T and empties ``intermediates``.
+    is; any other has each entry's shape checked, at d_y's batch, and costs
+    one copy. It overwrites each Z_k with W_{k+1} G^T and empties ``intermediates``.
     """
 
     intermediates: list[np.ndarray] = field(default_factory=list)
@@ -342,13 +342,16 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
     n, zs, plan = layer.n_modes, cache.intermediates, cache.plan
     if len(zs) != n:
         raise ShapeError(f"cache holds {len(zs)} tensors, expected {n}")
+    d_y = np.ascontiguousarray(real_array(d_y, "d_y"))
     dims = layer.in_dims, layer.out_dims  # forward's plan for them, at its own bound:
     if plan is None or plan is not _step_plan(*dims, plan.batch, plan.bound):
-        plan = _step_plan(*dims, zs[0].shape[-1], tensor.SMALL_GEMM_MNK)
+        if d_y.shape[1:] != layer.out_dims or not len(d_y):  # the batch comes from d_y
+            raise ShapeError(f"d_y shape {d_y.shape} is not (batch >= 1, *{layer.out_dims})")
+        plan = _step_plan(*dims, len(d_y), tensor.SMALL_GEMM_MNK)
         for k, (z, want) in enumerate(zip(zs, plan.entries)):
-            if z.shape != want:
-                raise ShapeError(f"cache entry {k} has shape {z.shape}, layer expects {want}")
-    d_y = np.ascontiguousarray(real_array(d_y, "d_y"))
+            if np.shape(z) != want:
+                raise ShapeError(f"cache entry {k} has shape {np.shape(z)}, layer expects {want}")
+        zs = cache.intermediates = [real_array(z, f"cache entry {k}") for k, z in enumerate(zs)]
     if d_y.shape != plan.y_shape:
         raise ShapeError(f"d_y shape {d_y.shape} != output shape {plan.y_shape}")
     if n == 1:  # the dense statements; X^T in forward's layout for any cache

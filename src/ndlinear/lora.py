@@ -1,19 +1,24 @@
 """Low-rank and factorized adapters over a frozen dense layer.
 
-Both adapters add a trainable delta to a fixed base map y = x w0 + b0:
+Both adapters are ``nn.Model``s over the d input features whose output,
+the delta of width h, adds to a fixed base map y = x w0 + b0
+(``lora_forward``). Each delta is linear and bias-free, and starts as
+the exact zero map:
 
-- ``LoRAAdapter``: delta = (alpha / r) * (x a) b with a (d, r), b (r, h),
-  b zero-initialized so the starting delta is exactly zero.
-- ``NdLoRAAdapter``: the delta is a bias-free two-mode factorized linear
-  layer applied to x reshaped as (B, d1, d2) with d1 * d2 = d, flattened
-  back to width h = h1 * h2. Its second factor starts at zero, giving
-  the same exact-zero start. The delta's flattened matrix is always the
-  Kronecker product of the two factors, and the adapter trains
-  d1*h1 + d2*h2 scalars against LoRA's r*(d + h). No alpha scaling is
-  applied to the factorized delta.
+- ``init_lora``: delta = (x a) b, two bias-free ``Dense`` layers with
+  a (d, r) and b (r, h), b zero-initialized. alpha / r scales a's initial
+  draw. Hu et al. scale the delta's output instead: the two start as the
+  same map, but under Adam, whose steps do not follow the gradient's
+  scale, they take steps of different sizes.
+- ``init_ndlora``: the delta is a bias-free two-mode ``NdLinear`` on x
+  reshaped as (B, d1, d2) with d1 * d2 = d, flattened back to width
+  h = h1 * h2, its second factor zero. Its matrix is always the
+  Kronecker product of the two factors, and it trains d1*h1 + d2*h2
+  scalars against LoRA's r*(d + h). No alpha scaling is applied.
 
-Base weights are marked read-only at construction, so no optimizer can
-touch them even by accident.
+``fit_adapter`` trains either adapter, and ``delta_matrix`` reads either
+one's (d, h) matrix. Base weights are marked read-only at construction,
+so no optimizer can touch them even by accident.
 """
 
 from __future__ import annotations
@@ -25,10 +30,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import layer as layer_mod
-from . import nn, oracle
-from .layer import NdLinearLayer
-from .nn import Adam, Dense, mse_loss
-from .tensor import ShapeError, make_rng, positive_int
+from . import nn
+from .nn import Adam, Dense, NdLinear, Reshape, mse_loss
+from .tensor import make_rng, positive_int
 
 
 @dataclass
@@ -47,59 +51,21 @@ class FrozenDense:
         return self._dense.infer(x)
 
 
-@dataclass
-class LoRAAdapter:
-    a: np.ndarray  # (d, r)
-    b: np.ndarray  # (r, h)
-    alpha: float
-
-    def __post_init__(self):
-        if self.a.ndim != 2 or self.b.ndim != 2 or self.a.shape[1] != self.b.shape[0]:
-            raise ShapeError(f"incompatible adapter factors {self.a.shape} and {self.b.shape}")
-
-    @property
-    def rank(self) -> int:
-        return self.a.shape[1]
-
-    def delta_matrix(self) -> np.ndarray:
-        return (self.alpha / self.rank) * (self.a @ self.b)
-
-
-@dataclass
-class NdLoRAAdapter:
-    """The delta as a bias-free two-mode layer (d1, d2) -> (h1, h2)."""
-
-    nd: NdLinearLayer
-
-    def __post_init__(self):
-        if self.nd.n_modes != 2 or self.nd.biases is not None:
-            raise ShapeError(f"adapter deltas are bias-free two-mode layers, got "
-                             f"{self.nd.in_dims}->{self.nd.out_dims}, bias {self.nd.with_bias}")
-
-    @property
-    def in_factors(self) -> tuple[int, int]:
-        return self.nd.in_dims
-
-    @property
-    def out_factors(self) -> tuple[int, int]:
-        return self.nd.out_dims
-
-    def delta_matrix(self) -> np.ndarray:
-        return oracle.materialize_full_weight(self.nd)
-
-
 def init_lora(d: int, h: int, rank: int, alpha: float,
-              rng: np.random.Generator) -> LoRAAdapter:
-    """Gaussian a, zero b: the adapter starts as the exact zero map."""
+              rng: np.random.Generator) -> nn.Model:
+    """(d,) -> (r,) -> (h,) bias-free ``Dense`` layers: a Gaussian a scaled by
+    alpha / r (not the output, as in Hu et al.), and a zero b, so the
+    adapter starts as the exact zero map."""
     rank = positive_int(rank, "rank")
-    a = rng.standard_normal((d, rank)) / math.sqrt(d)
-    return LoRAAdapter(a, np.zeros((rank, h)), float(alpha))
+    a = rng.standard_normal((d, rank)) * (alpha / rank / math.sqrt(d))
+    return nn.Model([Dense(a), Dense(np.zeros((rank, h)))], "mse", (d,))
 
 
 def init_ndlora(d: int, h: int, rng: np.random.Generator,
                 in_factors: tuple[int, int] | None = None,
-                out_factors: tuple[int, int] | None = None) -> NdLoRAAdapter:
-    """Factorized adapter; the second factor starts at zero."""
+                out_factors: tuple[int, int] | None = None) -> nn.Model:
+    """(d,) -> in_factors -> out_factors -> (h,): a factorized adapter whose
+    second factor starts at zero."""
     in_factors = in_factors or choose_factors(d)
     out_factors = out_factors or choose_factors(h)
     if math.prod(in_factors) != d:
@@ -108,21 +74,21 @@ def init_ndlora(d: int, h: int, rng: np.random.Generator,
         raise ValueError(f"out_factors {out_factors} do not multiply to {h}")
     nd = layer_mod.init_xavier(in_factors, out_factors, with_bias=False, rng=rng)
     nd.weights[1] = np.zeros_like(nd.weights[1])
-    return NdLoRAAdapter(nd)
+    return nn.Model([Reshape(in_factors), NdLinear(nd), Reshape((h,))], "mse", (d,))
 
 
-def lora_forward(base: FrozenDense, adapter: LoRAAdapter, x: np.ndarray) -> np.ndarray:
-    y = base.forward(x)
-    scale = adapter.alpha / adapter.rank
-    return y + scale * ((x @ adapter.a) @ adapter.b)
+def lora_forward(base: FrozenDense, adapter: nn.Model, x: np.ndarray) -> np.ndarray:
+    """The adapted map: the base's output plus the adapter's delta."""
+    return base.forward(x) + nn.infer(adapter, x)
 
 
-def ndlora_forward(base: FrozenDense, adapter: NdLoRAAdapter, x: np.ndarray) -> np.ndarray:
-    batch, d = x.shape
-    if math.prod(adapter.in_factors) != d:
-        raise ShapeError(f"input width {d} does not factor as {adapter.in_factors}")
-    delta = layer_mod.forward_only(adapter.nd, x.reshape(batch, *adapter.in_factors))
-    return base.forward(x) + delta.reshape(batch, -1)
+ndlora_forward = lora_forward  # a second name, which callers of the factorized adapter use
+
+
+def delta_matrix(adapter: nn.Model) -> np.ndarray:
+    """The adapter's (d, h) matrix: its output on the identity, exact as the
+    delta is linear and has no bias."""
+    return nn.infer(adapter, np.eye(math.prod(adapter.in_dims)))
 
 
 def choose_factors(d: int) -> tuple[int, int]:
@@ -161,24 +127,17 @@ def adapter_param_counts(d: int, h: int, rank: int,
                               lora_params, ndlora_params, lora_params / ndlora_params)
 
 
-def fit_ndlora(base: FrozenDense, adapter: NdLoRAAdapter, x: np.ndarray,
-               y_target: np.ndarray, steps: int, lr: float) -> list[float]:
-    """Full-batch Adam on the adapter factors only; returns the loss curve.
-
-    The factors train as an ``nn.Model``, so they become views of its ``flat``.
-    """
-    batch = x.shape[0]
-    x_nd = x.reshape(batch, *adapter.in_factors)
+def fit_adapter(base: FrozenDense, adapter: nn.Model, x: np.ndarray,
+                y_target: np.ndarray, steps: int, lr: float) -> list[float]:
+    """Full-batch Adam on the adapter's parameters only; returns the loss curve."""
     delta_target = y_target - base.forward(x)
-    model = nn.Model([nn.NdLinear(adapter.nd), nn.Reshape(delta_target.shape[1:])], "mse",
-                     adapter.in_factors)
     optimizer = Adam(lr)
     losses = []
     for _ in range(steps):
-        delta, caches = nn.model_forward(model, x_nd)
+        delta, caches = nn.model_forward(adapter, x)
         loss, d_delta = mse_loss(delta, delta_target)
-        nn._backward(model, caches, d_delta, need_input=False)
-        optimizer.step(model.flat, model.grad)
+        nn._backward(adapter, caches, d_delta, need_input=False)
+        optimizer.step(adapter.flat, adapter.grad)
         losses.append(loss)
     return losses
 
@@ -209,12 +168,11 @@ def recovery_experiment(d: int, h: int, rank: int = 8, seed: int = 0,
     else:
         delta_target = rng.standard_normal((d, h))
     x = rng.standard_normal((2 * d, d))
-    y_target = x @ (base.w0 + delta_target) + (base.b0 if base.b0 is not None else 0.0)
+    y_target = x @ (base.w0 + delta_target) + base.b0
 
     adapter = init_ndlora(d, h, rng, in_factors, out_factors)
-    losses = fit_ndlora(base, adapter, x, y_target, steps, lr)
-    learned = adapter.delta_matrix()
-    recovery = float(np.linalg.norm(learned - delta_target)
+    losses = fit_adapter(base, adapter, x, y_target, steps, lr)
+    recovery = float(np.linalg.norm(delta_matrix(adapter) - delta_target)
                      / np.linalg.norm(delta_target))
 
     counts = adapter_param_counts(d, h, rank, in_factors, out_factors)

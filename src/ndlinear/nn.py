@@ -11,16 +11,16 @@ plus the synthetic-data generators used to probe its inductive bias. Losses:
 Training is single-threaded and deterministic given its generator.
 
 A ``Model`` packs its parameters once, at construction, into one vector
-``flat`` (``params()`` order) and rebinds each layer's arrays to views of
-it. Parameters that share memory, such as a layer listed twice, are
-refused: one vector cannot hold an array twice. ``model_forward`` checks
-the model input once; the layers then run on checked values. A training
-step writes the gradients into views of ``grad``, skipping the model
-input's; the optimizer then updates ``flat`` in place, and allocates
-nothing: each operation writes into scratch kept in its state
-(``_FlatState``), which made an AdamW step on 560 parameters 7% faster.
-The learning rate is the optimizers' one setting; momentum, betas, eps
-and weight decay are constants.
+``flat`` (``params()`` order) and rebinds each layer's arrays to views
+of it. Parameters that share memory, such as a layer listed twice, are
+refused: one vector cannot hold an array twice. ``model_forward`` and
+``infer`` check the model input once; the layers then run on checked
+values. A training step writes the gradients into views of ``grad``,
+skipping the model input's; the optimizer then updates ``flat`` in
+place, and allocates nothing: each operation writes into scratch kept in
+its state (``_FlatState``), which made an AdamW step on 560 parameters
+7% faster. The learning rate is the optimizers' one setting; momentum,
+betas, eps and weight decay are constants.
 """
 
 from __future__ import annotations
@@ -245,6 +245,18 @@ def model_forward(model: Model, x: np.ndarray):
     return z, caches
 
 
+def infer(model: Model, x) -> np.ndarray:
+    """The model's output on ``x``, checked once; each layer's ``infer`` keeps
+    no backward cache (``NdLinear`` runs ``forward_only`` in its planned order)."""
+    return _infer(model, _model_input(model, x))
+
+
+def _infer(model: Model, z: np.ndarray) -> np.ndarray:
+    for lyr in model.layers:
+        z = lyr.infer(z)
+    return z
+
+
 def model_backward(model: Model, caches: list, d_y: np.ndarray):
     """Reverse sweep. Returns (gradient list aligned with model.params(),
     gradient w.r.t. the model input)."""
@@ -255,7 +267,7 @@ def model_backward(model: Model, caches: list, d_y: np.ndarray):
 def _backward(model: Model, caches: list, d_y: np.ndarray, need_input: bool):
     """Fill ``model.grad``: layer i's ``backward(cache, d_y, d_params, need_input)``
     writes into its views and returns dL/d(its input). A training step (``train``,
-    ``lora.fit_ndlora``) passes ``need_input=False``: the sweep then ends at the
+    ``lora.fit_adapter``) passes ``need_input=False``: the sweep then ends at the
     first layer with parameters, which skips its input gradient, as nobody reads it."""
     if len(caches) != len(model.layers):
         raise ShapeError(f"got {len(caches)} caches for {len(model.layers)} layers")
@@ -424,15 +436,14 @@ class TrainResult:
 def evaluate(model: Model, x: np.ndarray, targets: np.ndarray):
     """Full-set loss, plus accuracy for classification models.
 
-    An inference pass: rows go through the model in blocks, each layer's
-    ``infer`` keeps no backward cache (``NdLinear`` runs ``forward_only``
-    in its planned mode order), and the losses and correct predictions
-    of the blocks are summed, then divided by the totals, so the result
-    matches one batch through ``model_forward`` and the loss up to
-    rounding. A block holds the most rows whose widest activation
-    (``Model.widest`` float64 features per row) fits in
-    ``_EVAL_BLOCK_BYTES`` (a quarter of a 2 MiB L2), and at least one row:
-    the separable model's train-set pass took 8.8 ms, 27.6 ms as one batch.
+    An inference pass: rows go through ``infer``'s layer loop in blocks, and
+    the losses and correct predictions of the blocks are summed, then
+    divided by the totals, so the result matches one batch through
+    ``model_forward`` and the loss up to rounding. A block holds the most
+    rows whose widest activation (``Model.widest`` float64 features per row)
+    fits in ``_EVAL_BLOCK_BYTES`` (a quarter of a 2 MiB L2), and at least
+    one row: the separable model's train-set pass took 8.8 ms, 27.6 ms as
+    one batch.
     """
     x, targets = _model_input(model, x), np.asarray(targets)
     n = len(x)
@@ -443,10 +454,8 @@ def evaluate(model: Model, x: np.ndarray, targets: np.ndarray):
     loss_sum = 0.0
     correct = 0
     for start in range(0, n, rows):
-        z = x[start:start + rows]
+        z = _infer(model, x[start:start + rows])
         t = targets[start:start + rows]
-        for lyr in model.layers:
-            z = lyr.infer(z)
         if model.loss == "mse":
             loss_sum += float(((z - t) ** 2).sum())
         else:

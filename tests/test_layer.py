@@ -446,6 +446,29 @@ class TestBackward:
         with pytest.raises(ShapeError, match="cache entry 0 has shape"):
             backward(other, cache, y)
 
+    @pytest.mark.parametrize("entries, rows", [
+        (lambda zs: [np.float64(1.0), zs[1]], 4),
+        (lambda zs: [zs[0], [1.0, 2.0]], 4),
+        (lambda zs: [z[..., :0, :] if k else z[..., :0] for k, z in enumerate(zs)], 0),
+    ], ids=["zero_d_entry", "list_entry", "zero_batch"])
+    def test_malformed_hand_built_cache(self, entries, rows):
+        # each is a ShapeError, read from d_y and np.shape before any entry is used
+        lyr = init_xavier((2, 3), (3, 2), True, make_rng(22))
+        y, cache = forward(lyr, make_rng(23).standard_normal((4, 2, 3)))
+        with pytest.raises(ShapeError):
+            backward(lyr, LayerCache(entries(cache.intermediates)), y[:rows])
+
+    @pytest.mark.parametrize("in_dims, out_dims", [((5,), (4,)), ((2, 3), (3, 2))])
+    def test_hand_built_list_entries_run_as_arrays(self, in_dims, out_dims):
+        lyr = init_xavier(in_dims, out_dims, True, make_rng(24))
+        y, cache = forward(lyr, make_rng(25).standard_normal((4, *in_dims)))
+        d_y = make_rng(26).standard_normal(y.shape)
+        as_lists = LayerCache([z.tolist() for z in cache.intermediates])
+        want = backward(lyr, cache, d_y)
+        got = backward(lyr, as_lists, d_y)
+        for g, w in zip(grad_arrays(got), grad_arrays(want), strict=True):
+            assert np.array_equal(g, w)
+
 
 def fresh_buffer_backward(lyr, zs, d_y):
     """The sweep with a fresh buffer for every product, a ones vector per

@@ -1,20 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
-from dataclasses import fields
-
-from ndlinear import layer, lora, oracle
+from ndlinear import layer, lora, nn, oracle
 from ndlinear.lora import (
     FrozenDense,
-    LoRAAdapter,
-    NdLoRAAdapter,
     adapter_param_counts,
     choose_factors,
-    fit_ndlora,
+    delta_matrix,
+    fit_adapter,
     init_lora,
     init_ndlora,
     lora_forward,
-    ndlora_forward,
 )
 from ndlinear.tensor import ShapeError, make_rng
 
@@ -22,6 +20,16 @@ from ndlinear.tensor import ShapeError, make_rng
 def make_base(rng, d, h, bias=True):
     return FrozenDense(rng.standard_normal((d, h)),
                        rng.standard_normal(h) if bias else None)
+
+
+def lora_model(a, b):
+    """The LoRA adapter with the given factors: delta = (x a) b."""
+    return nn.Model([nn.Dense(a), nn.Dense(b)], "mse", a.shape[:1])
+
+
+def nd_of(adapter):
+    """The two-mode layer of an ``init_ndlora`` adapter."""
+    return adapter.layers[1].inner
 
 
 class TestZeroInit:
@@ -33,6 +41,7 @@ class TestZeroInit:
         adapter = init_lora(d, h, rank=int(rng.integers(1, 5)), alpha=8.0, rng=rng)
         x = rng.standard_normal((4, d))
         assert np.array_equal(lora_forward(base, adapter, x), base.forward(x))
+        assert not delta_matrix(adapter).any()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_ndlora_starts_at_base(self, seed):
@@ -41,7 +50,8 @@ class TestZeroInit:
         base = make_base(rng, d, h, bias=bool(seed % 2))
         adapter = init_ndlora(d, h, rng)
         x = rng.standard_normal((4, d))
-        assert np.array_equal(ndlora_forward(base, adapter, x), base.forward(x))
+        assert np.array_equal(lora_forward(base, adapter, x), base.forward(x))
+        assert not delta_matrix(adapter).any()
 
 
 class TestLoRAForward:
@@ -49,21 +59,29 @@ class TestLoRAForward:
         rng = make_rng(1)
         d, h, r = 6, 5, 2
         base = make_base(rng, d, h)
-        adapter = LoRAAdapter(rng.standard_normal((d, r)),
-                              rng.standard_normal((r, h)), alpha=7.0)
+        a, b = rng.standard_normal((d, r)), rng.standard_normal((r, h))
+        adapter = lora_model(a, b)
         x = rng.standard_normal((3, d))
-        expected = x @ (base.w0 + adapter.delta_matrix()) + base.b0
+        expected = x @ (base.w0 + a @ b) + base.b0
         assert np.max(np.abs(lora_forward(base, adapter, x) - expected)) < 1e-12
+        assert np.max(np.abs(delta_matrix(adapter) - a @ b)) < 1e-12
 
     def test_full_rank_degeneracy(self):
         rng = make_rng(2)
         d = 4
         base = make_base(rng, d, d)
         delta = rng.standard_normal((d, d))
-        adapter = LoRAAdapter(np.eye(d), delta, alpha=float(d))
+        adapter = lora_model(np.eye(d), delta)
         x = rng.standard_normal((5, d))
         expected = x @ (base.w0 + delta) + base.b0
         assert np.max(np.abs(lora_forward(base, adapter, x) - expected)) < 1e-12
+
+    def test_alpha_over_rank_scales_the_draw_of_a(self):
+        a1, a2 = (init_lora(8, 6, 4, alpha, make_rng(11)).layers[0].inner.weights[0]
+                  for alpha in (4.0, 8.0))
+        assert np.array_equal(a2, 2.0 * a1)
+        draw = make_rng(11).standard_normal((8, 4))
+        assert np.max(np.abs(a1 - draw / math.sqrt(8))) < 1e-15
 
     def test_rank_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -74,21 +92,36 @@ class TestNdLoRAForward:
     def test_delta_is_kronecker_structured(self):
         rng = make_rng(3)
         adapter = init_ndlora(12, 12, rng)
-        adapter.nd.weights[1] = rng.standard_normal(adapter.nd.weights[1].shape)
-        probed = oracle.probe_full_map(adapter.nd).w_full
-        assert np.max(np.abs(probed - adapter.delta_matrix())) < 1e-10
+        nd = nd_of(adapter)
+        nd.weights[1][...] = rng.standard_normal(nd.weights[1].shape)
+        probed = oracle.probe_full_map(nd).w_full
+        assert np.max(np.abs(probed - oracle.materialize_full_weight(nd))) < 1e-10
+        assert np.max(np.abs(probed - delta_matrix(adapter))) < 1e-10
+
+    @pytest.mark.parametrize("in_factors, out_factors", [
+        ((3, 4), (3, 6)), ((4, 4), (4, 4)), ((5, 1), (1, 3)), ((8, 8), (8, 8)),
+        ((2, 6), (9, 2)), ((1, 7), (2, 5)),  # forward_only's planned order is (1, 0)
+    ])
+    def test_delta_matrix_is_the_kronecker_product_bitwise(self, in_factors, out_factors):
+        # each probe product has one nonzero term, so it rounds as np.kron does
+        rng = make_rng(12)
+        d, h = math.prod(in_factors), math.prod(out_factors)
+        adapter = init_ndlora(d, h, rng, in_factors, out_factors)
+        nd = nd_of(adapter)
+        nd.weights[1][...] = rng.standard_normal(nd.weights[1].shape)
+        assert np.array_equal(delta_matrix(adapter), oracle.materialize_full_weight(nd))
 
     def test_delta_matches_flat_oracle(self):
         rng = make_rng(4)
         d, h = 12, 18
         base = make_base(rng, d, h)
         adapter = init_ndlora(d, h, rng)
-        adapter.nd.weights[1] = rng.standard_normal(adapter.nd.weights[1].shape)
+        nd = nd_of(adapter)
+        nd.weights[1][...] = rng.standard_normal(nd.weights[1].shape)
         x = rng.standard_normal((5, d))
-        delta = ndlora_forward(base, adapter, x) - base.forward(x)
-        m = oracle.probe_full_map(adapter.nd)
-        d1, d2 = adapter.in_factors
-        expected = oracle.flat_forward(m, x.reshape(5, d1, d2)).reshape(5, h)
+        delta = lora_forward(base, adapter, x) - base.forward(x)
+        m = oracle.probe_full_map(nd)
+        expected = oracle.flat_forward(m, x.reshape(5, *nd.in_dims)).reshape(5, h)
         assert np.max(np.abs(delta - expected)) < 1e-10
 
     def test_factor_validation(self):
@@ -98,29 +131,11 @@ class TestNdLoRAForward:
         with pytest.raises(ValueError):
             init_ndlora(12, 12, rng, out_factors=(7, 2))
         with pytest.raises(ShapeError):
-            ndlora_forward(make_base(rng, 10, 12), init_ndlora(12, 12, rng),
-                           rng.standard_normal((2, 10)))
+            lora_forward(make_base(rng, 10, 12), init_ndlora(12, 12, rng),
+                         rng.standard_normal((2, 10)))
 
 
 class TestNdLoRAAdapter:
-    def test_one_field_and_read_only_factors(self):
-        adapter = init_ndlora(12, 18, make_rng(8))
-        assert [f.name for f in fields(NdLoRAAdapter)] == ["nd"]
-        assert adapter.in_factors == adapter.nd.in_dims == (3, 4)
-        assert adapter.out_factors == adapter.nd.out_dims == (3, 6)
-        with pytest.raises(AttributeError):
-            adapter.in_factors = (4, 3)
-
-    @pytest.mark.parametrize("in_dims, out_dims, with_bias", [
-        ((2, 3), (3, 2), True),  # a delta has no bias
-        ((6,), (6,), False),  # nor one mode
-        ((1, 2, 3), (3, 2, 1), False),  # nor three
-    ])
-    def test_delta_is_a_bias_free_two_mode_layer(self, in_dims, out_dims, with_bias):
-        nd = layer.init_xavier(in_dims, out_dims, with_bias, make_rng(9))
-        with pytest.raises(ShapeError):
-            NdLoRAAdapter(nd)
-
     def test_three_factors_rejected(self):
         with pytest.raises(ShapeError):
             init_ndlora(12, 12, make_rng(10), in_factors=(2, 2, 3))
@@ -143,7 +158,7 @@ class TestFrozenBase:
         adapter = init_ndlora(d, h, rng)
         x = rng.standard_normal((32, d))
         y = rng.standard_normal((32, h))
-        fit_ndlora(base, adapter, x, y, steps=30, lr=0.05)
+        fit_adapter(base, adapter, x, y, steps=30, lr=0.05)
         assert np.array_equal(base.w0, w0_before)
         assert np.array_equal(base.b0, b0_before)
 
@@ -165,10 +180,8 @@ class TestParamCounts:
         h = int(rng.integers(2, 40))
         r = int(rng.integers(1, 9))
         report = adapter_param_counts(d, h, r)
-        lora_adapter = init_lora(d, h, r, alpha=1.0, rng=rng)
-        assert report.lora_params == lora_adapter.a.size + lora_adapter.b.size
-        nd_adapter = init_ndlora(d, h, rng)
-        assert report.ndlora_params == sum(w.size for w in nd_adapter.nd.weights)
+        assert report.lora_params == init_lora(d, h, r, alpha=1.0, rng=rng).flat.size
+        assert report.ndlora_params == init_ndlora(d, h, rng).flat.size
 
     def test_rank_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -213,6 +226,22 @@ class TestChooseFactors:
 
 
 class TestRecovery:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_the_shared_fit_trains_lora(self, seed):
+        rng = make_rng(seed)
+        d = h = 16
+        r = 4
+        base = FrozenDense(rng.standard_normal((d, h)) / math.sqrt(d),
+                           rng.standard_normal(h) * 0.1)
+        target = rng.standard_normal((d, r)) @ rng.standard_normal((r, h))
+        x = rng.standard_normal((2 * d, d))
+        adapter = init_lora(d, h, r, alpha=float(r), rng=rng)
+        losses = fit_adapter(base, adapter, x, x @ (base.w0 + target) + base.b0,
+                             steps=800, lr=0.05)
+        recovery = np.linalg.norm(delta_matrix(adapter) - target) / np.linalg.norm(target)
+        assert recovery < 1e-2
+        assert losses[-1] < losses[0]
+
     def test_kron_target_recovered(self):
         report = lora.recovery_experiment(16, 16, rank=4, seed=0, steps=800,
                                           lr=0.05, target="random-kron")

@@ -590,8 +590,8 @@ class TestCountedPrimitives:
 
 
 class TestChecksAtTheBoundary:
-    """``model_forward`` checks the model input once; each layer's public
-    ``forward`` and ``infer`` still check theirs."""
+    """``model_forward`` and ``nn.infer`` check the model input once; each
+    layer's public ``forward`` and ``infer`` still check theirs."""
 
     BAD = [
         (lambda x: x[0], ShapeError),         # no batch axis
@@ -606,6 +606,17 @@ class TestChecksAtTheBoundary:
         model = nn.build_model(SEPARABLE_MODEL, make_rng(0))
         with pytest.raises(error):
             nn.model_forward(model, bad(make_rng(1).standard_normal((3, 8, 8))))
+
+    @pytest.mark.parametrize("bad, error", BAD)
+    def test_infer_input(self, bad, error):
+        model = nn.build_model(SEPARABLE_MODEL, make_rng(0))
+        with pytest.raises(error):
+            nn.infer(model, bad(make_rng(1).standard_normal((3, 8, 8))))
+
+    def test_infer_is_the_forward_output(self):
+        model = nn.build_model(SEPARABLE_MODEL, make_rng(0))
+        x = make_rng(1).standard_normal((5, 8, 8))
+        assert np.max(np.abs(nn.infer(model, x) - nn.model_forward(model, x)[0])) < 1e-12
 
     @pytest.mark.parametrize("bad, error", BAD)
     @pytest.mark.parametrize("call", ["forward", "infer"])
