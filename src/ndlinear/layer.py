@@ -12,10 +12,10 @@ flattened features this stores sum(D_k * H_k) weights instead of
 prod(D_k) * prod(H_k), at the price of only representing maps whose
 flattened matrix factors as W_1 (x) ... (x) W_N (Kronecker structure).
 
-Inputs are checked once, at the public boundary (``forward``,
-``forward_only``, ``backward``); the steps inside run a plan cached per
-(dims, batch, bound), ``_step_plan``, and derive no shape: a forward +
-backward of the (8,8)->(16,16) layer at batch 32 takes 15% less time.
+Each public entry (``forward``, ``forward_only``, ``backward``) checks
+its input; the steps inside run a plan cached per (dims, batch, bound),
+``_step_plan``, and derive no shape: a forward + backward of the
+(8,8)->(16,16) layer at batch 32 takes 15% less time.
 
 Training applies the modes in declaration order; N = 1 is the dense map
 X W_1 + b_1 and back. For N >= 2 the batch runs in chunks of c samples,
@@ -124,9 +124,9 @@ class LayerCache:
 
     Entry k holds Z_k chunk after chunk in the step layout; its shape,
     (D_{k+1}..D_N, B, H_1..H_k), indexes Z_k when the batch is one chunk.
-    ``backward`` reads ``forward``'s cache, which holds its ``plan``, as it
-    is; any other has each entry's shape checked, at d_y's batch, and costs
-    one copy. It overwrites each Z_k with W_{k+1} G^T and empties ``intermediates``.
+    ``backward`` takes ``forward``'s cache, whose ``plan`` names the layer's
+    dims, for a layer of those dims; any other cache is a ``ShapeError``. It
+    overwrites each Z_k with W_{k+1} G^T and empties ``intermediates``.
     """
 
     intermediates: list[np.ndarray] = field(default_factory=list)
@@ -188,7 +188,7 @@ class _StepPlan(NamedTuple):
     """How ``_run_steps`` and ``_backward_into`` run a batch (``_step_plan``)."""
 
     batch: int
-    bound: int  # tensor.SMALL_GEMM_MNK when it was made
+    dims: tuple[tuple[int, ...], tuple[int, ...]]  # the layer's (in_dims, out_dims)
     c: int  # samples a chunk; the last chunk may be shorter
     sizes: tuple[int, ...]  # values a sample of Z_0..Z_N
     bands: tuple[int, ...]  # rows of step k's (rest, D_k) operand that one matmul takes
@@ -214,7 +214,7 @@ def _step_plan(in_dims: tuple[int, ...], out_dims: tuple[int, ...], batch: int,
     bands = tuple(b if c == 1 and b >= h else c * r for b, r, h in zip(cut, rest, out_dims))
     ones = np.ones(c * max(s // h for s, h in zip(sizes[1:], out_dims)) if n > 1 else 0)
     ones.flags.writeable = False
-    return _StepPlan(batch, bound, c, sizes, bands,
+    return _StepPlan(batch, (in_dims, out_dims), c, sizes, bands,
                      c == batch and bands == tuple(c * r for r in rest),
                      tuple((d, c * r) for d, r in zip(in_dims, rest)),
                      tuple((*in_dims[k:], batch, *out_dims[:k]) for k in range(n)),
@@ -263,12 +263,7 @@ def _run_steps(layer: NdLinearLayer, x: np.ndarray, cache: LayerCache | None) ->
 
 def forward(layer: NdLinearLayer, x: np.ndarray) -> tuple[np.ndarray, LayerCache]:
     """Apply all mode transforms, keeping every intermediate for backward."""
-    return _forward(layer, _check_input(layer, x))
-
-
-def _forward(layer: NdLinearLayer, x: np.ndarray) -> tuple[np.ndarray, LayerCache]:
-    """``forward`` of an input already checked (``_check_input``'s result)."""
-    return _run_steps(layer, x, cache := LayerCache()), cache
+    return _run_steps(layer, _check_input(layer, x), cache := LayerCache()), cache
 
 
 def _run_planned(layer: NdLinearLayer, x: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
@@ -342,26 +337,18 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
     n, zs, plan = layer.n_modes, cache.intermediates, cache.plan
     if len(zs) != n:
         raise ShapeError(f"cache holds {len(zs)} tensors, expected {n}")
+    if plan is None or plan.dims != (layer.in_dims, layer.out_dims):
+        raise ShapeError(f"cache is not one that forward made for a layer of dims "
+                         f"{layer.in_dims} -> {layer.out_dims}")
     d_y = np.ascontiguousarray(real_array(d_y, "d_y"))
-    dims = layer.in_dims, layer.out_dims  # forward's plan for them, at its own bound:
-    if plan is None or plan is not _step_plan(*dims, plan.batch, plan.bound):
-        if d_y.shape[1:] != layer.out_dims or not len(d_y):  # the batch comes from d_y
-            raise ShapeError(f"d_y shape {d_y.shape} is not (batch >= 1, *{layer.out_dims})")
-        plan = _step_plan(*dims, len(d_y), tensor.SMALL_GEMM_MNK)
-        for k, (z, want) in enumerate(zip(zs, plan.entries)):
-            if np.shape(z) != want:
-                raise ShapeError(f"cache entry {k} has shape {np.shape(z)}, layer expects {want}")
-        zs = cache.intermediates = [real_array(z, f"cache entry {k}") for k, z in enumerate(zs)]
     if d_y.shape != plan.y_shape:
         raise ShapeError(f"d_y shape {d_y.shape} != output shape {plan.y_shape}")
-    if n == 1:  # the dense statements; X^T in forward's layout for any cache
-        x_t = np.ascontiguousarray(cache.intermediates.pop().T).T
-        matmul(x_t, d_y, out=d_params[0])
+    if n == 1:  # the dense statements, on forward's X^T
+        matmul(zs.pop(), d_y, out=d_params[0])
         if layer.biases is not None:
             d_y.sum(axis=0, out=d_params[1])
         return matmul(d_y, layer.weights[0].T) if need_input else None
-    # one operand layout for any cache; free for forward's buffers
-    zs = [*map(np.ascontiguousarray, zs), d_y]
+    zs = [*zs, d_y]
     cache.intermediates.clear()  # consumed: the entries are overwritten below
     batch, c, ones = plan.batch, plan.c, plan.ones
     if plan.whole:

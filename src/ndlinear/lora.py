@@ -32,7 +32,7 @@ import numpy as np
 from . import layer as layer_mod
 from . import nn
 from .nn import Adam, Dense, NdLinear, Reshape, mse_loss
-from .tensor import make_rng, positive_int
+from .tensor import ShapeError, make_rng, positive_int
 
 
 @dataclass
@@ -57,6 +57,8 @@ def init_lora(d: int, h: int, rank: int, alpha: float,
     alpha / r (not the output, as in Hu et al.), and a zero b, so the
     adapter starts as the exact zero map."""
     rank = positive_int(rank, "rank")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     a = rng.standard_normal((d, rank)) * (alpha / rank / math.sqrt(d))
     return nn.Model([Dense(a), Dense(np.zeros((rank, h)))], "mse", (d,))
 
@@ -65,13 +67,12 @@ def init_ndlora(d: int, h: int, rng: np.random.Generator,
                 in_factors: tuple[int, int] | None = None,
                 out_factors: tuple[int, int] | None = None) -> nn.Model:
     """(d,) -> in_factors -> out_factors -> (h,): a factorized adapter whose
-    second factor starts at zero."""
+    second factor starts at zero. Each factor pair is two dims of its width."""
     in_factors = in_factors or choose_factors(d)
     out_factors = out_factors or choose_factors(h)
-    if math.prod(in_factors) != d:
-        raise ValueError(f"in_factors {in_factors} do not multiply to {d}")
-    if math.prod(out_factors) != h:
-        raise ValueError(f"out_factors {out_factors} do not multiply to {h}")
+    for name, factors, size in (("in_factors", in_factors, d), ("out_factors", out_factors, h)):
+        if len(factors) != 2 or math.prod(factors) != size:
+            raise ShapeError(f"{name} {factors} are not two factors of {size}")
     nd = layer_mod.init_xavier(in_factors, out_factors, with_bias=False, rng=rng)
     nd.weights[1] = np.zeros_like(nd.weights[1])
     return nn.Model([Reshape(in_factors), NdLinear(nd), Reshape((h,))], "mse", (d,))

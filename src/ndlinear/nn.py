@@ -14,8 +14,8 @@ A ``Model`` packs its parameters once, at construction, into one vector
 ``flat`` (``params()`` order) and rebinds each layer's arrays to views
 of it. Parameters that share memory, such as a layer listed twice, are
 refused: one vector cannot hold an array twice. ``model_forward`` and
-``infer`` check the model input once; the layers then run on checked
-values. A training step writes the gradients into views of ``grad``,
+``infer`` check the model input, and each layer's public entry checks
+its input. A training step writes the gradients into views of ``grad``,
 skipping the model input's; the optimizer then updates ``flat`` in
 place, and allocates nothing: each operation writes into scratch kept in
 its state (``_FlatState``), which made an AdamW step on 560 parameters
@@ -50,16 +50,13 @@ class TrainingDiverged(RuntimeError):
 # ---------------------------------------------------------------- layers
 
 class _Layer:
-    """Model layer defaults: no parameters; ``infer`` and ``_forward`` run ``forward``."""
+    """Model layer defaults: no parameters; ``infer`` runs ``forward``."""
 
     def params(self):
         return []
 
     def infer(self, x):
         return self.forward(x)[0]
-
-    def _forward(self, x):
-        return self.forward(x)
 
 
 class NdLinear:
@@ -78,9 +75,6 @@ class NdLinear:
 
     def forward(self, x):
         return layer_mod.forward(self.inner, x)
-
-    def _forward(self, x):
-        return layer_mod._forward(self.inner, x)
 
     def infer(self, x):
         return layer_mod.forward_only(self.inner, x)
@@ -111,10 +105,6 @@ class Dense(NdLinear):
     def forward(self, x):
         y, cache = super().forward(_rows(x))
         return y, (cache, np.shape(x))
-
-    def _forward(self, x):
-        y, cache = super()._forward(x.reshape(len(x), -1))
-        return y, (cache, x.shape)
 
     def infer(self, x):
         return super().infer(_rows(x))
@@ -236,22 +226,19 @@ def _model_input(model: Model, x) -> np.ndarray:
 
 
 def model_forward(model: Model, x: np.ndarray):
-    """Output and layer caches; later layers' inputs have the shapes ``Model`` checked."""
+    """Output and layer caches, each layer run through its ``forward``."""
     caches = []
-    z = np.ascontiguousarray(_model_input(model, x))
+    z = _model_input(model, x)
     for lyr in model.layers:
-        z, cache = lyr._forward(z)
+        z, cache = lyr.forward(z)
         caches.append(cache)
     return z, caches
 
 
 def infer(model: Model, x) -> np.ndarray:
-    """The model's output on ``x``, checked once; each layer's ``infer`` keeps
-    no backward cache (``NdLinear`` runs ``forward_only`` in its planned order)."""
-    return _infer(model, _model_input(model, x))
-
-
-def _infer(model: Model, z: np.ndarray) -> np.ndarray:
+    """The model's output on ``x``; each layer's ``infer`` keeps no backward
+    cache (``NdLinear`` runs ``forward_only`` in its planned order)."""
+    z = _model_input(model, x)
     for lyr in model.layers:
         z = lyr.infer(z)
     return z
@@ -436,7 +423,7 @@ class TrainResult:
 def evaluate(model: Model, x: np.ndarray, targets: np.ndarray):
     """Full-set loss, plus accuracy for classification models.
 
-    An inference pass: rows go through ``infer``'s layer loop in blocks, and
+    An inference pass: rows go through ``infer`` in blocks, and
     the losses and correct predictions of the blocks are summed, then
     divided by the totals, so the result matches one batch through
     ``model_forward`` and the loss up to rounding. A block holds the most
@@ -454,7 +441,7 @@ def evaluate(model: Model, x: np.ndarray, targets: np.ndarray):
     loss_sum = 0.0
     correct = 0
     for start in range(0, n, rows):
-        z = _infer(model, x[start:start + rows])
+        z = infer(model, x[start:start + rows])
         t = targets[start:start + rows]
         if model.loss == "mse":
             loss_sum += float(((z - t) ** 2).sum())

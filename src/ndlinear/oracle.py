@@ -29,7 +29,7 @@ import numpy as np
 
 from . import layer as layer_mod
 from .layer import NdLinearGrads, NdLinearLayer
-from .tensor import ShapeError, make_rng
+from .tensor import ShapeError, make_rng, real_array
 
 DEFAULT_SIZE_CAP = 1 << 24
 REL_ERR_FLOOR = 1e-8
@@ -92,7 +92,9 @@ def probe_full_map(layer: NdLinearLayer) -> FlatAffineMap:
 
 def flat_forward(m: FlatAffineMap, x: np.ndarray) -> np.ndarray:
     """Apply the dense map to a batched input and reshape the output."""
-    x = np.asarray(x, dtype=np.float64)
+    x = real_array(x, "flat_forward input")
+    if x.ndim == 0 or not len(x):
+        raise ShapeError(f"input shape {x.shape} has no batch of rows >= 1")
     batch = x.shape[0]
     width = x.size // batch
     if width != m.w_full.shape[0]:
@@ -110,7 +112,7 @@ def mode_k_product(t: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
     Mode k counts from 1, so it is array axis k; that axis resizes from
     w.shape[0] to w.shape[1]. No library path calls this.
     """
-    t, w = np.asarray(t, dtype=np.float64), np.asarray(w, dtype=np.float64)
+    t, w = real_array(t, "mode_k_product tensor"), real_array(w, "mode_k_product weight")
     if w.ndim != 2:
         raise ShapeError(f"weight must be a matrix, got shape {w.shape}")
     if not 1 <= k <= t.ndim - 1:

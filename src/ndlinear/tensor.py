@@ -8,16 +8,16 @@ Conventions used throughout the package:
   transposed view reaches BLAS as a flag) and writes into ``out`` if
   given. They are the layer's only compute primitives, so ``FlopCounter``
   and a tracer see all its work.
-- Values are checked once, at the public boundary (``layer.forward``,
-  ``nn.model_forward``, ...); inner steps run a cached plan. The
-  primitives still check their operands but pass a float64 ndarray
-  through: a (32, 64) ``permute`` took 4.6 us, not 6.1 (``x.T.copy()``: 2.4).
+- Each public entry (``layer.forward``, ``nn.model_forward``, ...) checks
+  its input; inner steps run a cached plan. The primitives still check
+  their operands but pass a float64 ndarray through: a (32, 64)
+  ``permute`` took 4.6 us, not 6.1 (``x.T.copy()``: 2.4).
 - OpenBLAS runs products of at most ``SMALL_GEMM_MNK`` multiply-adds in
   a faster small-matrix kernel; ``matmul``'s and training's bands keep
   long steps within it.
-- Tensors hold real numbers. ``real_array`` is the one rule for values
-  from outside: bool, int and float convert to float64; complex, string,
-  bytes, object, datetime and void arrays raise ``TypeError``.
+- Tensors hold real numbers. ``real_array`` is the one rule for values,
+  operands included: bool, int and float convert to float64; complex,
+  string, bytes, object, datetime and void arrays raise ``TypeError``.
 - A size (a dim, a batch, a count) is a positive int: ``is_positive_int``
   is the one rule, and ``positive_int`` its raising twin. Shapes are
   tuples of sizes; ``validate_shape`` adds rank >= 1 and no overflow.
@@ -111,8 +111,8 @@ def real_array(x, what: str) -> np.ndarray:
 
 
 def _f64(x) -> np.ndarray:
-    """``x`` as a float64 ndarray: one that already is passes as it is."""
-    return x if type(x) is np.ndarray and x.dtype is _F64 else np.asarray(x, dtype=_F64)
+    """``real_array(x)``, with a float64 ndarray passed as it is first."""
+    return x if type(x) is np.ndarray and x.dtype is _F64 else real_array(x, "operand")
 
 
 def make_rng(seed: int) -> np.random.Generator:

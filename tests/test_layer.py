@@ -293,9 +293,9 @@ class TestKernelProperties:
         assert np.max(np.abs(y - oracle.flat_forward(dense, x))) < cli.EQUIVALENCE_TOL
 
         # the kernel's cache holds views of its step buffers; plain
-        # contiguous arrays of the same values must give the same bits
-        # (copied first: backward consumes the cache)
-        copied = LayerCache([z.copy() for z in cache.intermediates])
+        # contiguous arrays of the same values and layout (X^T at N = 1)
+        # must give the same bits (copied first: backward consumes the cache)
+        copied = LayerCache([z.copy(order="K") for z in cache.intermediates], cache.plan)
         grads = backward(lyr, cache, d_y)
         batch = x.shape[0]
         d_x_dense = d_y.reshape(batch, -1) @ dense.w_full.T
@@ -418,56 +418,52 @@ class TestBackward:
         (lambda d: d[:, :, :1], ShapeError),  # output dims
         (lambda d: d + 1j, TypeError),
     ])
-    @pytest.mark.parametrize("hand_built", [False, True])
-    def test_bad_upstream_gradient(self, bad, error, hand_built):
+    @pytest.mark.parametrize("copied", [False, True])
+    def test_bad_upstream_gradient(self, bad, error, copied):
         lyr = init_xavier((2, 3), (3, 2), True, make_rng(15))
         y, cache = forward(lyr, make_rng(16).standard_normal((4, 2, 3)))
-        if hand_built:
-            cache = LayerCache([z.copy() for z in cache.intermediates])
+        if copied:
+            cache = LayerCache([z.copy() for z in cache.intermediates], cache.plan)
         with pytest.raises(error):
             backward(lyr, cache, bad(y))
 
-    @pytest.mark.parametrize("k", [0, 1])
-    def test_hand_built_cache_entry_of_the_wrong_shape(self, k):
-        # only forward's own cache skips the entry checks; this entry has the
-        # right size, so no product would refuse it
-        lyr = init_xavier((2, 3), (3, 2), True, make_rng(17))
-        y, cache = forward(lyr, make_rng(18).standard_normal((4, 2, 3)))
-        entries = [z.copy() for z in cache.intermediates]
-        entries[k] = entries[k].reshape(entries[k].shape[::-1] if k == 0 else (4, 3, 3))
-        with pytest.raises(ShapeError, match=f"cache entry {k} has shape"):
-            backward(lyr, LayerCache(entries), y)
-
     def test_forward_cache_of_other_dims(self):
-        # its plan is for forward's layer; on another the entries are checked
+        # its plan is for forward's layer, and names that layer's dims
         lyr = init_xavier((2, 3), (3, 2), True, make_rng(19))
         other = init_xavier((3, 2), (3, 2), True, make_rng(20))
         y, cache = forward(lyr, make_rng(21).standard_normal((4, 2, 3)))
-        with pytest.raises(ShapeError, match="cache entry 0 has shape"):
+        with pytest.raises(ShapeError, match=r"not one that forward made for a layer of "
+                                             r"dims \(3, 2\) -> \(3, 2\)"):
             backward(other, cache, y)
 
     @pytest.mark.parametrize("entries, rows", [
+        (lambda zs: [z.copy() for z in zs], 4),
         (lambda zs: [np.float64(1.0), zs[1]], 4),
         (lambda zs: [zs[0], [1.0, 2.0]], 4),
         (lambda zs: [z[..., :0, :] if k else z[..., :0] for k, z in enumerate(zs)], 0),
-    ], ids=["zero_d_entry", "list_entry", "zero_batch"])
-    def test_malformed_hand_built_cache(self, entries, rows):
-        # each is a ShapeError, read from d_y and np.shape before any entry is used
+    ], ids=["copied_entries", "zero_d_entry", "list_entry", "zero_batch"])
+    def test_cache_without_forwards_plan_is_refused(self, entries, rows):
+        # backward reads only forward's cache: one without its plan is a
+        # ShapeError before any entry is used, whatever its entries hold
         lyr = init_xavier((2, 3), (3, 2), True, make_rng(22))
         y, cache = forward(lyr, make_rng(23).standard_normal((4, 2, 3)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="not one that forward made"):
             backward(lyr, LayerCache(entries(cache.intermediates)), y[:rows])
 
-    @pytest.mark.parametrize("in_dims, out_dims", [((5,), (4,)), ((2, 3), (3, 2))])
-    def test_hand_built_list_entries_run_as_arrays(self, in_dims, out_dims):
-        lyr = init_xavier(in_dims, out_dims, True, make_rng(24))
-        y, cache = forward(lyr, make_rng(25).standard_normal((4, *in_dims)))
-        d_y = make_rng(26).standard_normal(y.shape)
-        as_lists = LayerCache([z.tolist() for z in cache.intermediates])
-        want = backward(lyr, cache, d_y)
-        got = backward(lyr, as_lists, d_y)
-        for g, w in zip(grad_arrays(got), grad_arrays(want), strict=True):
-            assert np.array_equal(g, w)
+    def test_cache_outlives_its_plans_eviction(self):
+        # _step_plan keeps 1,024 plans; the cache's own plan still serves
+        # after forwards at 1,100 other batch sizes evict it from there
+        lyr = init_xavier((2, 3), (3, 2), True, make_rng(27))
+        pool = make_rng(28).standard_normal((1104, 2, 3))
+        x, d_y = pool[:4], make_rng(29).standard_normal((4, 3, 2))
+        want = grad_arrays(backward(lyr, forward(lyr, x)[1], d_y))
+        cache = forward(lyr, x)[1]
+        for batch in range(5, 1105):
+            forward(lyr, pool[:batch])
+        assert cache.plan is not layer._step_plan(lyr.in_dims, lyr.out_dims, 4,
+                                                  tensor.SMALL_GEMM_MNK)
+        for got, ref in zip(grad_arrays(backward(lyr, cache, d_y)), want, strict=True):
+            assert np.array_equal(got, ref)
 
 
 def fresh_buffer_backward(lyr, zs, d_y):

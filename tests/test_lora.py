@@ -87,6 +87,12 @@ class TestLoRAForward:
         with pytest.raises(ValueError):
             init_lora(4, 4, rank=0, alpha=1.0, rng=make_rng(0))
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # NaN built an all-NaN a, and only the fit failed
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            init_lora(4, 4, rank=2, alpha=alpha, rng=make_rng(0))
+
 
 class TestNdLoRAForward:
     def test_delta_is_kronecker_structured(self):
@@ -139,6 +145,15 @@ class TestNdLoRAAdapter:
     def test_three_factors_rejected(self):
         with pytest.raises(ShapeError):
             init_ndlora(12, 12, make_rng(10), in_factors=(2, 2, 3))
+
+    @pytest.mark.parametrize("factors", [
+        {"in_factors": (12,)},  # raised IndexError
+        {"in_factors": (2, 2, 3), "out_factors": (2, 2, 3)},  # built three modes
+        {"out_factors": (1, 2, 6)},
+    ])
+    def test_factor_pairs_must_hold_two_dims(self, factors):
+        with pytest.raises(ValueError, match="are not two factors of 12"):
+            init_ndlora(12, 12, make_rng(10), **factors)
 
 
 class TestFrozenBase:

@@ -1,6 +1,7 @@
 import copy
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -590,8 +591,8 @@ class TestCountedPrimitives:
 
 
 class TestChecksAtTheBoundary:
-    """``model_forward`` and ``nn.infer`` check the model input once; each
-    layer's public ``forward`` and ``infer`` still check theirs."""
+    """``model_forward`` and ``nn.infer`` check the model input, and run each
+    layer through its public ``forward`` or ``infer``, which checks its own."""
 
     BAD = [
         (lambda x: x[0], ShapeError),         # no batch axis
@@ -624,6 +625,22 @@ class TestChecksAtTheBoundary:
         lyr = nn.build_model(SEPARABLE_MODEL, make_rng(0)).layers[0]
         with pytest.raises(error):
             getattr(lyr, call)(bad(make_rng(1).standard_normal((3, 8, 8))))
+
+    @pytest.mark.parametrize("config, fronts", [
+        (SEPARABLE_MODEL, 2),
+        ({"layers": [{"type": "ndlinear", "in": [8, 8], "out": [4, 4]}, {"type": "relu"},
+                     {"type": "dense", "in": 16, "out": 64}, {"type": "reshape", "dims": [8, 8]}],
+          "loss": "mse"}, 2),
+    ], ids=["ndlinear", "dense"])
+    def test_training_enters_each_layer_through_forward(self, config, fronts):
+        # once a batch for each NdLinear (Dense included): the name a tracer wraps
+        rng = make_rng(0)
+        data = nn.gen_separable_regression(rng, 100, (8, 8), (8, 8))
+        model = nn.build_model(config, rng)
+        with mock.patch.object(layer, "forward", wraps=layer.forward) as spy:
+            nn.train(model, data, nn.TrainConfig(epochs=1, batch_size=32), nn.AdamW(1e-3),
+                     make_rng(1))
+        assert spy.call_count == fronts * math.ceil(80 / 32)
 
     def test_model_input_of_any_layout_gives_the_same_bits(self):
         model = nn.build_model(SEPARABLE_MODEL, make_rng(0))

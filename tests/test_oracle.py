@@ -122,6 +122,14 @@ class TestFlatForward:
         with pytest.raises(ShapeError):
             flat_forward(m, np.zeros((1, 5)))
 
+    @pytest.mark.parametrize("x", [np.float64(1.0), np.zeros((0, 2, 2))],
+                             ids=["zero_d", "zero_rows"])
+    def test_no_batch_of_rows_is_a_shape_error(self, x):
+        # a 0-d input raised IndexError, a zero-row batch ZeroDivisionError
+        m = probe_full_map(init_xavier((2, 2), (2, 2), False, make_rng(9)))
+        with pytest.raises(ShapeError, match="no batch of rows"):
+            flat_forward(m, x)
+
 
 class TestFiniteDifferences:
     def test_constant_loss_gives_zero(self):

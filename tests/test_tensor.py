@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_mode_k
+from ndlinear import oracle
 from ndlinear.oracle import mode_k_product
 from ndlinear.tensor import (
     SMALL_GEMM_MNK,
@@ -308,6 +309,21 @@ class TestRealArray:
     def test_float64_array_is_returned_as_it_is(self):
         x = np.ones((2, 3))[:, ::2]
         assert real_array(x, "input") is x
+
+    @pytest.mark.parametrize("kind", [complex, str, object])
+    @pytest.mark.parametrize("call", [
+        lambda v: matmul(v, np.ones((1, 1))),
+        lambda v: matmul(np.ones((1, 1)), v),
+        lambda v: permute(v, (1, 0)),
+        lambda v: oracle.flat_forward(oracle.FlatAffineMap(np.eye(1), np.zeros(1), (1,)), v),
+        lambda v: mode_k_product(v, np.ones((1, 1)), 1),
+        lambda v: mode_k_product(np.ones((1, 1)), v, 1),
+    ], ids=["matmul_a", "matmul_b", "permute", "flat_forward", "mode_k_t", "mode_k_w"])
+    def test_primitives_and_oracle_follow_the_rule(self, call, kind):
+        # a complex operand lost its imaginary part with only a warning; a
+        # string one was parsed as numbers
+        with pytest.raises(TypeError, match="must hold real numbers"):
+            call(np.array([[1 + 2j]]).astype(kind))
 
 
 class TestModeKProduct:
