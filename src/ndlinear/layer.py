@@ -24,8 +24,9 @@ the most that keep a step within ``tensor.SMALL_GEMM_MNK`` multiply-adds
 computes Z^T W_k + b_k in the layout (D_{k+1}..D_N, c, H_1..H_k); the
 input is transposed to (D_1..D_N, c), with no copy at c = 1, where a
 step over the bound, and its dW_k, runs in equal row bands at least as
-tall as W_k is wide. ``forward`` caches each Z; with G the (rest, H_k)
-gradient of step k, for k = N..1, summed over chunks and bands in order:
+tall as W_k is wide. ``forward`` keeps each Z in the buffer it computed
+it in (``LayerCache``); with G the (rest, H_k) gradient of step k, for
+k = N..1, summed over chunks and bands in order:
 
     dW_k = Z G,    db_k = 1^T G,    G <- W_k G^T
 
@@ -45,7 +46,7 @@ from __future__ import annotations
 import json
 import math
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -119,21 +120,6 @@ class NdLinearLayer:
 
 
 @dataclass
-class LayerCache:
-    """The N gemm operands Z_0 = X, Z_1, ..., Z_{N-1} kept for backward.
-
-    Entry k holds Z_k chunk after chunk in the step layout; its shape,
-    (D_{k+1}..D_N, B, H_1..H_k), indexes Z_k when the batch is one chunk.
-    ``backward`` takes ``forward``'s cache, whose ``plan`` names the layer's
-    dims, for a layer of those dims; any other cache is a ``ShapeError``. It
-    overwrites each Z_k with W_{k+1} G^T and empties ``intermediates``.
-    """
-
-    intermediates: list[np.ndarray] = field(default_factory=list)
-    plan: _StepPlan | None = field(default=None, repr=False)
-
-
-@dataclass
 class NdLinearGrads:
     """Loss gradients for every weight, bias, and the layer input."""
 
@@ -185,18 +171,34 @@ def _check_input(layer: NdLinearLayer, x: np.ndarray) -> np.ndarray:
 
 
 class _StepPlan(NamedTuple):
-    """How ``_run_steps`` and ``_backward_into`` run a batch (``_step_plan``)."""
+    """How ``_run_steps`` and ``_backward_into`` run a batch (``_step_plan``).
+    Step k+1 reads a chunk's Z_k, whatever its buffer's shape, as the
+    (D_{k+1}, rows) matrix ``reshape(D_{k+1}, -1)``."""
 
-    batch: int
     dims: tuple[tuple[int, ...], tuple[int, ...]]  # the layer's (in_dims, out_dims)
     c: int  # samples a chunk; the last chunk may be shorter
     sizes: tuple[int, ...]  # values a sample of Z_0..Z_N
     bands: tuple[int, ...]  # rows of step k's (rest, D_k) operand that one matmul takes
     whole: bool  # the batch is one chunk, and each step one product
-    operands: tuple[tuple[int, int], ...]  # Z_k as step k+1's (D_{k+1}, rows), a full chunk
-    entries: tuple[tuple[int, ...], ...]  # the cache entries' shapes (``LayerCache``)
-    y_shape: tuple[int, ...]
+    y_shape: tuple[int, ...]  # (batch, *out_dims)
     ones: np.ndarray  # read-only, 1^T for a chunk's longest G (N >= 2)
+
+
+class LayerCache(NamedTuple):
+    """What ``forward`` keeps for one ``backward``: the N gemm operands
+    Z_0 = X, Z_1, ..., Z_{N-1} and the step plan that laid them out.
+
+    Entry k is the buffer forward computed Z_k in: B · ``plan.sizes[k]``
+    values, chunk after chunk in the step layout (D_{k+1}..D_N, c,
+    H_1..H_k), X^T at N = 1 and X itself at c = 1. It keeps that buffer's
+    shape; backward reads it only through the plan. ``backward`` takes a
+    cache whose plan names the layer's dims and whose entries are arrays of
+    those sizes; any other is a ``ShapeError``. It overwrites each Z_k with
+    W_{k+1} G^T and empties ``intermediates``. The fields are read-only.
+    """
+
+    intermediates: list[np.ndarray]
+    plan: _StepPlan | None = None
 
 
 @lru_cache(maxsize=1024)
@@ -214,10 +216,8 @@ def _step_plan(in_dims: tuple[int, ...], out_dims: tuple[int, ...], batch: int,
     bands = tuple(b if c == 1 and b >= h else c * r for b, r, h in zip(cut, rest, out_dims))
     ones = np.ones(c * max(s // h for s, h in zip(sizes[1:], out_dims)) if n > 1 else 0)
     ones.flags.writeable = False
-    return _StepPlan(batch, (in_dims, out_dims), c, sizes, bands,
+    return _StepPlan((in_dims, out_dims), c, sizes, bands,
                      c == batch and bands == tuple(c * r for r in rest),
-                     tuple((d, c * r) for d, r in zip(in_dims, rest)),
-                     tuple((*in_dims[k:], batch, *out_dims[:k]) for k in range(n)),
                      (batch, *out_dims), ones)
 
 
@@ -228,19 +228,20 @@ def _samples(buf: np.ndarray, size: int, start: int, count: int) -> np.ndarray:
     return buf.reshape(-1)[start * size:(start + count) * size]
 
 
-def _run_steps(layer: NdLinearLayer, x: np.ndarray, cache: LayerCache | None) -> np.ndarray:
-    """Every mode step of a checked input; ``cache``, if given, keeps Z_k and the plan."""
+def _run_steps(layer: NdLinearLayer, x: np.ndarray,
+               keep: bool) -> tuple[np.ndarray, LayerCache | None]:
+    """Every mode step of a checked input: Y, and if ``keep`` the cache of Z_k."""
     n, batch = layer.n_modes, len(x)
     plan = _step_plan(layer.in_dims, layer.out_dims, batch, tensor.SMALL_GEMM_MNK)
     c, sizes, flat = plan.c, plan.sizes, x.reshape(batch, -1)
     if plan.whole:  # each product is the next step's buffer; x.T keeps N = 1 x @ W_1 + b_1
         bufs = [flat.T if n == 1 else permute(flat, (1, 0))]
         for k, w in enumerate(layer.weights):
-            bufs.append(matmul(bufs[k].reshape(plan.operands[k]).T, w))
+            bufs.append(matmul(bufs[k].reshape(w.shape[0], -1).T, w))
             if layer.biases is not None:
                 bufs[-1] += layer.biases[k]
     else:  # chunks write their rows of batch-long buffers (one chunk's if no cache)
-        held = batch if cache is not None else c
+        held = batch if keep else c
         bufs = [flat if c == 1 else np.empty(held * sizes[0]),
                 *(np.empty(held * s) for s in sizes[1:n]), np.empty(batch * sizes[n])]
         for b0 in range(0, batch, c):
@@ -255,15 +256,12 @@ def _run_steps(layer: NdLinearLayer, x: np.ndarray, cache: LayerCache | None) ->
                     matmul(a[r:r + band], w, out=z[r:r + band])
                 if layer.biases is not None:
                     z += layer.biases[k]
-    if cache is not None:
-        cache.intermediates = [z.reshape(s) for z, s in zip(bufs, plan.entries)]
-        cache.plan = plan
-    return bufs[n].reshape(plan.y_shape)
+    return bufs[n].reshape(plan.y_shape), LayerCache(bufs[:n], plan) if keep else None
 
 
 def forward(layer: NdLinearLayer, x: np.ndarray) -> tuple[np.ndarray, LayerCache]:
     """Apply all mode transforms, keeping every intermediate for backward."""
-    return _run_steps(layer, _check_input(layer, x), cache := LayerCache()), cache
+    return _run_steps(layer, _check_input(layer, x), True)
 
 
 def _run_planned(layer: NdLinearLayer, x: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
@@ -295,7 +293,7 @@ def forward_only(layer: NdLinearLayer, x: np.ndarray) -> np.ndarray:
     x = _check_input(layer, x)
     order = plan_modes(layer.in_dims, layer.out_dims)
     if order == tuple(range(layer.n_modes)):
-        return _run_steps(layer, x, None)
+        return _run_steps(layer, x, False)[0]
     return _run_planned(layer, x, order)
 
 
@@ -335,28 +333,31 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
     only if ``need_input``. For N >= 2 db_k is numpy's gemv 1^T G (3-4x faster
     than ``G.sum(axis=0)``), not a counted ``matmul``: ``flop_count`` has no bias."""
     n, zs, plan = layer.n_modes, cache.intermediates, cache.plan
-    if len(zs) != n:
-        raise ShapeError(f"cache holds {len(zs)} tensors, expected {n}")
     if plan is None or plan.dims != (layer.in_dims, layer.out_dims):
         raise ShapeError(f"cache is not one that forward made for a layer of dims "
                          f"{layer.in_dims} -> {layer.out_dims}")
+    batch, c, ones = plan.y_shape[0], plan.c, plan.ones
+    want = [batch * s for s in plan.sizes[:n]]
+    got = [z.size if isinstance(z, np.ndarray) else type(z).__name__ for z in zs]
+    if got != want:
+        raise ShapeError(f"cache holds {len(zs)} tensors, expected {n} arrays of "
+                         f"{want} values, got {got}")
     d_y = np.ascontiguousarray(real_array(d_y, "d_y"))
     if d_y.shape != plan.y_shape:
         raise ShapeError(f"d_y shape {d_y.shape} != output shape {plan.y_shape}")
     if n == 1:  # the dense statements, on forward's X^T
-        matmul(zs.pop(), d_y, out=d_params[0])
+        matmul(zs.pop().reshape(layer.in_dims[0], -1), d_y, out=d_params[0])
         if layer.biases is not None:
             d_y.sum(axis=0, out=d_params[1])
         return matmul(d_y, layer.weights[0].T) if need_input else None
     zs = [*zs, d_y]
     cache.intermediates.clear()  # consumed: the entries are overwritten below
-    batch, c, ones = plan.batch, plan.c, plan.ones
     if plan.whole:
         g = d_y
         for k in range(n, 0, -1):
             w = layer.weights[k - 1]
             g = g.reshape(-1, w.shape[1])
-            z = zs[k - 1].reshape(plan.operands[k - 1])
+            z = zs[k - 1].reshape(w.shape[0], -1)
             matmul(z, g, out=d_params[k - 1])
             if layer.biases is not None:
                 np.matmul(ones[:len(g)], g, out=d_params[n + k - 1])
@@ -365,6 +366,8 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
         return (permute(g.reshape(-1, batch), (1, 0)).reshape(batch, *layer.in_dims)
                 if need_input else None)
     d_x = np.empty((batch, plan.sizes[0])) if need_input else None
+    for d in d_params:  # every chunk adds its terms, in batch order, to -0.0 (-0.0 + x is x)
+        d.fill(-0.0)
     for b0 in range(0, batch, c):
         nb = min(c, batch - b0)
         part = [_samples(buf, s, b0, nb) for buf, s in zip(zs, plan.sizes)]
@@ -374,16 +377,10 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
             g = g.reshape(-1, w.shape[1])
             z = part[k - 1].reshape(w.shape[0], -1)
             band = plan.bands[k - 1]
-            d_w = matmul(z, g) if band >= len(g) else sum(  # the bands' partial products
+            d_params[k - 1] += matmul(z, g) if band >= len(g) else sum(  # the bands' terms
                 matmul(z[:, r:r + band], g[r:r + band]) for r in range(0, len(g), band))
-            if b0:  # later chunks add their terms, in batch order
-                d_params[k - 1] += d_w
-                if layer.biases is not None:
-                    d_params[n + k - 1] += ones[:len(g)] @ g
-            else:
-                d_params[k - 1][...] = d_w
-                if layer.biases is not None:
-                    np.matmul(ones[:len(g)], g, out=d_params[n + k - 1])
+            if layer.biases is not None:
+                d_params[n + k - 1] += ones[:len(g)] @ g
             if k > 1:  # as in the whole batch's sweep
                 g = matmul(w, g.T, out=z)
         if not need_input:

@@ -168,12 +168,25 @@ class TestForward:
         rng, lyr = random_layer(seed)
         batch = int(rng.integers(1, 4))
         x = rng.standard_normal((batch, *lyr.in_dims))
-        y, cache = forward(lyr, x)
+        steps = []  # the buffers forward's steps return: X in step layout, then each product
+
+        def kept(run):
+            def spy(*args, **kwargs):
+                steps.append(out := run(*args, **kwargs))
+                return out
+            return spy
+
+        with mock.patch.object(layer, "permute", kept(layer.permute)), \
+                mock.patch.object(layer, "matmul", kept(layer.matmul)):
+            y, cache = forward(lyr, x)
         assert y.shape == (batch, *lyr.out_dims)
         # one gemm operand per mode step, in step layout; Y is not kept
         assert len(cache.intermediates) == lyr.n_modes
         for k, z in enumerate(cache.intermediates):
-            assert z.shape == (*lyr.in_dims[k:], batch, *lyr.out_dims[:k])
+            # B prod(H_1..H_k D_{k+1}..D_N) values in the buffer step k's operand came
+            # from (X itself at N = 1), not a copy of it
+            assert z.size == batch * math.prod(lyr.out_dims[:k] + lyr.in_dims[k:])
+            assert np.shares_memory(z, x if lyr.n_modes == 1 else steps[k])
             # backward's ascontiguousarray copies nothing of forward's buffers
             assert z.flags.c_contiguous or lyr.n_modes == 1
 
@@ -449,6 +462,26 @@ class TestBackward:
         y, cache = forward(lyr, make_rng(23).standard_normal((4, 2, 3)))
         with pytest.raises(ShapeError, match="not one that forward made"):
             backward(lyr, LayerCache(entries(cache.intermediates)), y[:rows])
+
+    @pytest.mark.parametrize("entries", [
+        lambda zs: [np.zeros(5), zs[1]],
+        lambda zs: [zs[0].tolist(), zs[1]],
+        lambda zs: [zs[0], np.float64(1.0)],
+        lambda zs: [zs[0], np.array(1.0)],
+    ], ids=["too_few_values", "list_entry", "scalar_entry", "zero_d_entry"])
+    def test_forged_entries_beside_forwards_plan(self, entries):
+        # each entry must be an array of B · sizes[k] values, whatever its shape
+        lyr = init_xavier((2, 3), (3, 2), True, make_rng(24))
+        y, cache = forward(lyr, make_rng(25).standard_normal((4, 2, 3)))
+        with pytest.raises(ShapeError, match=r"expected 2 arrays of \[24, 36\] values"):
+            backward(lyr, LayerCache(entries(cache.intermediates), cache.plan), y)
+
+    @pytest.mark.parametrize("name", ["intermediates", "plan"])
+    def test_cache_fields_are_read_only(self, name):
+        lyr = init_xavier((2, 3), (3, 2), True, make_rng(26))
+        cache = forward(lyr, make_rng(26).standard_normal((4, 2, 3)))[1]
+        with pytest.raises(AttributeError):
+            setattr(cache, name, None)
 
     def test_cache_outlives_its_plans_eviction(self):
         # _step_plan keeps 1,024 plans; the cache's own plan still serves
