@@ -30,15 +30,16 @@ k = N..1, summed over chunks and bands in order:
 
     dW_k = Z G,    db_k = 1^T G,    G <- W_k G^T
 
-W_k G^T goes into Z's buffer once dW_k has read it. One unbanded chunk
-keeps the one-product bits; more chunks or bands move the summed
-gradients in the last bits.
+W_k G^T goes into Z's buffer once dW_k has read it (one chunk's dL/dX is
+then a view of Z_0's). One unbanded chunk keeps the one-product bits;
+more chunks or bands move the summed gradients in the last bits.
 
 Inference (``forward_only``) applies the modes in the order with the
 fewest FLOPs (``plan_modes``), the biases in closed form
 (``effective_bias``): declaration order runs the training steps without
 a cache; any other consumes the trailing axis and prepends the output
-axis at each step, then transposes once to (B, H_1..H_N).
+axis at each step, and returns the last product as a (B, H_1..H_N) view.
+So outputs may be strided views, but of fresh buffers nothing else holds.
 """
 
 from __future__ import annotations
@@ -266,8 +267,7 @@ def forward(layer: NdLinearLayer, x: np.ndarray) -> tuple[np.ndarray, LayerCache
 
 def _run_planned(layer: NdLinearLayer, x: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
     """Apply the modes of a checked input in ``order``, then the effective bias."""
-    n = layer.n_modes
-    batch = x.shape[0]
+    n, batch = layer.n_modes, x.shape[0]
     # (B, D_order[-1]..D_order[0]): the first mode to run trails. For the
     # reverse of declaration order that is the caller's own layout.
     axes = (0, *(1 + k for k in reversed(order)))
@@ -278,18 +278,17 @@ def _run_planned(layer: NdLinearLayer, x: np.ndarray, order: tuple[int, ...]) ->
         # the new one leads, so no step copies.
         z = matmul(w.T, z.reshape(-1, w.shape[0]).T)
     z = z.reshape(*(layer.out_dims[k] for k in reversed(order)), batch)
-    y = permute(z, (n, *(n - 1 - order.index(k) for k in range(n))))
+    y = z.transpose(n, *(n - 1 - order.index(k) for k in range(n)))  # a view of the fresh z
     if layer.biases is not None:
         y += effective_bias(layer)
     return y
 
 
 def forward_only(layer: NdLinearLayer, x: np.ndarray) -> np.ndarray:
-    """Inference path: modes in the ``plan_modes`` order, no cache kept.
-
-    Equals ``forward``'s output up to rounding, and bitwise when the plan
-    is declaration order (always for N = 1 and for equal in/out dims).
-    """
+    """Inference path: modes in the ``plan_modes`` order, no cache kept, the
+    output a strided view unless the plan is declaration order. Equals
+    ``forward``'s output up to rounding, and bitwise when the plan is
+    declaration order (always for N = 1 and for equal in/out dims)."""
     x = _check_input(layer, x)
     order = plan_modes(layer.in_dims, layer.out_dims)
     if order == tuple(range(layer.n_modes)):
@@ -321,7 +320,7 @@ def effective_bias(layer: NdLinearLayer) -> np.ndarray:
 def backward(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray) -> NdLinearGrads:
     """Propagate dL/dY back through every mode step, consuming ``cache``, which
     comes from ``forward`` on the same layer and input (``LayerCache``).
-    Neither ``d_y`` nor the forward input is written."""
+    Neither ``d_y`` nor the input is written; at N >= 2 one chunk's dL/dX views Z_0."""
     d_params = [np.empty(p.shape) for p in layer.params()]
     d_x = _backward_into(layer, cache, d_y, d_params, need_input=True)
     return NdLinearGrads(d_params[:layer.n_modes], d_params[layer.n_modes:] or None, d_x)
@@ -363,8 +362,7 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
                 np.matmul(ones[:len(g)], g, out=d_params[n + k - 1])
             if k > 1 or need_input:  # dL/dZ_{k-1} takes Z_{k-1}'s place, which dW_k has read
                 g = matmul(w, g.T, out=z)
-        return (permute(g.reshape(-1, batch), (1, 0)).reshape(batch, *layer.in_dims)
-                if need_input else None)
+        return g.reshape(-1, batch).T.reshape(batch, *layer.in_dims) if need_input else None
     d_x = np.empty((batch, plan.sizes[0])) if need_input else None
     for d in d_params:  # every chunk adds its terms, in batch order, to -0.0 (-0.0 + x is x)
         d.fill(-0.0)

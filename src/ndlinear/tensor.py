@@ -2,7 +2,8 @@
 
 Conventions used throughout the package:
 
-- Tensors are float64 ``numpy.ndarray`` objects in C (row-major) order.
+- Tensors are float64 ``numpy.ndarray`` objects: C (row-major) order, or a
+  strided view of a fresh buffer nothing else holds (a layer's output).
 - Operations are pure: inputs are never mutated. ``permute`` copies into
   a contiguous result; ``matmul`` takes its operands as they come (a
   transposed view reaches BLAS as a flag) and writes into ``out`` if

@@ -320,13 +320,14 @@ class TestKernelProperties:
 
     @settings(max_examples=100, deadline=None)
     @given(layer_cases())
-    def test_batch_moves_once_at_each_end(self, case):
-        # into step layout and back out as dL/dX; no mode step and no cache
-        # read copies through permute, and a one-mode layer moves nothing
+    def test_batch_moves_once_on_the_way_in(self, case):
+        # into step layout only: dL/dX leaves as a strided view of Z_0's
+        # buffer, no mode step and no cache read copies through permute,
+        # and a one-mode layer moves nothing
         lyr, x, d_y = case
         with mock.patch.object(layer, "permute", wraps=layer.permute) as spy:
             backward(lyr, forward(lyr, x)[1], d_y)
-        assert spy.call_count == (0 if lyr.n_modes == 1 else 2)
+        assert spy.call_count == (0 if lyr.n_modes == 1 else 1)
 
 
 def brute_force_min_cost(in_dims, out_dims):
@@ -1042,3 +1043,59 @@ class TestSerialization:
         with pytest.raises(ndt.FormatError) as info:
             load_layer(tmp_path / "lyr")
         assert problem in str(info.value)
+
+
+class TestStridedOutputs:
+    """``forward_only``'s planned path returns its (H.., B) buffer as a
+    transposed view, and a one-chunk backward returns dL/dX as a view of
+    forward's own copy of X: fresh memory that nothing else holds."""
+
+    # infer_skew's layer (order (1, 0), the caller's layout) at one chunk and
+    # a ragged batch, and an N = 3 plan, (1, 0, 2), that is neither order
+    PLANNED = [((16, 256), (64, 4), 256, (1, 0)), ((16, 256), (64, 4), 7, (1, 0)),
+               ((2, 40, 3), (5, 2, 30), 5, (1, 0, 2))]
+
+    @pytest.mark.parametrize("in_dims, out_dims, batch, order", PLANNED)
+    def test_planned_output_is_a_view_of_the_last_product(self, in_dims, out_dims, batch,
+                                                         order):
+        rng, lyr = biased_layer(61, in_dims, out_dims)
+        n = lyr.n_modes
+        assert plan_modes(in_dims, out_dims) == order
+        x = rng.standard_normal((batch, *in_dims))
+        bare = NdLinearLayer(in_dims, out_dims, lyr.weights)  # the same products, no bias
+        with mock.patch.object(layer, "permute", wraps=layer.permute) as spy:
+            with FlopCounter() as fc:
+                y = forward_only(lyr, x)
+        # the batch moves only on the way in, and only when the plan needs it
+        assert spy.call_count == (0 if order == tuple(reversed(range(n))) else 1)
+        assert 2 * fc.multiply_adds == flop_count(batch, in_dims, out_dims)
+        assert not y.flags.c_contiguous and y.shape == (batch, *out_dims)
+        # the same products and additions as a contiguous copy plus the bias
+        want = tensor.permute(forward_only(bare, x), range(n + 1)) + effective_bias(lyr)
+        assert np.array_equal(y, want)
+        for other in (x, *lyr.params()):
+            assert not np.shares_memory(y, other)
+
+    @pytest.mark.parametrize("in_dims, out_dims, batch",
+                             [((8, 8), (16, 16), 32), ((16, 16), (8, 8), 32),
+                              ((3, 4, 5), (5, 4, 3), 7)])
+    def test_whole_batch_input_gradient_is_fresh_memory(self, in_dims, out_dims, batch):
+        rng, lyr = biased_layer(61, in_dims, out_dims)
+        x = rng.standard_normal((batch, *in_dims))
+        d_y = rng.standard_normal((batch, *out_dims))
+        kept = [a.copy() for a in (x, d_y, *lyr.params())]
+        y, cache = forward(lyr, x)
+        assert cache.plan.whole
+        with FlopCounter() as fc:
+            grads = backward(lyr, cache, d_y)
+        # dW_k and W_k G^T each cost what step k of forward did
+        assert fc.multiply_adds == flop_count(batch, in_dims, out_dims, range(lyr.n_modes))
+        d_x = grads.d_input
+        assert d_x.shape == x.shape and not d_x.flags.c_contiguous
+        for other in (x, d_y, y, *lyr.params(), *grads.params()):
+            assert not np.shares_memory(d_x, other)
+        want = d_x.copy()
+        d_x[...] = np.nan
+        for now, then in zip((x, d_y, *lyr.params()), kept, strict=True):
+            assert np.array_equal(now, then)
+        assert np.array_equal(backward(lyr, forward(lyr, x)[1], d_y).d_input, want)
