@@ -59,6 +59,7 @@ from . import ndt, tensor
 from .tensor import (
     FlopCounter,
     ShapeError,
+    batch_of,
     checked_u64,
     is_positive_int,
     matmul,
@@ -100,6 +101,8 @@ class NdLinearLayer:
 
     def __post_init__(self) -> None:
         self.in_dims, self.out_dims = _mode_dims(self.in_dims, self.out_dims)
+        self.weights = [real_array(w, "weight") for w in self.weights]
+        self.biases = None if self.biases is None else [real_array(b, "bias") for b in self.biases]
         want = list(zip(self.in_dims, self.out_dims))  # in ``params`` order
         if self.biases is not None:
             want += [(h,) for h in self.out_dims]
@@ -158,17 +161,7 @@ def init_xavier(in_dims, out_dims, with_bias: bool, rng: np.random.Generator) ->
 
 
 def _check_input(layer: NdLinearLayer, x: np.ndarray) -> np.ndarray:
-    x = real_array(x, "layer input")
-    if x.ndim != layer.n_modes + 1:  # before the copy, which makes a 0-d input 1-d
-        raise ShapeError(
-            f"input rank {x.ndim} does not match batch + {layer.n_modes} feature modes"
-        )
-    x = np.ascontiguousarray(x)
-    if x.shape[0] < 1:
-        raise ShapeError("batch must be >= 1")
-    if x.shape[1:] != layer.in_dims:
-        raise ShapeError(f"input feature dims {x.shape[1:]} != layer in_dims {layer.in_dims}")
-    return x
+    return np.ascontiguousarray(batch_of(x, layer.in_dims, "layer input"))
 
 
 class _StepPlan(NamedTuple):

@@ -137,7 +137,7 @@ def fit_adapter(base: FrozenDense, adapter: nn.Model, x: np.ndarray,
     for _ in range(steps):
         delta, caches = nn.model_forward(adapter, x)
         loss, d_delta = mse_loss(delta, delta_target)
-        nn._backward(adapter, caches, d_delta, need_input=False)
+        nn.model_backward(adapter, caches, d_delta, need_input=False)
         optimizer.step(adapter.flat, adapter.grad)
         losses.append(loss)
     return losses

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import validate_shape
+from .tensor import real_array, validate_shape
 
 MAGIC = b"NDT1"
 VERSION = 1
@@ -34,7 +34,7 @@ class FormatError(ValueError):
 
 def dump_bytes(t: np.ndarray) -> bytes:
     """Serialize a tensor to NDT1 bytes."""
-    arr = np.ascontiguousarray(np.asarray(t, dtype=np.float64))
+    arr = np.ascontiguousarray(real_array(t, "tensor"))
     dims = validate_shape(arr.shape)
     header = _HEADER.pack(MAGIC, VERSION, DTYPE_F64, 0, len(dims))
     dims_bytes = struct.pack(f"<{len(dims)}Q", *dims)

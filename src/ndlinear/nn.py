@@ -35,7 +35,7 @@ import numpy as np
 
 from . import layer as layer_mod
 from .layer import NdLinearLayer
-from .tensor import ShapeError, make_rng, positive_int, real_array, validate_shape
+from .tensor import ShapeError, batch_of, make_rng, positive_int, real_array, validate_shape
 
 LOSSES = ("mse", "cross_entropy")
 
@@ -92,6 +92,7 @@ class Dense(NdLinear):
     axes flattened row-major."""
 
     def __init__(self, w: np.ndarray, b: np.ndarray | None = None):
+        w = real_array(w, "dense weight")
         if w.ndim != 2:
             raise ShapeError(f"dense weight must be a matrix, got {w.shape}")
         super().__init__(NdLinearLayer(w.shape[:1], w.shape[1:], [w], None if b is None else [b]))
@@ -119,7 +120,7 @@ def _rows(x) -> np.ndarray:
     """``x`` as (rows, features): its leading axis, and the rest flattened."""
     if np.ndim(x) == 0:
         raise ShapeError("dense input must have a batch axis, got a 0-d value")
-    return np.reshape(x, (np.shape(x)[0], -1))
+    return np.reshape(x, (len(x), math.prod(np.shape(x)[1:])))  # zero rows reach the batch rule
 
 
 class ReLU(_Layer):
@@ -217,12 +218,7 @@ class Model:
 
 
 def _model_input(model: Model, x) -> np.ndarray:
-    """``x`` as a float64 array if it holds (rows >= 1, *model.in_dims) reals."""
-    x = real_array(x, "model input")
-    if x.shape[1:] != model.in_dims:  # first: a 0-d x has no row count
-        raise ShapeError(f"input shape {x.shape} is not (rows, *model in_dims {model.in_dims})")
-    positive_int(len(x), "model input row count")
-    return x
+    return batch_of(x, model.in_dims, "model input")
 
 
 def model_forward(model: Model, x: np.ndarray):
@@ -244,18 +240,14 @@ def infer(model: Model, x) -> np.ndarray:
     return z
 
 
-def model_backward(model: Model, caches: list, d_y: np.ndarray):
-    """Reverse sweep. Returns (gradient list aligned with model.params(),
-    gradient w.r.t. the model input)."""
-    d_x = _backward(model, caches, d_y, need_input=True)
-    return [g.copy() for views in model._grads for g in views], d_x
-
-
-def _backward(model: Model, caches: list, d_y: np.ndarray, need_input: bool):
-    """Fill ``model.grad``: layer i's ``backward(cache, d_y, d_params, need_input)``
-    writes into its views and returns dL/d(its input). A training step (``train``,
-    ``lora.fit_adapter``) passes ``need_input=False``: the sweep then ends at the
-    first layer with parameters, which skips its input gradient, as nobody reads it."""
+def model_backward(model: Model, caches: list, d_y: np.ndarray, need_input: bool = True):
+    """Reverse sweep, filling ``model.grad``: layer i's ``backward(cache, d_y,
+    d_params, need_input)`` writes into its views and returns dL/d(its input).
+    Returns (the views of ``model.grad`` in ``params()`` order, not copies, so
+    valid until the next sweep; dL/dX, or None unless ``need_input``). A
+    training step (``train``, ``lora.fit_adapter``) passes ``need_input=False``:
+    the sweep then ends at the first layer with parameters, which skips its
+    input gradient, as nobody reads it."""
     if len(caches) != len(model.layers):
         raise ShapeError(f"got {len(caches)} caches for {len(model.layers)} layers")
     grads = model._grads
@@ -263,7 +255,7 @@ def _backward(model: Model, caches: list, d_y: np.ndarray, need_input: bool):
     d_z = d_y
     for i in range(len(model.layers) - 1, stop - 1, -1):
         d_z = model.layers[i].backward(caches[i], d_z, grads[i], need_input or i > stop)
-    return d_z
+    return [g for views in grads for g in views], d_z if need_input else None
 
 
 # ---------------------------------------------------------------- losses
@@ -480,7 +472,7 @@ def train(model: Model, data: TrainSplit, config: TrainConfig, optimizer,
                 raise TrainingDiverged(
                     f"non-finite loss {loss} at epoch {epoch}, batch offset {start}"
                 )
-            _backward(model, caches, d_y, need_input=False)
+            model_backward(model, caches, d_y, need_input=False)
             if not np.isfinite(model.grad).all():
                 i = next(i for i, views in enumerate(model._grads)
                          if not all(np.isfinite(v).all() for v in views))

@@ -7,8 +7,11 @@ Conventions used throughout the package:
 - Operations are pure: inputs are never mutated. ``permute`` copies into
   a contiguous result; ``matmul`` takes its operands as they come (a
   transposed view reaches BLAS as a flag) and writes into ``out`` if
-  given. They are the layer's only compute primitives, so ``FlopCounter``
-  and a tracer see all its work.
+  given. Every product the layer computes is a ``matmul``, so
+  ``FlopCounter`` counts its FLOPs exactly, and every whole-batch copy it
+  makes is a ``permute``. A tracer of the two misses what runs in plain
+  numpy: a chunk's batch moves into and out of the step layout, the bias
+  adds and the db_k gemvs.
 - Each public entry (``layer.forward``, ``nn.model_forward``, ...) checks
   its input; inner steps run a cached plan. The primitives still check
   their operands but pass a float64 ndarray through: a (32, 64)
@@ -17,8 +20,9 @@ Conventions used throughout the package:
   a faster small-matrix kernel; ``matmul``'s and training's bands keep
   long steps within it.
 - Tensors hold real numbers. ``real_array`` is the one rule for values,
-  operands included: bool, int and float convert to float64; complex,
-  string, bytes, object, datetime and void arrays raise ``TypeError``.
+  operands, parameters and files included: bool, int and float convert to
+  float64; complex, string, bytes, object, datetime and void arrays raise
+  ``TypeError``. ``batch_of`` adds the one rule for a batch of inputs.
 - A size (a dim, a batch, a count) is a positive int: ``is_positive_int``
   is the one rule, and ``positive_int`` its raising twin. Shapes are
   tuples of sizes; ``validate_shape`` adds rank >= 1 and no overflow.
@@ -109,6 +113,15 @@ def real_array(x, what: str) -> np.ndarray:
         raise TypeError(f"{what} must hold real numbers (bool, int or float), "
                         f"got dtype {x.dtype}")
     return x.astype(_F64)
+
+
+def batch_of(x, dims: tuple[int, ...], what: str) -> np.ndarray:
+    """``real_array(x, what)`` if of shape (rows >= 1, *dims), else a ShapeError."""
+    x = real_array(x, what)
+    if x.shape[1:] != dims or len(x) < 1:  # dims is never (), so a 0-d x stops first
+        raise ShapeError(f"{what} shape {x.shape} is not (row count >= 1, *in_dims) "
+                         f"with in_dims {dims}")
+    return x
 
 
 def _f64(x) -> np.ndarray:

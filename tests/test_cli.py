@@ -246,6 +246,12 @@ class TestVerify:
 
 
 class TestBench:
+    def test_formula_and_instrumented_counts_must_agree(self, monkeypatch):
+        monkeypatch.setattr(layer_mod, "flop_count", lambda *args, **kwargs: 1)
+        with pytest.raises(AssertionError,
+                           match="instrumented count 4 disagrees with formula 1"):
+            cli.run_bench((2,), (1,), 1, trials=1, warmup=0)
+
     def test_degenerate_n1(self, tmp_path):
         out = tmp_path / "bench.json"
         code = main(["bench", "--in-dims", "4", "--out-dims", "4", "--batch", "2",
@@ -706,6 +712,12 @@ class TestTrain:
 
 
 class TestLoraDemo:
+    def test_console_reports_the_recovery_error(self, capsys):
+        assert main(["lora-demo", "--d", "16", "--h", "16", "--steps", "20"]) == 0
+        out = capsys.readouterr().out
+        assert "trainable params: LoRA r=8: 256, factorized: 32" in out
+        assert "recovery rel Frobenius error: " in out and "(random-kron, 20 steps)" in out
+
     def test_param_counts_in_report(self, tmp_path):
         out = tmp_path / "lora.json"
         code = main(["lora-demo", "--d", "64", "--h", "64", "--rank", "8",
@@ -837,6 +849,14 @@ def test_verify_bench_lora_demo_exit_cleanly(argv):
 
 
 class TestUsage:
+    def test_a_failed_write_is_a_usage_error(self, tmp_path, monkeypatch):
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(cli.Path, "write_text", full_disk)
+        with pytest.raises(cli.UsageError,
+                           match=r"--json .*r\.json: cannot write: No space left on device"):
+            cli._write("--json", str(tmp_path / "r.json"), "{}")
+
     def test_no_subcommand(self):
         assert main([]) == 2
 

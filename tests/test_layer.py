@@ -104,6 +104,31 @@ class TestInit:
         with pytest.raises(ShapeError):
             init_xavier(in_dims, out_dims, False, make_rng(0))
 
+    @pytest.mark.parametrize("weights, biases, what", [
+        ([np.ones((2, 3)) + 1j], None, "weight"),
+        ([np.ones((2, 3)).astype(str)], None, "weight"),
+        ([np.ones((2, 3))], [np.ones(3) + 1j], "bias"),
+    ])
+    def test_parameters_follow_the_value_rule(self, weights, biases, what):
+        # a complex weight was kept: save_layer wrote its real part and
+        # load_layer returned another layer
+        with pytest.raises(TypeError, match=f"{what} must hold real numbers"):
+            NdLinearLayer((2,), (3,), weights, biases)
+
+    def test_list_parameters_convert_to_float64(self, tmp_path):
+        # a list weight raised AttributeError
+        lyr = NdLinearLayer((2,), (3,), [[[1, 2, 3], [4, 5, 6]]], [[True, False, True]])
+        assert all(type(p) is np.ndarray and p.dtype == np.float64 for p in lyr.params())
+        assert lyr.weights[0].tolist() == [[1, 2, 3], [4, 5, 6]]
+        save_layer(lyr, tmp_path / "lyr")
+        back = load_layer(tmp_path / "lyr")
+        assert all(np.array_equal(a, b) for a, b in zip(back.params(), lyr.params(), strict=True))
+
+    def test_float64_parameters_are_kept_as_they_are(self):
+        w, b = np.ones((2, 3)), np.zeros(3)
+        lyr = NdLinearLayer((2,), (3,), [w], [b])
+        assert lyr.weights[0] is w and lyr.biases[0] is b
+
     def test_numpy_int_dims_are_stored_as_python_ints(self):
         lyr = init_xavier(np.array([2, 3]), (np.int64(4), 5), False, make_rng(0))
         assert lyr.in_dims == (2, 3) and lyr.out_dims == (4, 5)
@@ -160,7 +185,7 @@ class TestForward:
         # the contiguous copy made a 0-d input 1-d, reported as "input rank 1"
         lyr = init_xavier((2,), (3,), False, make_rng(0))
         for run in (lambda x: forward(lyr, x), lambda x: forward_only(lyr, x)):
-            with pytest.raises(ShapeError, match="input rank 0 does not match"):
+            with pytest.raises(ShapeError, match=r"layer input shape \(\) is not"):
                 run(np.float64(1.0))
 
     @pytest.mark.parametrize("seed", range(12))

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -256,6 +257,18 @@ class TestRecovery:
         recovery = np.linalg.norm(delta_matrix(adapter) - target) / np.linalg.norm(target)
         assert recovery < 1e-2
         assert losses[-1] < losses[0]
+
+    @pytest.mark.parametrize("init", [lambda rng: init_lora(8, 8, 2, 2.0, rng),
+                                      lambda rng: init_ndlora(8, 8, rng)], ids=["lora", "ndlora"])
+    def test_one_model_backward_a_step(self, init):
+        rng = make_rng(5)
+        base = make_base(rng, 8, 8)
+        x = rng.standard_normal((16, 8))
+        adapter = init(rng)
+        with mock.patch.object(nn, "model_backward", wraps=nn.model_backward) as spy:
+            fit_adapter(base, adapter, x, rng.standard_normal((16, 8)), steps=5, lr=0.01)
+        assert spy.call_count == 5
+        assert all(call.kwargs == {"need_input": False} for call in spy.call_args_list)
 
     def test_kron_target_recovered(self):
         report = lora.recovery_experiment(16, 16, rank=4, seed=0, steps=800,

@@ -62,6 +62,20 @@ def test_rejects_malformed(mangle):
         ndt.load_bytes(mangle(blob))
 
 
+@pytest.mark.parametrize("t", [np.array([1 + 2j, 3]), np.array(["1.5", "2"]), [1.0, 2j]])
+def test_dump_refuses_non_real_values(t):
+    # [1+2j, 3] was written as [1., 3.] with only a ComplexWarning, and a
+    # string array was parsed as numbers
+    with pytest.raises(TypeError, match="tensor must hold real numbers"):
+        ndt.dump_bytes(t)
+
+
+@pytest.mark.parametrize("t", [[[1, 2], [3, 4]], np.arange(4, dtype=np.int32).reshape(2, 2),
+                               np.ones((2, 2), dtype=np.float32)])
+def test_dump_converts_real_values_to_float64(t):
+    assert np.array_equal(ndt.load_bytes(ndt.dump_bytes(t)), np.asarray(t, dtype=np.float64))
+
+
 def test_rejects_zero_dim():
     good = ndt.dump_bytes(np.ones((2, 2)))
     bad = good[:12] + struct.pack("<QQ", 0, 2) + good[28:]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import model_analytic_grads, model_numeric_grads
-from ndlinear import layer, nn
+from ndlinear import layer, nn, tensor
 from ndlinear.oracle import max_rel_err
 from ndlinear.tensor import FlopCounter, ShapeError, make_rng, positive_int, validate_shape
 
@@ -149,6 +149,101 @@ class TestBackward:
         numeric = model_numeric_grads(model, x, t)
         worst = max(max_rel_err(a, b) for a, b in zip(analytic, numeric))
         assert worst < 1e-5
+
+
+class TestModelBackward:
+    """``model_backward`` is the one sweep: ``train`` and ``lora.fit_adapter``
+    call it, and it returns the views it filled, not copies."""
+
+    def test_returns_views_of_model_grad_in_params_order(self):
+        model = small_mse_model()
+        x = make_rng(7).standard_normal((3, 2, 3))
+        y, caches = nn.model_forward(model, x)
+        grads, d_x = nn.model_backward(model, caches, y)
+        assert [g.shape for g in grads] == [p.shape for p in model.params()]
+        assert all(g.base is model.grad for g in grads)
+        assert np.array_equal(np.concatenate([g.ravel() for g in grads]), model.grad)
+        assert d_x.shape == x.shape
+        # valid until the next sweep, which writes into the same views
+        y, caches = nn.model_forward(model, 2 * x)
+        again, _ = nn.model_backward(model, caches, y)
+        assert all(np.shares_memory(g, a) and np.array_equal(g, a)
+                   for g, a in zip(grads, again, strict=True))
+
+    def test_a_model_without_parameters(self):
+        model = nn.Model([nn.Reshape((6,))], "mse", (2, 3))
+        x = np.arange(12.0).reshape(2, 2, 3)
+        y, caches = nn.model_forward(model, x)
+        grads, d_x = nn.model_backward(model, caches, y)
+        assert grads == [] and np.array_equal(d_x, x)
+        assert nn.model_backward(model, caches, y, need_input=False) == ([], None)
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("in_dims, out_dims, batch, chunk", [
+        ((16, 256), (64, 4), 7, 3),          # ragged: chunks of 3, 3 and 1
+        ((32, 32, 32), (32, 32, 32), 2, 1),  # one sample a chunk, in row bands
+    ], ids=["ragged", "banded"])
+    def test_a_chunked_layer_without_the_input_gradient(self, in_dims, out_dims, batch,
+                                                        chunk, with_bias):
+        rng = make_rng(3)
+        inner = layer.init_xavier(in_dims, out_dims, with_bias, rng)
+        for b in inner.biases or ():
+            b[...] = rng.standard_normal(b.shape)
+        model = nn.Model([nn.NdLinear(inner)], "mse", in_dims)
+        plan = layer._step_plan(in_dims, out_dims, batch, tensor.SMALL_GEMM_MNK)
+        assert plan.c == chunk and not plan.whole
+        x = rng.standard_normal((batch, *in_dims))
+        d_y = rng.standard_normal((batch, *out_dims))
+        sweeps = {}
+        for need_input in (True, False):
+            _, caches = nn.model_forward(model, x)
+            grads, d_x = nn.model_backward(model, caches, d_y, need_input=need_input)
+            sweeps[need_input] = [g.copy() for g in grads], d_x
+        assert sweeps[True][1].shape == x.shape and sweeps[False][1] is None
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(sweeps[True][0], sweeps[False][0], strict=True))
+
+    def test_one_sweep_a_batch_of_train(self):
+        data = nn.gen_separable_regression(make_rng(0), 100, (8, 8), (8, 8))
+        model = nn.build_model(SEPARABLE_MODEL, make_rng(0))
+        with mock.patch.object(nn, "model_backward", wraps=nn.model_backward) as spy:
+            nn.train(model, data, nn.TrainConfig(epochs=2, batch_size=32), nn.AdamW(1e-3),
+                     make_rng(1))
+        assert spy.call_count == 2 * math.ceil(80 / 32)
+        assert all(call.kwargs == {"need_input": False} for call in spy.call_args_list)
+
+
+class TestRefusals:
+    def test_ndlinear_out_shape_of_other_dims(self):
+        lyr = nn.NdLinear(layer.init_xavier((2, 3), (4, 5), False, make_rng(0)))
+        with pytest.raises(ShapeError, match=r"ndlinear expects \(2, 3\), gets \(3, 2\)"):
+            lyr.out_shape((3, 2))
+
+    def test_reshape_out_shape_of_another_size(self):
+        with pytest.raises(ShapeError, match=r"cannot reshape features \(5,\) to \(2, 3\)"):
+            nn.Reshape((2, 3)).out_shape((5,))
+
+    def test_unknown_loss(self):
+        with pytest.raises(ValueError, match="loss must be one of"):
+            nn.Model([nn.Dense(np.eye(2))], "hinge", (2,))
+
+    def test_model_backward_with_the_wrong_number_of_caches(self):
+        model = small_mse_model()
+        y, caches = nn.model_forward(model, np.ones((2, 2, 3)))
+        with pytest.raises(ShapeError, match="got 2 caches for 3 layers"):
+            nn.model_backward(model, caches[:2], y)
+
+    def test_mse_of_mismatched_shapes(self):
+        with pytest.raises(ShapeError, match=r"prediction shape \(2, 3\) != target shape"):
+            nn.mse_loss(np.zeros((2, 3)), np.zeros((3, 2)))
+
+    def test_cross_entropy_of_non_2d_logits(self):
+        with pytest.raises(ShapeError, match=r"logits must be \(batch, classes\)"):
+            nn.softmax_cross_entropy(np.zeros(3), np.zeros(1, dtype=int))
+
+    def test_cross_entropy_labels_of_the_wrong_shape(self):
+        with pytest.raises(ShapeError, match=r"labels shape \(2, 1\) != \(2,\)"):
+            nn.softmax_cross_entropy(np.zeros((2, 3)), np.zeros((2, 1), dtype=int))
 
 
 class TestTraining:
@@ -789,6 +884,24 @@ class TestDenseIsOneModeNdLinear:
         with pytest.raises(ShapeError):
             nn.Dense(w, b)
 
+    @pytest.mark.parametrize("call", ["forward", "infer"])
+    def test_zero_rows_is_a_shape_error(self, call):
+        # reshaping to (0, -1) raised numpy's ValueError
+        with pytest.raises(ShapeError, match=r"shape \(0, 5\) is not \(row count >= 1"):
+            getattr(nn.Dense(np.ones((5, 3))), call)(np.zeros((0, 5)))
+
+    def test_list_weights_convert_to_float64(self):
+        # a list weight raised AttributeError
+        dense = nn.Dense([[1, 0], [0, 1], [1, 1]], [0, 1])
+        assert all(p.dtype == np.float64 for p in dense.params())
+        assert dense.infer(np.ones((1, 3))).tolist() == [[2.0, 3.0]]
+
+    @pytest.mark.parametrize("w, b, what", [(np.eye(2) + 1j, None, "dense weight"),
+                                            (np.eye(2), np.ones(2) + 1j, "bias")])
+    def test_complex_parameters_are_a_type_error(self, w, b, what):
+        with pytest.raises(TypeError, match=f"{what} must hold real numbers"):
+            nn.Dense(w, b)
+
     def test_flop_counter_counts_the_dense_products(self):
         # B d h multiply-adds forward, and dW and dL/dX backward; nothing for the bias
         batch, d, h = 5, 12, 7
@@ -1039,6 +1152,18 @@ class TestModelConfig:
         with pytest.raises(nn.ConfigError, match="first layer"):
             nn.build_model({"layers": [{"type": "relu"}], "loss": "mse"},
                            make_rng(0))
+
+    @pytest.mark.parametrize("config, fragment", [
+        ([], "top level: expected an object, got list"),
+        ({"loss": "mse"}, "layers: expected a non-empty list"),
+        ({"layers": [], "loss": "mse"}, "layers: expected a non-empty list"),
+        ({"layers": ["relu"], "loss": "mse"}, r"layers\[0\]: expected an object"),
+        ({"layers": [{"type": "ndlinear", "in": [8, 8], "out": [8]}], "loss": "mse"},
+         r"layers\[0\]: in and out must have the same rank"),
+    ])
+    def test_malformed_structure(self, config, fragment):
+        with pytest.raises(nn.ConfigError, match=fragment):
+            nn.build_model(config, make_rng(0))
 
     def test_reshape_layer_roundtrip(self):
         config = {

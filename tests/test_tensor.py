@@ -13,6 +13,7 @@ from ndlinear.tensor import (
     SMALL_GEMM_MNK,
     FlopCounter,
     ShapeError,
+    batch_of,
     is_positive_int,
     make_rng,
     matmul,
@@ -326,6 +327,35 @@ class TestRealArray:
             call(np.array([[1 + 2j]]).astype(kind))
 
 
+class TestBatchOf:
+    """The one rule for a batch of inputs, which every layer and model entry runs."""
+
+    @pytest.mark.parametrize("x", [np.ones((1, 3, 5)), np.ones((4, 3, 5), dtype=np.int8),
+                                   [[[True] * 5] * 3]])
+    def test_a_batch_of_rows_passes_as_float64(self, x):
+        got = batch_of(x, (3, 5), "input")
+        assert got.dtype == np.float64 and np.array_equal(got, np.asarray(x, dtype=float))
+
+    def test_a_float64_batch_is_returned_as_it_is(self):
+        x = np.ones((2, 3, 10))[:, :, ::2]
+        assert batch_of(x, (3, 5), "input") is x
+
+    @pytest.mark.parametrize("shape, fragment", [
+        ((), r"input shape \(\) is not \(row count >= 1, \*in_dims\) with in_dims \(3, 5\)"),
+        ((0, 3, 5), r"shape \(0, 3, 5\) is not \(row count >= 1"),
+        ((2, 5, 3), r"shape \(2, 5, 3\)"),
+        ((3, 5), r"shape \(3, 5\)"),
+        ((2, 3, 5, 1), r"shape \(2, 3, 5, 1\)"),
+    ])
+    def test_a_wrong_shape_is_a_shape_error(self, shape, fragment):
+        with pytest.raises(ShapeError, match=fragment):
+            batch_of(np.ones(shape), (3, 5), "input")
+
+    def test_values_go_through_real_array_first(self):
+        with pytest.raises(TypeError, match="input must hold real numbers"):
+            batch_of(np.ones((0, 3, 5), dtype=complex), (3, 5), "input")
+
+
 class TestModeKProduct:
     def test_identity_weights(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
@@ -351,6 +381,11 @@ class TestModeKProduct:
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
             mode_k_product(np.zeros((1, 2, 2)), np.eye(3), 1)
+
+    @pytest.mark.parametrize("w", [np.ones(2), np.ones((2, 2, 1))])
+    def test_weight_must_be_a_matrix(self, w):
+        with pytest.raises(ShapeError, match="weight must be a matrix"):
+            mode_k_product(np.zeros((1, 2, 2)), w, 1)
 
     @pytest.mark.parametrize("seed", range(50))
     def test_identity_matrix_is_identity_map(self, seed):
