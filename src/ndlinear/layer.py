@@ -14,8 +14,7 @@ flattened matrix factors as W_1 (x) ... (x) W_N (Kronecker structure).
 
 Each public entry (``forward``, ``forward_only``, ``backward``) checks
 its input; the steps inside run a plan cached per (dims, batch, bound),
-``_step_plan``, and derive no shape: a forward + backward of the
-(8,8)->(16,16) layer at batch 32 takes 15% less time.
+``_step_plan``, and derive no shape.
 
 Training applies the modes in declaration order; N = 1 is the dense map
 X W_1 + b_1 and back. For N >= 2 the batch runs in chunks of c samples,
@@ -30,16 +29,17 @@ k = N..1, summed over chunks and bands in order:
 
     dW_k = Z G,    db_k = 1^T G,    G <- W_k G^T
 
-W_k G^T goes into Z's buffer once dW_k has read it (one chunk's dL/dX is
-then a view of Z_0's). One unbanded chunk keeps the one-product bits;
-more chunks or bands move the summed gradients in the last bits.
+W_k G^T goes into Z's buffer once dW_k has read it: forward's buffers are
+backward's scratch, for dL/dX (Z_0's at one chunk, Z_{N-1}'s at c = 1, N > 2)
+and the plan's next forward. One unbanded chunk keeps the one-product
+bits; more chunks or bands move the summed gradients in the last bits.
 
 Inference (``forward_only``) applies the modes in the order with the
 fewest FLOPs (``plan_modes``), the biases in closed form
 (``effective_bias``): declaration order runs the training steps without
 a cache; any other consumes the trailing axis and prepends the output
 axis at each step, and returns the last product as a (B, H_1..H_N) view.
-So outputs may be strided views, but of fresh buffers nothing else holds.
+So outputs may be strided views, but of buffers nothing else holds.
 """
 
 from __future__ import annotations
@@ -166,8 +166,9 @@ def _check_input(layer: NdLinearLayer, x: np.ndarray) -> np.ndarray:
 
 class _StepPlan(NamedTuple):
     """How ``_run_steps`` and ``_backward_into`` run a batch (``_step_plan``).
-    Step k+1 reads a chunk's Z_k, whatever its buffer's shape, as the
-    (D_{k+1}, rows) matrix ``reshape(D_{k+1}, -1)``."""
+    Step k+1 reads a chunk's Z_k, whatever its buffer's shape, as the (D_{k+1},
+    rows) matrix ``reshape(D_{k+1}, -1)``. Forward's buffers are backward's
+    scratch; ``spare`` takes back those it leaves, for the next forward."""
 
     dims: tuple[tuple[int, ...], tuple[int, ...]]  # the layer's (in_dims, out_dims)
     c: int  # samples a chunk; the last chunk may be shorter
@@ -176,23 +177,25 @@ class _StepPlan(NamedTuple):
     whole: bool  # the batch is one chunk, and each step one product
     y_shape: tuple[int, ...]  # (batch, *out_dims)
     ones: np.ndarray  # read-only, 1^T for a chunk's longest G (N >= 2)
+    spare: dict[int, np.ndarray]  # k -> a batch-long Z_k buffer backward gave back
 
 
 class LayerCache(NamedTuple):
     """What ``forward`` keeps for one ``backward``: the N gemm operands
-    Z_0 = X, Z_1, ..., Z_{N-1} and the step plan that laid them out.
+    Z_0 = X, Z_1, ..., Z_{N-1}, the step plan that laid them out, and the
+    entries forward allocated (``owned``, none in a hand-built cache).
 
-    Entry k is the buffer forward computed Z_k in: B · ``plan.sizes[k]``
-    values, chunk after chunk in the step layout (D_{k+1}..D_N, c,
-    H_1..H_k), X^T at N = 1 and X itself at c = 1. It keeps that buffer's
-    shape; backward reads it only through the plan. ``backward`` takes a
-    cache whose plan names the layer's dims and whose entries are arrays of
-    those sizes; any other is a ``ShapeError``. It overwrites each Z_k with
-    W_{k+1} G^T and empties ``intermediates``. The fields are read-only.
+    Entry k is the buffer forward computed Z_k in: B · ``plan.sizes[k]`` values,
+    chunk after chunk in the step layout (D_{k+1}..D_N, c, H_1..H_k), X^T at N = 1
+    and X itself at c = 1; backward reads it through the plan and refuses a plan of
+    other dims or entries of other sizes (``ShapeError``). It overwrites each Z_k
+    with W_{k+1} G^T, empties both lists and keeps the owned buffers as scratch:
+    they may back dL/dX or a later forward's cache. The fields are read-only.
     """
 
     intermediates: list[np.ndarray]
     plan: _StepPlan | None = None
+    owned: list[np.ndarray] | tuple = ()
 
 
 @lru_cache(maxsize=1024)
@@ -212,7 +215,7 @@ def _step_plan(in_dims: tuple[int, ...], out_dims: tuple[int, ...], batch: int,
     ones.flags.writeable = False
     return _StepPlan((in_dims, out_dims), c, sizes, bands,
                      c == batch and bands == tuple(c * r for r in rest),
-                     (batch, *out_dims), ones)
+                     (batch, *out_dims), ones, {})
 
 
 def _samples(buf: np.ndarray, size: int, start: int, count: int) -> np.ndarray:
@@ -229,15 +232,16 @@ def _run_steps(layer: NdLinearLayer, x: np.ndarray,
     plan = _step_plan(layer.in_dims, layer.out_dims, batch, tensor.SMALL_GEMM_MNK)
     c, sizes, flat = plan.c, plan.sizes, x.reshape(batch, -1)
     if plan.whole:  # each product is the next step's buffer; x.T keeps N = 1 x @ W_1 + b_1
-        bufs = [flat.T if n == 1 else permute(flat, (1, 0))]
+        bufs, owned = [flat.T if n == 1 else permute(flat, (1, 0))], ()
         for k, w in enumerate(layer.weights):
             bufs.append(matmul(bufs[k].reshape(w.shape[0], -1).T, w))
             if layer.biases is not None:
                 bufs[-1] += layer.biases[k]
     else:  # chunks write their rows of batch-long buffers (one chunk's if no cache)
-        held = batch if keep else c
-        bufs = [flat if c == 1 else np.empty(held * sizes[0]),
-                *(np.empty(held * s) for s in sizes[1:n]), np.empty(batch * sizes[n])]
+        held, spare = (batch, plan.spare) if keep else (c, {})  # buffers backward gave back
+        owned = [z if (z := spare.pop(k, None)) is not None else np.empty(held * sizes[k])
+                 for k in range(c == 1, n)]
+        bufs = [*([flat] if c == 1 else ()), *owned, np.empty(batch * sizes[n])]
         for b0 in range(0, batch, c):
             nb = min(c, batch - b0)
             part = [_samples(buf, s, b0, nb) for buf, s in zip(bufs, sizes)]
@@ -250,7 +254,7 @@ def _run_steps(layer: NdLinearLayer, x: np.ndarray,
                     matmul(a[r:r + band], w, out=z[r:r + band])
                 if layer.biases is not None:
                     z += layer.biases[k]
-    return bufs[n].reshape(plan.y_shape), LayerCache(bufs[:n], plan) if keep else None
+    return bufs[n].reshape(plan.y_shape), LayerCache(bufs[:n], plan, owned) if keep else None
 
 
 def forward(layer: NdLinearLayer, x: np.ndarray) -> tuple[np.ndarray, LayerCache]:
@@ -312,8 +316,8 @@ def effective_bias(layer: NdLinearLayer) -> np.ndarray:
 
 def backward(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray) -> NdLinearGrads:
     """Propagate dL/dY back through every mode step, consuming ``cache``, which
-    comes from ``forward`` on the same layer and input (``LayerCache``).
-    Neither ``d_y`` nor the input is written; at N >= 2 one chunk's dL/dX views Z_0."""
+    comes from ``forward`` on the same layer and input. It writes neither ``d_y`` nor
+    the input; forward's buffers are its scratch, for dL/dX or a later forward's cache."""
     d_params = [np.empty(p.shape) for p in layer.params()]
     d_x = _backward_into(layer, cache, d_y, d_params, need_input=True)
     return NdLinearGrads(d_params[:layer.n_modes], d_params[layer.n_modes:] or None, d_x)
@@ -356,7 +360,13 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
             if k > 1 or need_input:  # dL/dZ_{k-1} takes Z_{k-1}'s place, which dW_k has read
                 g = matmul(w, g.T, out=z)
         return g.reshape(-1, batch).T.reshape(batch, *layer.in_dims) if need_input else None
-    d_x = np.empty((batch, plan.sizes[0])) if need_input else None
+    owned = {k: z for k, z in enumerate(zs[:n]) if any(z is o for o in cache.owned)}
+    if owned:
+        cache.owned.clear()
+    if need_input and c == 1 and n > 2 and len(owned.get(n - 1, ())) >= batch * plan.sizes[0]:
+        d_x = owned.pop(n - 1)[:batch * plan.sizes[0]].reshape(batch, -1)  # on swept samples <= b
+    else:  # (Z_1 holds the last G at N = 2)
+        d_x = np.empty((batch, plan.sizes[0])) if need_input else None
     for d in d_params:  # every chunk adds its terms, in batch order, to -0.0 (-0.0 + x is x)
         d.fill(-0.0)
     for b0 in range(0, batch, c):
@@ -380,6 +390,7 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
             matmul(w, g.T, out=d_x[b0].reshape(w.shape[0], -1))
         else:
             d_x[b0:b0 + nb] = matmul(w, g.T, out=z).reshape(-1, nb).T
+    plan.spare.update(owned)
     return None if d_x is None else d_x.reshape(batch, *layer.in_dims)
 
 

@@ -46,6 +46,7 @@ class FrozenDense:
         self._dense = Dense(self.w0, self.b0)  # checks the shapes
         for arr in self._dense.params():
             arr.setflags(write=False)
+        self.w0, self.b0 = (*self._dense.params(), None)[:2]  # the float64 arrays it reads
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self._dense.infer(x)

@@ -1,8 +1,16 @@
 """Shared test oracles, independent of the library's compute paths."""
 
 import numpy as np
+import pytest
 
-from ndlinear import nn, oracle
+from ndlinear import layer, nn, oracle
+
+
+@pytest.fixture(autouse=True)
+def fresh_step_plans():
+    """No test reads a spare buffer set that an earlier test's backward left in
+    a cached step plan, whatever the test order."""
+    layer._step_plan.cache_clear()
 
 
 def brute_force_mode_k(t: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -502,7 +504,7 @@ class TestBackward:
         with pytest.raises(ShapeError, match=r"expected 2 arrays of \[24, 36\] values"):
             backward(lyr, LayerCache(entries(cache.intermediates), cache.plan), y)
 
-    @pytest.mark.parametrize("name", ["intermediates", "plan"])
+    @pytest.mark.parametrize("name", ["intermediates", "plan", "owned"])
     def test_cache_fields_are_read_only(self, name):
         lyr = init_xavier((2, 3), (3, 2), True, make_rng(26))
         cache = forward(lyr, make_rng(26).standard_normal((4, 2, 3)))[1]
@@ -859,6 +861,112 @@ class TestBandedTrainingSteps:
         for got, ref in zip([y, *grads.params(), grads.d_input],
                             [want_y, *want.params(), want.d_input]):
             assert np.array_equal(got, ref)
+
+
+class TestCacheMemoryIsReused:
+    """On the cube at batch 2 (c = 1, banded) a consumed cache's buffers are
+    backward's scratch: Z_2's takes dL/dX, Z_1's backs the plan's next forward."""
+
+    DIMS = (32, 32, 32)
+
+    def step_data(self, seed):
+        rng, lyr = biased_layer(seed, self.DIMS, self.DIMS)
+        assert chunk_size(lyr, 2) == 1
+        return lyr, [(rng.standard_normal((2, *self.DIMS)), rng.standard_normal((2, *self.DIMS)))
+                     for _ in range(2)]
+
+    def test_a_second_step_reuses_the_first_ones_cache(self):
+        lyr, data = self.step_data(70)
+        outs, entries = [], []
+        for x, d_y in data:
+            y, cache = forward(lyr, x)
+            entries.append(list(cache.intermediates))
+            outs.append([y, *grad_arrays(backward(lyr, cache, d_y))])
+            if len(outs) == 1:
+                first = [a.copy() for a in outs[0]]
+        assert np.shares_memory(outs[0][1], entries[0][2])  # dL/dX in the spent Z_2
+        assert entries[1][1] is entries[0][1]
+        for now, then in zip(outs[0], first, strict=True):  # the second step wrote none of it
+            assert np.array_equal(now, then)
+        for (x, d_y), got in zip(data, outs):
+            layer._step_plan.cache_clear()  # a plan with no spare set: fresh buffers
+            want_y, cache = forward(lyr, x)
+            copies = LayerCache([z.copy() for z in cache.intermediates], cache.plan)
+            want = [want_y, *grad_arrays(backward(lyr, copies, d_y))]
+            assert not np.shares_memory(want[1], copies.plan.spare.get(1, want_y))
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("hand_built", [
+        lambda cache, zs: LayerCache(zs, cache.plan),
+        lambda cache, zs: cache._replace(intermediates=zs),  # forward's owned list, not its arrays
+    ], ids=["plan_only", "replaced_entries"])
+    def test_memory_the_library_does_not_own_is_never_reused(self, hand_built):
+        lyr, [(x, d_y), (x2, _)] = self.step_data(71)
+        x.flags.writeable = False  # Z_0 at c = 1: a write raises
+        y, cache = forward(lyr, x)
+        copies = [z.copy() for z in cache.intermediates]
+        d_x = backward(lyr, hand_built(cache, list(copies)), d_y).d_input
+        backward(lyr, cache, d_y)  # forward's own cache gives its buffers back
+        theirs = (x, *copies)
+        kept = [a.copy() for a in theirs]
+        for _ in range(2):  # each step takes the spare set the one before left
+            y2, cache2 = forward(lyr, x2)
+            ours = [y2, *cache2.intermediates]
+            ours.append(backward(lyr, cache2, d_y).d_input)
+            assert not any(np.shares_memory(a, b) for a in ours for b in theirs)
+        assert not any(np.shares_memory(d_x, b) for b in theirs)
+        for now, then in zip(theirs, kept, strict=True):
+            assert np.array_equal(now, then)
+
+    def test_a_forward_after_a_consumed_backward_allocates_y_and_one_buffer(self):
+        lyr, [(x, d_y), _] = self.step_data(72)
+        y, cache = forward(lyr, x)
+        step = cache.intermediates[1].nbytes
+        backward(lyr, cache, d_y)
+        tracemalloc.start()
+        try:
+            y2, cache2 = forward(lyr, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Z_1 is the spare one; Z_2 is fresh, as its buffer went out as dL/dX
+        assert peak - y2.nbytes - step <= 2**17 < step
+        assert np.array_equal(y2, y)
+
+    @pytest.mark.parametrize("in_dims, out_dims", [
+        ((64, 64, 64), (4, 4, 64)),  # Z_2 holds 1,024 values a sample, X 262,144
+        ((128, 128), (128, 128)),    # N = 2: Z_1 holds the last G
+    ], ids=["short_z2", "two_modes"])
+    def test_input_gradient_is_fresh_where_it_cannot_take_z_n_minus_1(self, in_dims,
+                                                                       out_dims):
+        rng, lyr = biased_layer(74, in_dims, out_dims)
+        x, d_y = rng.standard_normal((2, *in_dims)), rng.standard_normal((2, *out_dims))
+        assert chunk_size(lyr, 2) == 1
+        y, cache = forward(lyr, x)
+        entries = list(cache.intermediates)
+        copies = LayerCache([z.copy() for z in entries], cache.plan)
+        got = grad_arrays(backward(lyr, cache, d_y))
+        assert not any(np.shares_memory(got[0], z) for z in entries)
+        assert sorted(cache.plan.spare) == list(range(1, lyr.n_modes))  # all but X go back
+        for a, b in zip(got, grad_arrays(backward(lyr, copies, d_y)), strict=True):
+            assert np.array_equal(a, b)
+
+    def test_the_plan_keeps_one_set_and_its_eviction_frees_it(self):
+        lyr, [(x, d_y), _] = self.step_data(73)
+        caches = [forward(lyr, x)[1] for _ in range(2)]  # held at once
+        spent = [weakref.ref(cache.intermediates[1]) for cache in caches]
+        plan = caches[0].plan
+        for cache in caches:
+            backward(lyr, cache, d_y)
+        gc.collect()
+        assert list(plan.spare) == [1] and plan.spare[1] is spent[1]()
+        assert spent[0]() is None  # the consumed caches hold none of their buffers
+        del cache, caches, plan
+        for batch in range(3, 1030):  # _step_plan keeps 1,024 plans
+            layer._step_plan(self.DIMS, self.DIMS, batch, tensor.SMALL_GEMM_MNK)
+        gc.collect()
+        assert spent[1]() is None
 
 
 def per_sample_outer(vs):

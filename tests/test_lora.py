@@ -165,6 +165,18 @@ class TestFrozenBase:
         with pytest.raises(ValueError):
             base.b0[0] = 1.0
 
+    @pytest.mark.parametrize("bias", [None, np.zeros(3, np.float32)])
+    def test_base_holds_the_arrays_its_map_reads(self, bias):
+        # float32 arrays were kept as given: writable, and not what forward read
+        base = FrozenDense(np.ones((2, 3), np.float32), bias)
+        assert base.w0.dtype == np.float64 and not base.w0.flags.writeable
+        assert (base.b0 is None) == (bias is None)
+        with pytest.raises(ValueError):
+            base.w0[0, 0] = 5.0
+        for got, arr in zip((base.w0, base.b0), base._dense.params()):
+            assert got is arr
+        assert np.array_equal(base.forward(np.ones((1, 2))), [[2.0, 2.0, 2.0]])
+
     def test_base_unchanged_by_fitting(self):
         rng = make_rng(7)
         d = h = 16
