@@ -13,8 +13,8 @@ prod(D_k) * prod(H_k), at the price of only representing maps whose
 flattened matrix factors as W_1 (x) ... (x) W_N (Kronecker structure).
 
 Each public entry (``forward``, ``forward_only``, ``backward``) checks
-its input; the steps inside run a plan cached per (dims, batch, bound),
-``_step_plan``, and derive no shape.
+its input; the steps inside run an immutable plan cached per (dims, batch,
+bound), ``_step_plan``, and derive no shape.
 
 Training applies the modes in declaration order; N = 1 is the dense map
 X W_1 + b_1 and back. For N >= 2 the batch runs in chunks of c samples,
@@ -29,10 +29,10 @@ k = N..1, summed over chunks and bands in order:
 
     dW_k = Z G,    db_k = 1^T G,    G <- W_k G^T
 
-W_k G^T goes into Z's buffer once dW_k has read it: forward's buffers are
-backward's scratch, for dL/dX (Z_0's at one chunk, Z_{N-1}'s at c = 1, N > 2)
-and the plan's next forward. One unbanded chunk keeps the one-product
-bits; more chunks or bands move the summed gradients in the last bits.
+W_k G^T goes into Z's buffer once dW_k has read it: forward's buffers are backward's
+scratch, for dL/dX (Z_0's at one chunk; Z_{N-1}'s at c = 1, N > 2, if at most twice
+its size) and the layer's next forward. One unbanded chunk keeps the one-product bits;
+more chunks or bands move the summed gradients in the last bits.
 
 Inference (``forward_only``) applies the modes in the order with the
 fewest FLOPs (``plan_modes``), the biases in closed form
@@ -47,7 +47,7 @@ from __future__ import annotations
 import json
 import math
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -92,12 +92,14 @@ __all__ = [
 
 @dataclass
 class NdLinearLayer:
-    """Per-mode weights W_k (D_k, H_k) and optional biases b_k (H_k,)."""
+    """Per-mode weights W_k (D_k, H_k) and optional biases b_k (H_k,). ``_spare`` is
+    one set at most, {batch: {k: Z_k's buffer}}, that its last consumed cache left."""
 
     in_dims: tuple[int, ...]
     out_dims: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray] | None = None
+    _spare: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.in_dims, self.out_dims = _mode_dims(self.in_dims, self.out_dims)
@@ -152,10 +154,8 @@ def init_xavier(in_dims, out_dims, with_bias: bool, rng: np.random.Generator) ->
     computed per mode, not from the flattened sizes.
     """
     in_dims, out_dims = _mode_dims(in_dims, out_dims)
-    weights = []
-    for d, h in zip(in_dims, out_dims):
-        bound = math.sqrt(6.0 / (d + h))
-        weights.append(rng.uniform(-bound, bound, size=(d, h)))
+    bounds = [math.sqrt(6.0 / (d + h)) for d, h in zip(in_dims, out_dims)]
+    weights = [rng.uniform(-b, b, size=(d, h)) for b, d, h in zip(bounds, in_dims, out_dims)]
     biases = [np.zeros(h, dtype=np.float64) for h in out_dims] if with_bias else None
     return NdLinearLayer(in_dims, out_dims, weights, biases)
 
@@ -165,10 +165,10 @@ def _check_input(layer: NdLinearLayer, x: np.ndarray) -> np.ndarray:
 
 
 class _StepPlan(NamedTuple):
-    """How ``_run_steps`` and ``_backward_into`` run a batch (``_step_plan``).
-    Step k+1 reads a chunk's Z_k, whatever its buffer's shape, as the (D_{k+1},
-    rows) matrix ``reshape(D_{k+1}, -1)``. Forward's buffers are backward's
-    scratch; ``spare`` takes back those it leaves, for the next forward."""
+    """How ``_run_steps`` and ``_backward_into`` run a batch (``_step_plan``): an
+    immutable value that every layer of its dims and batch shares. Step k+1 reads
+    a chunk's Z_k, whatever its buffer's shape, as the (D_{k+1}, rows) matrix
+    ``reshape(D_{k+1}, -1)``."""
 
     dims: tuple[tuple[int, ...], tuple[int, ...]]  # the layer's (in_dims, out_dims)
     c: int  # samples a chunk; the last chunk may be shorter
@@ -177,25 +177,25 @@ class _StepPlan(NamedTuple):
     whole: bool  # the batch is one chunk, and each step one product
     y_shape: tuple[int, ...]  # (batch, *out_dims)
     ones: np.ndarray  # read-only, 1^T for a chunk's longest G (N >= 2)
-    spare: dict[int, np.ndarray]  # k -> a batch-long Z_k buffer backward gave back
 
 
 class LayerCache(NamedTuple):
     """What ``forward`` keeps for one ``backward``: the N gemm operands
-    Z_0 = X, Z_1, ..., Z_{N-1}, the step plan that laid them out, and the
-    entries forward allocated (``owned``, none in a hand-built cache).
+    Z_0 = X, Z_1, ..., Z_{N-1} as a tuple, the step plan that laid them out, and
+    ``owned``, a one-slot list of that tuple (``()`` in a hand-built cache).
 
     Entry k is the buffer forward computed Z_k in: B · ``plan.sizes[k]`` values,
     chunk after chunk in the step layout (D_{k+1}..D_N, c, H_1..H_k), X^T at N = 1
     and X itself at c = 1; backward reads it through the plan and refuses a plan of
-    other dims or entries of other sizes (``ShapeError``). It overwrites each Z_k
-    with W_{k+1} G^T, empties both lists and keeps the owned buffers as scratch:
-    they may back dL/dX or a later forward's cache. The fields are read-only.
+    other dims or entries of other sizes (``ShapeError``). On forward's own cache it
+    empties the slot, which marks the cache consumed, and overwrites each Z_k but X
+    with W_{k+1} G^T; those buffers then back dL/dX or the layer's next forward. Of
+    any other cache it writes and keeps nothing. The fields are read-only.
     """
 
-    intermediates: list[np.ndarray]
+    intermediates: tuple[np.ndarray, ...]
     plan: _StepPlan | None = None
-    owned: list[np.ndarray] | tuple = ()
+    owned: list[tuple[np.ndarray, ...]] | tuple = ()
 
 
 @lru_cache(maxsize=1024)
@@ -215,7 +215,7 @@ def _step_plan(in_dims: tuple[int, ...], out_dims: tuple[int, ...], batch: int,
     ones.flags.writeable = False
     return _StepPlan((in_dims, out_dims), c, sizes, bands,
                      c == batch and bands == tuple(c * r for r in rest),
-                     (batch, *out_dims), ones, {})
+                     (batch, *out_dims), ones)
 
 
 def _samples(buf: np.ndarray, size: int, start: int, count: int) -> np.ndarray:
@@ -232,14 +232,14 @@ def _run_steps(layer: NdLinearLayer, x: np.ndarray,
     plan = _step_plan(layer.in_dims, layer.out_dims, batch, tensor.SMALL_GEMM_MNK)
     c, sizes, flat = plan.c, plan.sizes, x.reshape(batch, -1)
     if plan.whole:  # each product is the next step's buffer; x.T keeps N = 1 x @ W_1 + b_1
-        bufs, owned = [flat.T if n == 1 else permute(flat, (1, 0))], ()
+        bufs = [flat.T if n == 1 else permute(flat, (1, 0))]
         for k, w in enumerate(layer.weights):
             bufs.append(matmul(bufs[k].reshape(w.shape[0], -1).T, w))
             if layer.biases is not None:
                 bufs[-1] += layer.biases[k]
     else:  # chunks write their rows of batch-long buffers (one chunk's if no cache)
-        held, spare = (batch, plan.spare) if keep else (c, {})  # buffers backward gave back
-        owned = [z if (z := spare.pop(k, None)) is not None else np.empty(held * sizes[k])
+        held, spare = (batch, layer._spare.pop(batch, {})) if keep else (c, {})  # no other call's
+        owned = [z if (z := spare.get(k)) is not None else np.empty(held * sizes[k])
                  for k in range(c == 1, n)]
         bufs = [*([flat] if c == 1 else ()), *owned, np.empty(batch * sizes[n])]
         for b0 in range(0, batch, c):
@@ -254,7 +254,8 @@ def _run_steps(layer: NdLinearLayer, x: np.ndarray,
                     matmul(a[r:r + band], w, out=z[r:r + band])
                 if layer.biases is not None:
                     z += layer.biases[k]
-    return bufs[n].reshape(plan.y_shape), LayerCache(bufs[:n], plan, owned) if keep else None
+    zs = tuple(bufs[:n])
+    return bufs[n].reshape(plan.y_shape), LayerCache(zs, plan, [zs]) if keep else None
 
 
 def forward(layer: NdLinearLayer, x: np.ndarray) -> tuple[np.ndarray, LayerCache]:
@@ -304,11 +305,10 @@ def effective_bias(layer: NdLinearLayer) -> np.ndarray:
     Zero for a layer without biases. Costs O(N prod(H)) and is not
     cached: optimizers update weights and biases in place.
     """
-    total = np.zeros(layer.out_dims)
-    if layer.biases is None:
-        return total
-    tail = np.ones(())  # c_{k+1} (x) ... (x) c_N
-    for w, b in zip(reversed(layer.weights), reversed(layer.biases)):
+    if not isinstance(layer, NdLinearLayer):
+        raise TypeError(f"effective_bias needs an NdLinearLayer, got {type(layer).__name__}")
+    total, tail = np.zeros(layer.out_dims), np.ones(())  # tail: c_{k+1} (x) ... (x) c_N
+    for w, b in zip(reversed(layer.weights), reversed(layer.biases or ())):
         total += np.multiply.outer(b, tail)
         tail = np.multiply.outer(w.sum(axis=0), tail)
     return total
@@ -328,10 +328,13 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
     """``backward`` into ``d_params`` (C-contiguous, ``params`` order), and dL/dX
     only if ``need_input``. For N >= 2 db_k is numpy's gemv 1^T G (3-4x faster
     than ``G.sum(axis=0)``), not a counted ``matmul``: ``flop_count`` has no bias."""
-    n, zs, plan = layer.n_modes, cache.intermediates, cache.plan
-    if plan is None or plan.dims != (layer.in_dims, layer.out_dims):
+    n, plan = layer.n_modes, cache.plan if isinstance(cache, LayerCache) else None
+    if not isinstance(plan, _StepPlan) or plan.dims != (layer.in_dims, layer.out_dims):
         raise ShapeError(f"cache is not one that forward made for a layer of dims "
                          f"{layer.in_dims} -> {layer.out_dims}")
+    zs, slot = cache.intermediates, cache.owned if isinstance(cache.owned, list) else [None]
+    if not slot:
+        raise ShapeError("cache was consumed by an earlier backward")
     batch, c, ones = plan.y_shape[0], plan.c, plan.ones
     want = [batch * s for s in plan.sizes[:n]]
     got = [z.size if isinstance(z, np.ndarray) else type(z).__name__ for z in zs]
@@ -341,13 +344,14 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
     d_y = np.ascontiguousarray(real_array(d_y, "d_y"))
     if d_y.shape != plan.y_shape:
         raise ShapeError(f"d_y shape {d_y.shape} != output shape {plan.y_shape}")
+    if own := slot[0] is zs:  # forward's own cache, not a hand-built or rebuilt one
+        slot.clear()  # consumed: the entries forward allocated are overwritten below
     if n == 1:  # the dense statements, on forward's X^T
-        matmul(zs.pop().reshape(layer.in_dims[0], -1), d_y, out=d_params[0])
+        matmul(zs[0].reshape(layer.in_dims[0], -1), d_y, out=d_params[0])
         if layer.biases is not None:
             d_y.sum(axis=0, out=d_params[1])
         return matmul(d_y, layer.weights[0].T) if need_input else None
     zs = [*zs, d_y]
-    cache.intermediates.clear()  # consumed: the entries are overwritten below
     if plan.whole:
         g = d_y
         for k in range(n, 0, -1):
@@ -358,15 +362,14 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
             if layer.biases is not None:
                 np.matmul(ones[:len(g)], g, out=d_params[n + k - 1])
             if k > 1 or need_input:  # dL/dZ_{k-1} takes Z_{k-1}'s place, which dW_k has read
-                g = matmul(w, g.T, out=z)
+                g = matmul(w, g.T, out=z if own else None)
         return g.reshape(-1, batch).T.reshape(batch, *layer.in_dims) if need_input else None
-    owned = {k: z for k, z in enumerate(zs[:n]) if any(z is o for o in cache.owned)}
-    if owned:
-        cache.owned.clear()
-    if need_input and c == 1 and n > 2 and len(owned.get(n - 1, ())) >= batch * plan.sizes[0]:
-        d_x = owned.pop(n - 1)[:batch * plan.sizes[0]].reshape(batch, -1)  # on swept samples <= b
-    else:  # (Z_1 holds the last G at N = 2)
-        d_x = np.empty((batch, plan.sizes[0])) if need_input else None
+    # dL/dX takes Z_{N-1}'s buffer at most twice its size; sample b's rows lie on
+    # swept samples <= b (Z_1 holds the last G at N = 2)
+    lend = (need_input and own and c == 1 and n > 2
+            and plan.sizes[0] <= plan.sizes[n - 1] <= 2 * plan.sizes[0])
+    d_x = (zs[n - 1][:batch * plan.sizes[0]].reshape(batch, -1) if lend else
+           np.empty((batch, plan.sizes[0])) if need_input else None)
     for d in d_params:  # every chunk adds its terms, in batch order, to -0.0 (-0.0 + x is x)
         d.fill(-0.0)
     for b0 in range(0, batch, c):
@@ -383,23 +386,22 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
             if layer.biases is not None:
                 d_params[n + k - 1] += ones[:len(g)] @ g
             if k > 1:  # as in the whole batch's sweep
-                g = matmul(w, g.T, out=z)
+                g = matmul(w, g.T, out=z if own else None)
         if not need_input:
             continue
         if nb == 1:  # dL/dX from step layout (D_1..D_N, nb): a sample is its own
             matmul(w, g.T, out=d_x[b0].reshape(w.shape[0], -1))
         else:
-            d_x[b0:b0 + nb] = matmul(w, g.T, out=z).reshape(-1, nb).T
-    plan.spare.update(owned)
+            d_x[b0:b0 + nb] = matmul(w, g.T, out=z if own else None).reshape(-1, nb).T
+    if own:  # the buffers forward allocated and dL/dX left, for the layer's next forward
+        layer._spare = {batch: {k: zs[k] for k in range(c == 1, n - lend)}}
     return None if d_x is None else d_x.reshape(batch, *layer.in_dims)
 
 
 def param_count(in_dims, out_dims, with_bias: bool) -> int:
     """Trainable scalars in the factorized layer: sum(D_k H_k [+ H_k])."""
     in_dims, out_dims = _mode_dims(in_dims, out_dims)
-    total = sum(d * h for d, h in zip(in_dims, out_dims))
-    if with_bias:
-        total += sum(out_dims)
+    total = sum(d * h for d, h in zip(in_dims, out_dims)) + (sum(out_dims) if with_bias else 0)
     return checked_u64(total, "param count")
 
 
@@ -491,18 +493,12 @@ def save_layer(layer: NdLinearLayer, path) -> None:
     with tempfile.TemporaryDirectory(prefix=f".{root.name}.", dir=root.parent) as scratch:
         new = Path(scratch) / "new"
         new.mkdir()
-        meta = {
-            "in_dims": list(layer.in_dims),
-            "out_dims": list(layer.out_dims),
-            "with_bias": layer.with_bias,
-            "N": layer.n_modes,
-        }
+        meta = {"in_dims": list(layer.in_dims), "out_dims": list(layer.out_dims),
+                "with_bias": layer.with_bias, "N": layer.n_modes}
         (new / _META_NAME).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-        for k, w in enumerate(layer.weights, start=1):
-            ndt.write(new / f"W_{k}.ndt", w)
-        if layer.biases is not None:
-            for k, b in enumerate(layer.biases, start=1):
-                ndt.write(new / f"b_{k}.ndt", b)
+        for name, params in (("W", layer.weights), ("b", layer.biases or ())):
+            for k, p in enumerate(params, start=1):
+                ndt.write(new / f"{name}_{k}.ndt", p)
         if root.is_dir():
             root.rename(Path(scratch) / "old")
         new.rename(root)
@@ -543,9 +539,7 @@ def load_layer(path) -> NdLinearLayer:
     root = Path(path)
     n, in_dims, out_dims, with_bias = _read_meta(root / _META_NAME)
     weights = [ndt.read(root / f"W_{k}.ndt") for k in range(1, n + 1)]
-    biases = None
-    if with_bias:
-        biases = [ndt.read(root / f"b_{k}.ndt") for k in range(1, n + 1)]
+    biases = [ndt.read(root / f"b_{k}.ndt") for k in range(1, n + 1)] if with_bias else None
     try:
         return NdLinearLayer(in_dims, out_dims, weights, biases)
     except ShapeError as exc:

@@ -262,6 +262,7 @@ def model_backward(model: Model, caches: list, d_y: np.ndarray, need_input: bool
 
 def mse_loss(y: np.ndarray, t: np.ndarray):
     """Mean squared error over batch and features; returns (loss, dL/dy)."""
+    y, t = real_array(y, "prediction"), real_array(t, "target")
     if y.shape != t.shape:
         raise ShapeError(f"prediction shape {y.shape} != target shape {t.shape}")
     diff = y - t

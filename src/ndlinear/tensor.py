@@ -105,8 +105,12 @@ _F64 = np.dtype(np.float64)
 def real_array(x, what: str) -> np.ndarray:
     """``x`` as a float64 array if its dtype is bool, int or float; else a
     TypeError naming ``what``. numpy would drop a complex array's imaginary
-    part with only a warning, and parse a string array as numbers."""
-    x = np.asarray(x)
+    part with only a warning, and parse a string array as numbers. A ragged
+    nested list is a ShapeError."""
+    try:
+        x = np.asarray(x)
+    except ValueError as exc:  # numpy's "inhomogeneous shape"
+        raise ShapeError(f"{what} is not a rectangular array: {exc}") from None
     if x.dtype == _F64:  # first, as the cheapest test (~0.1 us per call)
         return x
     if x.dtype.kind not in "biuf":

@@ -815,9 +815,13 @@ def dim_list(n):
                   ).map(lambda ds: ",".join(map(str, ds)))
 
 
+# train's --config, in argvs' draws: a name that the test maps to a file it wrote
+TRAIN_CONFIGS = {"config:separable": REGRESSION_CONFIG, "config:blobs": MODEL_CONFIG}
+
+
 @st.composite
 def argvs(draw):
-    command = draw(st.sampled_from(["verify", "bench", "lora-demo"]))
+    command = draw(st.sampled_from(["verify", "bench", "lora-demo", "train"]))
     argv = [command, "--quiet", f"--seed={draw(mostly(st.integers(0, 3), st.just(-1)))}"]
     if command == "verify":
         argv += [f"--seeds={draw(mostly(st.just(1), st.integers(-1, 0)))}",
@@ -833,6 +837,18 @@ def argvs(draw):
                  f"--mem-cap-gib={draw(mostly(st.floats(0, 1), st.floats()))!r}"]
         if draw(st.booleans()):
             argv.append("--bias")
+    elif command == "train":
+        small = st.builds("{}:n={}".format, st.sampled_from(sorted(_DATA_KEYS)),
+                          st.integers(10, 40))
+        spec = draw(mostly(small, data_specs()))
+        fits = f"config:{spec.partition(':')[0]}"
+        malformed = st.sampled_from(["", "x", "1.5", "0", "-1"])
+        argv += ["--config", draw(mostly(st.just(fits), st.sampled_from(sorted(TRAIN_CONFIGS)))),
+                 f"--data={spec}",
+                 f"--epochs={draw(mostly(st.integers(1, 2).map(str), malformed))}",
+                 f"--batch-size={draw(mostly(sizes(64).map(str), malformed))}",
+                 f"--split={draw(mostly(st.floats(0.1, 0.9), st.floats()))!r}",
+                 f"--lr={draw(mostly(st.floats(1e-3, 0.1), st.floats()))!r}"]
     else:
         argv += [f"--d={draw(sizes(6))}", f"--h={draw(sizes(6))}", f"--rank={draw(sizes(3))}",
                  f"--steps={draw(st.integers(-1, 2))}",
@@ -841,11 +857,17 @@ def argvs(draw):
     return argv
 
 
+@pytest.fixture(scope="module")
+def train_configs(tmp_path_factory):
+    return {name: str(write_config(tmp_path_factory.mktemp("config"), config))
+            for name, config in TRAIN_CONFIGS.items()}
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # e.g. --lr inf overflows
 @settings(max_examples=200, deadline=None)
 @given(argv=argvs())
-def test_verify_bench_lora_demo_exit_cleanly(argv):
-    assert main(argv) in (0, 1, 2)
+def test_every_command_exits_cleanly(train_configs, argv):
+    assert main([train_configs.get(arg, arg) for arg in argv]) in (0, 1, 2)
 
 
 class TestUsage:

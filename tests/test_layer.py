@@ -402,6 +402,10 @@ class TestModePlan:
         assert np.max(np.abs(effective_bias(lyr) - forward(lyr, zero)[0][0])) \
             < cli.EQUIVALENCE_TOL
 
+    def test_effective_bias_of_a_non_layer_is_a_type_error(self):
+        with pytest.raises(TypeError, match="effective_bias needs an NdLinearLayer, got int"):
+            effective_bias(3)
+
     def test_ties_keep_declaration_order(self):
         assert plan_modes((32, 32, 32), (32, 32, 32)) == (0, 1, 2)
         assert plan_modes((8, 8), (16, 16)) == (0, 1)
@@ -449,9 +453,31 @@ class TestBackward:
         y, cache = forward(lyr, x)
         with pytest.raises(ShapeError):
             backward(lyr, cache, np.zeros((1, *lyr.out_dims)))
-        cache.intermediates.pop()
         with pytest.raises(ShapeError):
-            backward(lyr, cache, y)
+            backward(lyr, cache._replace(intermediates=cache.intermediates[:-1]), y)
+
+    def test_entries_cannot_be_reordered_in_place(self):
+        # in a list, Z_1 could be swapped for a reordered view of its own values: the
+        # value count still fits, and dW_2 came out wrong
+        lyr = init_xavier((2, 3), (3, 2), True, make_rng(17))
+        rng = make_rng(18)
+        x, d_y = rng.standard_normal((4, 2, 3)), rng.standard_normal((4, 3, 2))
+        cache = forward(lyr, x)[1]
+        want = fresh_buffer_backward(lyr, [z.copy() for z in cache.intermediates], d_y)
+        zs = cache.intermediates
+        with pytest.raises(TypeError):
+            zs[1] = zs[1].reshape(2, 3, 2, 3)[::-1]
+        with pytest.raises(AttributeError):
+            zs.reverse()
+        for got, ref in zip(grad_arrays(backward(lyr, cache, d_y)), want, strict=True):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("cache", [None, np.zeros((4, 2, 3)), (np.zeros(24), np.zeros(36))],
+                             ids=["none", "array", "tuple"])
+    def test_a_cache_of_another_type_is_refused(self, cache):
+        lyr = init_xavier((2, 3), (3, 2), True, make_rng(16))
+        with pytest.raises(ShapeError, match="not one that forward made"):
+            backward(lyr, cache, np.zeros((4, 3, 2)))
 
 
     @pytest.mark.parametrize("bad, error", [
@@ -565,8 +591,8 @@ class TestCacheIsConsumed:
         x = rng.standard_normal((2, *lyr.in_dims))
         y, cache = forward(lyr, x)
         backward(lyr, cache, y)
-        assert cache.intermediates == []
-        with pytest.raises(ShapeError, match=f"cache holds 0 tensors, expected {n}"):
+        assert len(cache.intermediates) == n and cache.owned == []  # the slot is spent
+        with pytest.raises(ShapeError, match="cache was consumed by an earlier backward"):
             backward(lyr, cache, y)
 
     @settings(max_examples=100, deadline=None)
@@ -865,7 +891,7 @@ class TestBandedTrainingSteps:
 
 class TestCacheMemoryIsReused:
     """On the cube at batch 2 (c = 1, banded) a consumed cache's buffers are
-    backward's scratch: Z_2's takes dL/dX, Z_1's backs the plan's next forward."""
+    backward's scratch: Z_2's takes dL/dX, Z_1's backs the layer's next forward."""
 
     DIMS = (32, 32, 32)
 
@@ -889,11 +915,11 @@ class TestCacheMemoryIsReused:
         for now, then in zip(outs[0], first, strict=True):  # the second step wrote none of it
             assert np.array_equal(now, then)
         for (x, d_y), got in zip(data, outs):
-            layer._step_plan.cache_clear()  # a plan with no spare set: fresh buffers
-            want_y, cache = forward(lyr, x)
+            fresh = NdLinearLayer(lyr.in_dims, lyr.out_dims, lyr.weights, lyr.biases)
+            want_y, cache = forward(fresh, x)  # a layer with no spare set: fresh buffers
             copies = LayerCache([z.copy() for z in cache.intermediates], cache.plan)
-            want = [want_y, *grad_arrays(backward(lyr, copies, d_y))]
-            assert not np.shares_memory(want[1], copies.plan.spare.get(1, want_y))
+            want = [want_y, *grad_arrays(backward(fresh, copies, d_y))]
+            assert fresh._spare == {}  # a hand-built cache gives nothing back
             for a, b in zip(got, want, strict=True):
                 assert np.array_equal(a, b)
 
@@ -906,10 +932,10 @@ class TestCacheMemoryIsReused:
         x.flags.writeable = False  # Z_0 at c = 1: a write raises
         y, cache = forward(lyr, x)
         copies = [z.copy() for z in cache.intermediates]
-        d_x = backward(lyr, hand_built(cache, list(copies)), d_y).d_input
-        backward(lyr, cache, d_y)  # forward's own cache gives its buffers back
         theirs = (x, *copies)
         kept = [a.copy() for a in theirs]
+        d_x = backward(lyr, hand_built(cache, list(copies)), d_y).d_input
+        backward(lyr, cache, d_y)  # forward's own cache gives its buffers back
         for _ in range(2):  # each step takes the spare set the one before left
             y2, cache2 = forward(lyr, x2)
             ours = [y2, *cache2.intermediates]
@@ -948,25 +974,56 @@ class TestCacheMemoryIsReused:
         copies = LayerCache([z.copy() for z in entries], cache.plan)
         got = grad_arrays(backward(lyr, cache, d_y))
         assert not any(np.shares_memory(got[0], z) for z in entries)
-        assert sorted(cache.plan.spare) == list(range(1, lyr.n_modes))  # all but X go back
+        assert sorted(lyr._spare[2]) == list(range(1, lyr.n_modes))  # all but X go back
         for a, b in zip(got, grad_arrays(backward(lyr, copies, d_y)), strict=True):
             assert np.array_equal(a, b)
 
-    def test_the_plan_keeps_one_set_and_its_eviction_frees_it(self):
+    @pytest.mark.parametrize("out_dims, lent", [
+        ((32, 32, 32), True),   # Z_2 holds as many values a sample as X
+        ((64, 32, 32), True),   # twice as many
+        ((64, 64, 32), False),  # four times: a 512 KiB dL/dX would keep 2 MiB alive
+    ], ids=["equal", "twice", "four_times"])
+    def test_input_gradient_views_at_most_twice_its_size(self, out_dims, lent):
+        rng, lyr = biased_layer(75, self.DIMS, out_dims)
+        x, d_y = rng.standard_normal((2, *self.DIMS)), rng.standard_normal((2, *out_dims))
+        cache = forward(lyr, x)[1]
+        z2 = cache.intermediates[2]
+        d_x = backward(lyr, cache, d_y).d_input
+        assert np.shares_memory(d_x, z2) == lent
+        assert d_x.base.nbytes <= 2 * d_x.nbytes
+
+    def test_the_layer_keeps_one_set_and_frees_it_with_itself(self):
         lyr, [(x, d_y), _] = self.step_data(73)
         caches = [forward(lyr, x)[1] for _ in range(2)]  # held at once
         spent = [weakref.ref(cache.intermediates[1]) for cache in caches]
-        plan = caches[0].plan
         for cache in caches:
             backward(lyr, cache, d_y)
+        assert list(lyr._spare) == [2] and list(lyr._spare[2]) == [1]
+        assert lyr._spare[2][1] is spent[1]()
+        del cache, caches
         gc.collect()
-        assert list(plan.spare) == [1] and plan.spare[1] is spent[1]()
-        assert spent[0]() is None  # the consumed caches hold none of their buffers
-        del cache, caches, plan
-        for batch in range(3, 1030):  # _step_plan keeps 1,024 plans
-            layer._step_plan(self.DIMS, self.DIMS, batch, tensor.SMALL_GEMM_MNK)
+        assert spent[0]() is None  # nothing but the consumed cache held the first set
+        for batch in (3, 1, 2):  # whatever batch sizes it runs, the layer keeps one set
+            xb = np.ones((batch, *self.DIMS))
+            backward(lyr, forward(lyr, xb)[1], xb)
+            assert list(lyr._spare) == [batch] and list(lyr._spare[batch]) == [1]
+        last = weakref.ref(lyr._spare[2][1])
+        del lyr
         gc.collect()
-        assert spent[1]() is None
+        assert last() is None
+
+    def test_layers_of_equal_dims_keep_their_own_sets(self):
+        # a plan is shared by every layer of its dims and batch; spare buffers are not
+        first, data = self.step_data(76)
+        second = NdLinearLayer(self.DIMS, self.DIMS, first.weights, first.biases)
+        entries = [[], []]
+        for x, d_y in data:
+            for lyr, seen in zip((first, second), entries):
+                cache = forward(lyr, x)[1]
+                seen.append(cache.intermediates[1])
+                backward(lyr, cache, d_y)
+        assert all(seen[1] is seen[0] for seen in entries)  # each its own Z_1, taken back
+        assert entries[0][0] is not entries[1][0]
 
 
 def per_sample_outer(vs):

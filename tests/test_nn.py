@@ -237,6 +237,15 @@ class TestRefusals:
         with pytest.raises(ShapeError, match=r"prediction shape \(2, 3\) != target shape"):
             nn.mse_loss(np.zeros((2, 3)), np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("targets, error", [
+        (None, TypeError),                 # an AttributeError on t.shape
+        ([[1.0, 2.0, 3.0]], ShapeError),  # a list is converted, then its shape checked
+    ], ids=["none", "list"])
+    def test_mse_targets_are_real_arrays(self, targets, error):
+        with pytest.raises(error, match="target"):
+            nn.mse_loss(np.zeros((2, 3)), targets)
+        assert nn.mse_loss(np.zeros((1, 3)), [[1, 2, 2]])[0] == 3.0
+
     def test_cross_entropy_of_non_2d_logits(self):
         with pytest.raises(ShapeError, match=r"logits must be \(batch, classes\)"):
             nn.softmax_cross_entropy(np.zeros(3), np.zeros(1, dtype=int))
@@ -710,6 +719,19 @@ class TestChecksAtTheBoundary:
         model = nn.build_model(SEPARABLE_MODEL, make_rng(0))
         with pytest.raises(error):
             nn.infer(model, bad(make_rng(1).standard_normal((3, 8, 8))))
+
+    @pytest.mark.parametrize("run", [
+        lambda m, x: layer.forward(m.layers[0].inner, x),
+        lambda m, x: layer.forward_only(m.layers[0].inner, x),
+        nn.model_forward,
+        nn.infer,
+    ], ids=["layer.forward", "layer.forward_only", "nn.model_forward", "nn.infer"])
+    def test_a_ragged_nested_list_is_a_shape_error(self, run):
+        # numpy's own "inhomogeneous shape" ValueError escaped before any check ran
+        model = nn.build_model(SEPARABLE_MODEL, make_rng(0))
+        ragged = [np.ones((8, 8)).tolist(), np.ones((8, 7)).tolist()]
+        with pytest.raises(ShapeError, match="input is not a rectangular array"):
+            run(model, ragged)
 
     def test_infer_is_the_forward_output(self):
         model = nn.build_model(SEPARABLE_MODEL, make_rng(0))
