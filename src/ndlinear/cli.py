@@ -27,7 +27,7 @@ import numpy as np
 
 from . import layer as layer_mod
 from . import lora, nn, oracle
-from .tensor import INDEX_MAX, FlopCounter, make_rng
+from .tensor import INDEX_MAX, FlopCounter, ShapeError, make_rng
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -363,26 +363,13 @@ def cmd_train(args) -> int:
         raise UsageError(f"--config {args.config}: cannot allocate the model: {exc}")
 
     data = _parse_data_spec(args.data, args.split, rng)
-    if (model.loss == "cross_entropy") != (data.task == "classification"):
-        raise UsageError(f"loss {model.loss!r} does not fit {data.task} data")
-    if data.x_train.shape[1:] != model.in_dims:
-        raise UsageError(f"data samples {data.x_train.shape[1:]} do not fit "
-                         f"model input {model.in_dims}")
-    if data.task == "regression" and data.y_train.shape[1:] != model.out_shape:
-        raise UsageError(f"data targets {data.y_train.shape[1:]} do not fit "
-                         f"model output {model.out_shape}")
-    if data.task == "classification":
-        classes = int(max(data.y_train.max(), data.y_test.max())) + 1
-        if model.out_shape[0] < classes:
-            raise UsageError(f"model emits {model.out_shape[0]} logits but the data has "
-                             f"{classes} classes")
-
     optimizer = nn.OPTIMIZERS[args.optimizer](args.lr)
-
     try:
         # an overflow ends in a non-finite loss, which TrainingDiverged reports on one line
         with np.errstate(over="ignore", invalid="ignore"):
             result = nn.train(model, data, train_config, optimizer, rng)
+    except ShapeError as exc:  # train's entry check, before the first step
+        raise UsageError(f"--data {args.data} does not fit --config {args.config}: {exc}")
     except nn.TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

@@ -170,7 +170,6 @@ class _StepPlan(NamedTuple):
     a chunk's Z_k, whatever its buffer's shape, as the (D_{k+1}, rows) matrix
     ``reshape(D_{k+1}, -1)``."""
 
-    dims: tuple[tuple[int, ...], tuple[int, ...]]  # the layer's (in_dims, out_dims)
     c: int  # samples a chunk; the last chunk may be shorter
     sizes: tuple[int, ...]  # values a sample of Z_0..Z_N
     bands: tuple[int, ...]  # rows of step k's (rest, D_k) operand that one matmul takes
@@ -182,20 +181,20 @@ class _StepPlan(NamedTuple):
 class LayerCache(NamedTuple):
     """What ``forward`` keeps for one ``backward``: the N gemm operands
     Z_0 = X, Z_1, ..., Z_{N-1} as a tuple, the step plan that laid them out, and
-    ``owned``, a one-slot list of that tuple (``()`` in a hand-built cache).
+    ``owned``, forward's [layer, that tuple, that plan], which backward empties.
 
     Entry k is the buffer forward computed Z_k in: B · ``plan.sizes[k]`` values,
     chunk after chunk in the step layout (D_{k+1}..D_N, c, H_1..H_k), X^T at N = 1
-    and X itself at c = 1; backward reads it through the plan and refuses a plan of
-    other dims or entries of other sizes (``ShapeError``). On forward's own cache it
-    empties the slot, which marks the cache consumed, and overwrites each Z_k but X
-    with W_{k+1} G^T; those buffers then back dL/dX or the layer's next forward. Of
-    any other cache it writes and keeps nothing. The fields are read-only.
+    and X itself at c = 1. Backward takes only an unconsumed cache that forward made
+    for its layer (any other, a ``_replace``d one too, is a ``ShapeError`` before any
+    write), reads it through the plan, empties ``owned`` and overwrites each Z_k but
+    X with W_{k+1} G^T: those buffers then back dL/dX or the layer's next forward.
+    The fields are read-only.
     """
 
     intermediates: tuple[np.ndarray, ...]
-    plan: _StepPlan | None = None
-    owned: list[tuple[np.ndarray, ...]] | tuple = ()
+    plan: _StepPlan
+    owned: list
 
 
 @lru_cache(maxsize=1024)
@@ -213,8 +212,7 @@ def _step_plan(in_dims: tuple[int, ...], out_dims: tuple[int, ...], batch: int,
     bands = tuple(b if c == 1 and b >= h else c * r for b, r, h in zip(cut, rest, out_dims))
     ones = np.ones(c * max(s // h for s, h in zip(sizes[1:], out_dims)) if n > 1 else 0)
     ones.flags.writeable = False
-    return _StepPlan((in_dims, out_dims), c, sizes, bands,
-                     c == batch and bands == tuple(c * r for r in rest),
+    return _StepPlan(c, sizes, bands, c == batch and bands == tuple(c * r for r in rest),
                      (batch, *out_dims), ones)
 
 
@@ -255,7 +253,8 @@ def _run_steps(layer: NdLinearLayer, x: np.ndarray,
                 if layer.biases is not None:
                     z += layer.biases[k]
     zs = tuple(bufs[:n])
-    return bufs[n].reshape(plan.y_shape), LayerCache(zs, plan, [zs]) if keep else None
+    cache = LayerCache(zs, plan, [layer, zs, plan]) if keep else None
+    return bufs[n].reshape(plan.y_shape), cache
 
 
 def forward(layer: NdLinearLayer, x: np.ndarray) -> tuple[np.ndarray, LayerCache]:
@@ -315,9 +314,9 @@ def effective_bias(layer: NdLinearLayer) -> np.ndarray:
 
 
 def backward(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray) -> NdLinearGrads:
-    """Propagate dL/dY back through every mode step, consuming ``cache``, which
-    comes from ``forward`` on the same layer and input. It writes neither ``d_y`` nor
-    the input; forward's buffers are its scratch, for dL/dX or a later forward's cache."""
+    """Propagate dL/dY back through every mode step, consuming ``cache``, the one
+    ``forward`` returned for this layer. It writes neither ``d_y`` nor the input;
+    forward's buffers are its scratch, for dL/dX or a later forward's cache."""
     d_params = [np.empty(p.shape) for p in layer.params()]
     d_x = _backward_into(layer, cache, d_y, d_params, need_input=True)
     return NdLinearGrads(d_params[:layer.n_modes], d_params[layer.n_modes:] or None, d_x)
@@ -328,24 +327,18 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
     """``backward`` into ``d_params`` (C-contiguous, ``params`` order), and dL/dX
     only if ``need_input``. For N >= 2 db_k is numpy's gemv 1^T G (3-4x faster
     than ``G.sum(axis=0)``), not a counted ``matmul``: ``flop_count`` has no bias."""
-    n, plan = layer.n_modes, cache.plan if isinstance(cache, LayerCache) else None
-    if not isinstance(plan, _StepPlan) or plan.dims != (layer.in_dims, layer.out_dims):
-        raise ShapeError(f"cache is not one that forward made for a layer of dims "
-                         f"{layer.in_dims} -> {layer.out_dims}")
-    zs, slot = cache.intermediates, cache.owned if isinstance(cache.owned, list) else [None]
-    if not slot:
+    slot = cache.owned if isinstance(cache, LayerCache) and type(cache.owned) is list else None
+    if slot == []:
         raise ShapeError("cache was consumed by an earlier backward")
+    if slot is None or [*map(id, slot)] != [id(layer), id(cache.intermediates), id(cache.plan)]:
+        raise ShapeError(f"cache is not one that forward made for a layer of dims "
+                         f"{layer.in_dims} -> {layer.out_dims}, this one")
+    n, zs, plan = layer.n_modes, cache.intermediates, cache.plan
     batch, c, ones = plan.y_shape[0], plan.c, plan.ones
-    want = [batch * s for s in plan.sizes[:n]]
-    got = [z.size if isinstance(z, np.ndarray) else type(z).__name__ for z in zs]
-    if got != want:
-        raise ShapeError(f"cache holds {len(zs)} tensors, expected {n} arrays of "
-                         f"{want} values, got {got}")
     d_y = np.ascontiguousarray(real_array(d_y, "d_y"))
     if d_y.shape != plan.y_shape:
         raise ShapeError(f"d_y shape {d_y.shape} != output shape {plan.y_shape}")
-    if own := slot[0] is zs:  # forward's own cache, not a hand-built or rebuilt one
-        slot.clear()  # consumed: the entries forward allocated are overwritten below
+    slot.clear()  # consumed: the entries forward allocated are overwritten below
     if n == 1:  # the dense statements, on forward's X^T
         matmul(zs[0].reshape(layer.in_dims[0], -1), d_y, out=d_params[0])
         if layer.biases is not None:
@@ -362,11 +355,11 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
             if layer.biases is not None:
                 np.matmul(ones[:len(g)], g, out=d_params[n + k - 1])
             if k > 1 or need_input:  # dL/dZ_{k-1} takes Z_{k-1}'s place, which dW_k has read
-                g = matmul(w, g.T, out=z if own else None)
+                g = matmul(w, g.T, out=z)
         return g.reshape(-1, batch).T.reshape(batch, *layer.in_dims) if need_input else None
     # dL/dX takes Z_{N-1}'s buffer at most twice its size; sample b's rows lie on
     # swept samples <= b (Z_1 holds the last G at N = 2)
-    lend = (need_input and own and c == 1 and n > 2
+    lend = (need_input and c == 1 and n > 2
             and plan.sizes[0] <= plan.sizes[n - 1] <= 2 * plan.sizes[0])
     d_x = (zs[n - 1][:batch * plan.sizes[0]].reshape(batch, -1) if lend else
            np.empty((batch, plan.sizes[0])) if need_input else None)
@@ -386,15 +379,15 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
             if layer.biases is not None:
                 d_params[n + k - 1] += ones[:len(g)] @ g
             if k > 1:  # as in the whole batch's sweep
-                g = matmul(w, g.T, out=z if own else None)
+                g = matmul(w, g.T, out=z)
         if not need_input:
             continue
         if nb == 1:  # dL/dX from step layout (D_1..D_N, nb): a sample is its own
             matmul(w, g.T, out=d_x[b0].reshape(w.shape[0], -1))
         else:
-            d_x[b0:b0 + nb] = matmul(w, g.T, out=z if own else None).reshape(-1, nb).T
-    if own:  # the buffers forward allocated and dL/dX left, for the layer's next forward
-        layer._spare = {batch: {k: zs[k] for k in range(c == 1, n - lend)}}
+            d_x[b0:b0 + nb] = matmul(w, g.T, out=z).reshape(-1, nb).T
+    # the buffers forward allocated and dL/dX left, for the layer's next forward
+    layer._spare = {batch: {k: zs[k] for k in range(c == 1, n - lend)}}
     return None if d_x is None else d_x.reshape(batch, *layer.in_dims)
 
 

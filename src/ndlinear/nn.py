@@ -260,22 +260,43 @@ def model_backward(model: Model, caches: list, d_y: np.ndarray, need_input: bool
 
 # ---------------------------------------------------------------- losses
 
-def mse_loss(y: np.ndarray, t: np.ndarray):
-    """Mean squared error over batch and features; returns (loss, dL/dy)."""
-    y, t = real_array(y, "prediction"), real_array(t, "target")
-    if y.shape != t.shape:
-        raise ShapeError(f"prediction shape {y.shape} != target shape {t.shape}")
-    diff = y - t
-    scale = 1.0 / diff.size
-    return float((diff ** 2).sum() * scale), 2.0 * scale * diff
-
-
-def _log_softmax_picked(logits: np.ndarray, labels: np.ndarray):
-    """(exp of the max-shifted logits, log-probability of each label in [0, classes))."""
-    classes = logits.shape[1]
+def _checked_targets(loss: str, y_shape: tuple[int, ...], targets) -> np.ndarray:
+    """The one target rule, for a prediction of shape ``y_shape`` with at least one
+    value: ``mse`` takes real values of that shape, ``cross_entropy`` one integer label
+    in [0, classes) per row of (rows, classes) logits. A ragged list is a ShapeError,
+    non-real values a TypeError. Returns the targets as an array."""
+    if not math.prod(y_shape):
+        raise ShapeError(f"prediction shape {y_shape} holds no values")
+    if loss == "mse":
+        t = real_array(targets, "target")
+        if t.shape != y_shape:
+            raise ShapeError(f"prediction shape {y_shape} != target shape {t.shape}")
+        return t
+    if len(y_shape) != 2:
+        raise ShapeError(f"logits must be (batch, classes), got {y_shape}")
+    real_array(targets, "labels")  # the value rule: ragged or non-real labels raise
+    labels = np.asarray(targets)
+    if labels.shape != y_shape[:1]:
+        raise ShapeError(f"labels shape {labels.shape} != {y_shape[:1]}")
+    classes = y_shape[1]
     bad = labels if labels.dtype.kind not in "iu" else labels[(labels < 0) | (labels >= classes)]
     if bad.size:
         raise ShapeError(f"labels must be integers in [0, {classes}), got {bad.flat[0]}")
+    return labels
+
+
+def mse_loss(y: np.ndarray, t: np.ndarray):
+    """Mean squared error over batch and features; returns (loss, dL/dy)."""
+    y = real_array(y, "prediction")
+    diff = y - _checked_targets("mse", y.shape, t)
+    scale = 1.0 / diff.size
+    loss = float((diff ** 2).sum() * scale)
+    diff *= 2.0 * scale  # dL/dy, in diff's memory
+    return loss, diff
+
+
+def _log_softmax_picked(logits: np.ndarray, labels: np.ndarray):
+    """(exp of the max-shifted logits, log-probability of each label), both checked."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     picked = shifted[np.arange(logits.shape[0]), labels] - np.log(exp.sum(axis=1))
@@ -284,11 +305,8 @@ def _log_softmax_picked(logits: np.ndarray, labels: np.ndarray):
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean softmax cross-entropy with labels in [0, classes); returns (loss, dL/dlogits)."""
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be (batch, classes), got {logits.shape}")
-    labels = np.asarray(labels)
-    if labels.shape != (logits.shape[0],):
-        raise ShapeError(f"labels shape {labels.shape} != ({logits.shape[0]},)")
+    logits = real_array(logits, "logits")
+    labels = _checked_targets("cross_entropy", logits.shape, labels)
     exp, picked = _log_softmax_picked(logits, labels)
     batch = logits.shape[0]
     loss = float(-picked.mean())
@@ -400,7 +418,6 @@ class TrainSplit:
     y_train: np.ndarray
     x_test: np.ndarray
     y_test: np.ndarray
-    task: str  # "regression" or "classification"
 
 
 @dataclass
@@ -425,11 +442,9 @@ def evaluate(model: Model, x: np.ndarray, targets: np.ndarray):
     one row: the separable model's train-set pass took 8.8 ms, 27.6 ms as
     one batch.
     """
-    x, targets = _model_input(model, x), np.asarray(targets)
+    x = _model_input(model, x)
     n = len(x)
-    want = (n, *model.out_shape) if model.loss == "mse" else (n,)
-    if targets.shape != want:
-        raise ShapeError(f"target shape {targets.shape} != {want}")
+    targets = _checked_targets(model.loss, (n, *model.out_shape), targets)
     rows = max(1, _EVAL_BLOCK_BYTES // (8 * model.widest))
     loss_sum = 0.0
     correct = 0
@@ -450,15 +465,19 @@ def train(model: Model, data: TrainSplit, config: TrainConfig, optimizer,
           rng: np.random.Generator) -> TrainResult:
     """Minibatch training loop; each epoch's shuffle is drawn from ``rng``.
 
-    Raises TrainingDiverged on a non-finite batch loss or gradient, before
-    that step's update, or on a non-finite train or test loss at the end
-    of an epoch. The returned log
-    holds one record per epoch with train/test loss (and accuracy for
-    classification) from ``evaluate``, and ``epoch_wall_ns``, the
-    ``perf_counter_ns`` duration of the epoch, evaluation included.
+    Data that does not fit the model, by the model input rule or the target
+    rule, is a ShapeError or TypeError before the first step. Raises
+    TrainingDiverged on a non-finite batch loss or gradient, before that
+    step's update, or on a non-finite train or test loss at the end of an
+    epoch. The returned log holds one record per epoch with train/test loss
+    (and accuracy for classification) from ``evaluate``, and ``epoch_wall_ns``,
+    the ``perf_counter_ns`` duration of the epoch, evaluation included.
     """
     n = positive_int(len(data.x_train), "training set size")
     positive_int(len(data.x_test), "test set size")
+    x_train, x_test = _model_input(model, data.x_train), _model_input(model, data.x_test)
+    y_train, y_test = (_checked_targets(model.loss, (len(x), *model.out_shape), t)
+                       for x, t in ((x_train, data.y_train), (x_test, data.y_test)))
     if any(p.base is not model.flat for p in model.params()):  # e.g. packed by another Model
         raise ValueError("the layers' parameters are no longer views of model.flat")
     log: list[dict] = []
@@ -467,8 +486,8 @@ def train(model: Model, data: TrainSplit, config: TrainConfig, optimizer,
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            y, caches = model_forward(model, data.x_train[idx])
-            loss, d_y = _apply_loss(model, y, data.y_train[idx])
+            y, caches = model_forward(model, x_train[idx])
+            loss, d_y = _apply_loss(model, y, y_train[idx])
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss {loss} at epoch {epoch}, batch offset {start}"
@@ -482,8 +501,8 @@ def train(model: Model, data: TrainSplit, config: TrainConfig, optimizer,
                                        f"({type(model.layers[i]).__name__})")
             optimizer.step(model.flat, model.grad)
 
-        train_loss, train_acc = evaluate(model, data.x_train, data.y_train)
-        test_loss, test_acc = evaluate(model, data.x_test, data.y_test)
+        train_loss, train_acc = evaluate(model, x_train, y_train)
+        test_loss, test_acc = evaluate(model, x_test, y_test)
         if not (math.isfinite(train_loss) and math.isfinite(test_loss)):
             raise TrainingDiverged(f"non-finite epoch loss at epoch {epoch}: "
                                    f"train {train_loss}, test {test_loss}")
@@ -498,12 +517,12 @@ def train(model: Model, data: TrainSplit, config: TrainConfig, optimizer,
 
 # ------------------------------------------------------- synthetic data
 
-def _split(x: np.ndarray, t: np.ndarray, split: float, task: str) -> TrainSplit:
+def _split(x: np.ndarray, t: np.ndarray, split: float) -> TrainSplit:
     """The first ``round(len(x) * split)`` samples train, the rest test."""
     n_train = round(len(x) * split)
     if not 0 < n_train < len(x):
         raise ValueError(f"split {split} leaves no train or no test samples")
-    return TrainSplit(x[:n_train], t[:n_train], x[n_train:], t[n_train:], task)
+    return TrainSplit(x[:n_train], t[:n_train], x[n_train:], t[n_train:])
 
 
 def gen_separable_regression(rng: np.random.Generator, b_total: int,
@@ -531,7 +550,7 @@ def gen_separable_regression(rng: np.random.Generator, b_total: int,
     t = layer_mod.forward_only(truth, x)
     if noise_sigma > 0:
         t = t + noise_sigma * rng.standard_normal(t.shape)
-    return _split(x, t, split, "regression")
+    return _split(x, t, split)
 
 
 def gen_blob_classification(rng: np.random.Generator, b_total: int,
@@ -546,7 +565,7 @@ def gen_blob_classification(rng: np.random.Generator, b_total: int,
     labels = rng.integers(0, 2, size=b_total)
     x = rng.standard_normal((b_total, features))
     x[:, 0] += (labels - 0.5) * sep
-    return _split(x.reshape(b_total, features, 1), labels, split, "classification")
+    return _split(x.reshape(b_total, features, 1), labels, split)
 
 
 # ------------------------------------- inductive-bias comparison helpers

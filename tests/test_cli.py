@@ -685,7 +685,8 @@ class TestTrain:
         })
         assert main(["train", "--config", str(config), "--data", "blobs",
                      "--epochs", "1", "--quiet"]) == 2
-        assert "model emits 1 logits but the data has 2 classes" in capsys.readouterr().err
+        assert "does not fit" in (err := capsys.readouterr().err)
+        assert "labels must be integers in [0, 1), got 1" in err
 
     @pytest.mark.parametrize("spec, requested", [
         ("separable:n=1000000000000000", "512,000,000,000,000,000 bytes"),

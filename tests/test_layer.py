@@ -1,3 +1,4 @@
+import copy
 import gc
 import itertools
 import math
@@ -332,16 +333,14 @@ class TestKernelProperties:
         dense = oracle.probe_full_map(lyr)
         assert np.max(np.abs(y - oracle.flat_forward(dense, x))) < cli.EQUIVALENCE_TOL
 
-        # the kernel's cache holds views of its step buffers; plain
-        # contiguous arrays of the same values and layout (X^T at N = 1)
-        # must give the same bits (copied first: backward consumes the cache)
-        copied = LayerCache([z.copy(order="K") for z in cache.intermediates], cache.plan)
         grads = backward(lyr, cache, d_y)
         batch = x.shape[0]
         d_x_dense = d_y.reshape(batch, -1) @ dense.w_full.T
         assert np.max(np.abs(grads.d_input.reshape(batch, -1) - d_x_dense)) \
             < cli.EQUIVALENCE_TOL
-        again = backward(lyr, copied, d_y)
+        # backward consumed the cache; a second forward, into the buffers it gave
+        # back, makes a second one that must give the same bits
+        again = backward(lyr, forward(lyr, x)[1], d_y)
         for got, want in zip(grad_arrays(again), grad_arrays(grads), strict=True):
             assert np.array_equal(got, want)
 
@@ -485,14 +484,19 @@ class TestBackward:
         (lambda d: d[:, :, :1], ShapeError),  # output dims
         (lambda d: d + 1j, TypeError),
     ])
-    @pytest.mark.parametrize("copied", [False, True])
-    def test_bad_upstream_gradient(self, bad, error, copied):
+    @pytest.mark.parametrize("retry", [False, True])
+    def test_bad_upstream_gradient(self, bad, error, retry):
+        # refused before the cache is consumed or written: a retry with a good
+        # d_y gives the bits of a fresh step
         lyr = init_xavier((2, 3), (3, 2), True, make_rng(15))
-        y, cache = forward(lyr, make_rng(16).standard_normal((4, 2, 3)))
-        if copied:
-            cache = LayerCache([z.copy() for z in cache.intermediates], cache.plan)
+        x = make_rng(16).standard_normal((4, 2, 3))
+        y, cache = forward(lyr, x)
         with pytest.raises(error):
             backward(lyr, cache, bad(y))
+        if retry:
+            got = grad_arrays(backward(lyr, cache, y))
+            for a, b in zip(got, grad_arrays(backward(lyr, forward(lyr, x)[1], y)), strict=True):
+                assert np.array_equal(a, b)
 
     def test_forward_cache_of_other_dims(self):
         # its plan is for forward's layer, and names that layer's dims
@@ -515,7 +519,8 @@ class TestBackward:
         lyr = init_xavier((2, 3), (3, 2), True, make_rng(22))
         y, cache = forward(lyr, make_rng(23).standard_normal((4, 2, 3)))
         with pytest.raises(ShapeError, match="not one that forward made"):
-            backward(lyr, LayerCache(entries(cache.intermediates)), y[:rows])
+            backward(lyr, LayerCache(entries(cache.intermediates), None, cache.owned), y[:rows])
+        assert len(cache.owned) == 3  # forward's own cache is not consumed
 
     @pytest.mark.parametrize("entries", [
         lambda zs: [np.zeros(5), zs[1]],
@@ -524,11 +529,11 @@ class TestBackward:
         lambda zs: [zs[0], np.array(1.0)],
     ], ids=["too_few_values", "list_entry", "scalar_entry", "zero_d_entry"])
     def test_forged_entries_beside_forwards_plan(self, entries):
-        # each entry must be an array of B · sizes[k] values, whatever its shape
+        # entries that forward did not make are refused, whatever they hold
         lyr = init_xavier((2, 3), (3, 2), True, make_rng(24))
         y, cache = forward(lyr, make_rng(25).standard_normal((4, 2, 3)))
-        with pytest.raises(ShapeError, match=r"expected 2 arrays of \[24, 36\] values"):
-            backward(lyr, LayerCache(entries(cache.intermediates), cache.plan), y)
+        with pytest.raises(ShapeError, match="not one that forward made"):
+            backward(lyr, LayerCache(entries(cache.intermediates), cache.plan, cache.owned), y)
 
     @pytest.mark.parametrize("name", ["intermediates", "plan", "owned"])
     def test_cache_fields_are_read_only(self, name):
@@ -574,6 +579,11 @@ def fresh_buffer_backward(lyr, zs, d_y):
     return [d_x, *d_w, *(d_b if lyr.with_bias else [])]
 
 
+def spare_ids(lyr):
+    """The layer's spare set, {batch: {k: id of Z_k's buffer}}."""
+    return {b: {k: id(z) for k, z in s.items()} for b, s in lyr._spare.items()}
+
+
 class TestCacheIsConsumed:
     @settings(max_examples=150, deadline=None)
     @given(layer_cases())
@@ -594,6 +604,44 @@ class TestCacheIsConsumed:
         assert len(cache.intermediates) == n and cache.owned == []  # the slot is spent
         with pytest.raises(ShapeError, match="cache was consumed by an earlier backward"):
             backward(lyr, cache, y)
+
+    @pytest.mark.parametrize("kind", ["not_a_cache", "other_layer", "consumed", "replaced",
+                                      "copied", "deep_copied"])
+    def test_only_forwards_unconsumed_cache_for_this_layer_is_taken(self, kind):
+        # any other is a ShapeError before any write: the caller's arrays and the
+        # layer's spare set keep their bits, and forward's own cache still serves
+        dims = (32, 32, 32)  # c = 1 at batch 2, so the layer keeps a spare set
+        rng, lyr = biased_layer(77, dims, dims)
+        other = NdLinearLayer(dims, dims, lyr.weights, lyr.biases)  # equal dims and values
+        x, d_y = rng.standard_normal((2, *dims)), rng.standard_normal((2, *dims))
+        cache = forward(lyr, x)[1]
+        copies = tuple(z.copy() for z in cache.intermediates)
+        if kind == "consumed":
+            bad = forward(lyr, x)[1]
+            backward(lyr, bad, d_y)
+        else:
+            backward(lyr, forward(lyr, x)[1], d_y)  # leaves a spare set
+            bad = {"not_a_cache": lambda: cache.intermediates,
+                   "other_layer": lambda: forward(other, x)[1],
+                   "replaced": lambda: cache._replace(intermediates=copies),
+                   "copied": lambda: LayerCache(copies, cache.plan, cache.owned),
+                   "deep_copied": lambda: copy.deepcopy(cache)}[kind]()
+        assert lyr._spare
+        entries = bad if kind == "not_a_cache" else bad.intermediates
+        held = [x, d_y, *cache.intermediates, *copies, *entries,
+                *(z for s in lyr._spare.values() for z in s.values())]
+        kept, spare = [a.copy() for a in held], spare_ids(lyr)
+        owned = None if kind == "not_a_cache" else list(bad.owned)
+        with pytest.raises(ShapeError, match="consumed by an earlier backward" if kind == "consumed"
+                           else "not one that forward made for a layer of dims"):
+            backward(lyr, bad, d_y)
+        assert all(np.array_equal(a, b) for a, b in zip(held, kept, strict=True))
+        assert spare_ids(lyr) == spare
+        assert owned is None or all(a is b for a, b in zip(bad.owned, owned, strict=True))
+        fresh = NdLinearLayer(dims, dims, lyr.weights, lyr.biases)
+        want = grad_arrays(backward(fresh, forward(fresh, x)[1], d_y))
+        for a, b in zip(grad_arrays(backward(lyr, cache, d_y)), want, strict=True):
+            assert np.array_equal(a, b)
 
     @settings(max_examples=100, deadline=None)
     @given(layer_cases())
@@ -917,31 +965,30 @@ class TestCacheMemoryIsReused:
         for (x, d_y), got in zip(data, outs):
             fresh = NdLinearLayer(lyr.in_dims, lyr.out_dims, lyr.weights, lyr.biases)
             want_y, cache = forward(fresh, x)  # a layer with no spare set: fresh buffers
-            copies = LayerCache([z.copy() for z in cache.intermediates], cache.plan)
-            want = [want_y, *grad_arrays(backward(fresh, copies, d_y))]
-            assert fresh._spare == {}  # a hand-built cache gives nothing back
+            want = [want_y, *grad_arrays(backward(fresh, cache, d_y))]
             for a, b in zip(got, want, strict=True):
                 assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("hand_built", [
-        lambda cache, zs: LayerCache(zs, cache.plan),
+        lambda cache, zs: LayerCache(zs, cache.plan, cache.owned),
         lambda cache, zs: cache._replace(intermediates=zs),  # forward's owned list, not its arrays
     ], ids=["plan_only", "replaced_entries"])
     def test_memory_the_library_does_not_own_is_never_reused(self, hand_built):
+        # a cache of the caller's arrays is refused, and no later step writes or keeps them
         lyr, [(x, d_y), (x2, _)] = self.step_data(71)
         x.flags.writeable = False  # Z_0 at c = 1: a write raises
         y, cache = forward(lyr, x)
-        copies = [z.copy() for z in cache.intermediates]
+        copies = tuple(z.copy() for z in cache.intermediates)
         theirs = (x, *copies)
         kept = [a.copy() for a in theirs]
-        d_x = backward(lyr, hand_built(cache, list(copies)), d_y).d_input
+        with pytest.raises(ShapeError, match="not one that forward made"):
+            backward(lyr, hand_built(cache, copies), d_y)
         backward(lyr, cache, d_y)  # forward's own cache gives its buffers back
         for _ in range(2):  # each step takes the spare set the one before left
             y2, cache2 = forward(lyr, x2)
             ours = [y2, *cache2.intermediates]
             ours.append(backward(lyr, cache2, d_y).d_input)
             assert not any(np.shares_memory(a, b) for a in ours for b in theirs)
-        assert not any(np.shares_memory(d_x, b) for b in theirs)
         for now, then in zip(theirs, kept, strict=True):
             assert np.array_equal(now, then)
 
@@ -971,11 +1018,10 @@ class TestCacheMemoryIsReused:
         assert chunk_size(lyr, 2) == 1
         y, cache = forward(lyr, x)
         entries = list(cache.intermediates)
-        copies = LayerCache([z.copy() for z in entries], cache.plan)
         got = grad_arrays(backward(lyr, cache, d_y))
         assert not any(np.shares_memory(got[0], z) for z in entries)
         assert sorted(lyr._spare[2]) == list(range(1, lyr.n_modes))  # all but X go back
-        for a, b in zip(got, grad_arrays(backward(lyr, copies, d_y)), strict=True):
+        for a, b in zip(got, grad_arrays(backward(lyr, forward(lyr, x)[1], d_y)), strict=True):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("out_dims, lent", [

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import model_analytic_grads, model_numeric_grads
@@ -255,6 +255,106 @@ class TestRefusals:
             nn.softmax_cross_entropy(np.zeros((2, 3)), np.zeros((2, 1), dtype=int))
 
 
+# Every loss entry below sees 2 rows: mse predictions and targets (2, 3), logits (2, 3)
+# with 3 classes, and labels (2,) of integers in [0, 3).
+_NOT_REAL = st.one_of(
+    st.none(), st.just({}), st.text(max_size=3),
+    st.builds(lambda s: np.full((2, 3), s), st.sampled_from(["a", "1.0"])),
+    st.builds(lambda v: np.zeros((2, 3)) + 1j * v, st.floats(-1, 1)))
+
+
+def _ragged(row):
+    """Nested lists of two rows whose lengths differ, or whose depths do."""
+    return st.one_of(
+        st.builds(lambda k: [[row] * 3, [row] * k], st.integers(0, 4).filter(lambda k: k != 3)),
+        st.just([[row], []]), st.just([[row, row], [[row]]]))
+
+
+_MALFORMED_TARGETS = st.one_of(
+    _NOT_REAL, _ragged(0.0),
+    st.builds(np.float64, st.floats(-2, 2)),  # 0-d
+    st.builds(lambda r: np.zeros((r, 3)), st.sampled_from([0, 1, 3])),  # row count
+    st.builds(lambda f: np.zeros((2, f)), st.sampled_from([1, 2, 4])))
+
+_MALFORMED_LABELS = st.one_of(
+    _NOT_REAL, _ragged(1),
+    st.builds(np.int64, st.integers(0, 2)),  # 0-d
+    st.builds(lambda r: np.zeros(r, dtype=int), st.sampled_from([0, 1, 3])),
+    st.just(np.zeros((2, 1), dtype=int)),
+    st.builds(lambda v: np.array([0.0, v]), st.floats(0, 2)),  # float labels
+    st.just(np.array([True, False])),
+    st.builds(lambda v: np.array([v, 0]), st.sampled_from([-1, 3, 100])))  # out of range
+
+_MALFORMED_LOGITS = st.one_of(
+    _NOT_REAL, _ragged(1.0),
+    st.builds(np.float64, st.floats(-2, 2)),
+    st.sampled_from([(0, 3), (1, 3), (3, 3), (2, 0), (3,), (2, 3, 1)]).map(np.ones),
+    st.just([[1.0, 2.0]]))
+
+_LOSS_CASES = st.one_of(
+    *(st.tuples(st.just(entry), _MALFORMED_TARGETS)
+      for entry in ("mse_loss", "evaluate_mse", "train_mse_train", "train_mse_test")),
+    *(st.tuples(st.just(entry), _MALFORMED_LABELS)
+      for entry in ("labels", "evaluate_ce", "train_ce_train", "train_ce_test")),
+    st.tuples(st.just("logits"), _MALFORMED_LOGITS))
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+class TestLossEntryRefusals:
+    """The target rule at every loss entry: malformed targets, labels and logits are
+    a ShapeError or TypeError (no other type, no warning), and nothing is written."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(_LOSS_CASES)
+    @example(("evaluate_mse", [[1, 2], [3]]))           # a numpy ValueError
+    @example(("evaluate_mse", np.full((2, 3), "a")))    # numpy's UFuncTypeError
+    @example(("labels", [[1], []]))                     # a numpy ValueError
+    @example(("logits", [[1.0, 2.0]]))                  # an AttributeError on .ndim
+    @example(("logits", np.ones((2, 3)) + 1j))          # truncated, with a ComplexWarning
+    def test_only_shape_and_type_errors_escape(self, case):
+        entry, bad = case
+        if isinstance(bad, np.ndarray):
+            _read_only(bad)
+        before = copy.deepcopy(bad)
+        x, y, t, labels = _read_only(np.ones((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)),
+                                     np.array([0, 1]))
+        loss = "mse" if "mse" in entry else "cross_entropy"
+        model = nn.Model([nn.Dense(np.eye(3))], loss, (3,))
+        flat = model.flat.copy()
+        good = t if loss == "mse" else labels
+        calls = {
+            "mse_loss": lambda: nn.mse_loss(y, bad),
+            "labels": lambda: nn.softmax_cross_entropy(y, bad),
+            "logits": lambda: nn.softmax_cross_entropy(bad, labels),
+            "evaluate": lambda: nn.evaluate(model, x, bad),
+            "train_train": lambda: nn.train(model, nn.TrainSplit(x, bad, x, good),
+                                            nn.TrainConfig(epochs=1), nn.SGD(0.1), make_rng(0)),
+            "train_test": lambda: nn.train(model, nn.TrainSplit(x, good, x, bad),
+                                           nn.TrainConfig(epochs=1), nn.SGD(0.1), make_rng(0)),
+        }
+        call = calls[entry.replace("_mse", "").replace("_ce", "")]
+        with pytest.raises(Exception) as raised:
+            call()
+        assert type(raised.value) in (ShapeError, TypeError), repr(raised.value)
+        assert all(np.all(a == b) for a, b in
+                   [(x, 1.0), (y, 0.0), (t, 0.0), (labels, [0, 1]), (model.flat, flat)])
+        if isinstance(bad, np.ndarray):
+            assert np.array_equal(bad, before)
+        else:
+            assert repr(bad) == repr(before)
+
+    def test_lists_convert(self):
+        logits, labels = np.array([[1.0, 2.0, 0.5]]), np.array([1])
+        want = nn.softmax_cross_entropy(logits, labels)
+        got = nn.softmax_cross_entropy(logits.tolist(), labels.tolist())
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+
 class TestTraining:
     def _data(self, seed=0):
         return nn.gen_separable_regression(make_rng(seed), 80, (3, 2), (2, 3),
@@ -340,7 +440,7 @@ class TestTraining:
         # h = x w1 = 1e8 and y = h give a finite loss (1e16) and a finite
         # dW2, but dW1 = x^T dL/dh = 4 * 1e308 * 5e7 overflows
         x = np.full((4, 1), 1e308)
-        data = nn.TrainSplit(x, np.zeros((4, 1)), x[:1], np.zeros((1, 1)), "regression")
+        data = nn.TrainSplit(x, np.zeros((4, 1)), x[:1], np.zeros((1, 1)))
         model = nn.Model([nn.Dense(np.array([[1e-300]])), nn.Dense(np.ones((1, 1)))],
                          "mse", (1,))
         before = model.flat.copy()
@@ -503,7 +603,7 @@ class TestFlatOptimizers:
         model = nn.Model([nn.ReLU()], "mse", (3,))
         rng = make_rng(0)
         x = rng.standard_normal((8, 3))
-        data = nn.TrainSplit(x[:6], x[:6], x[6:], x[6:], "regression")
+        data = nn.TrainSplit(x[:6], x[:6], x[6:], x[6:])
         res = nn.train(model, data, nn.TrainConfig(epochs=2, batch_size=4),
                        OPTIMIZER_PAIRS[name][0](), make_rng(42))
         assert res.final["train_loss"] == res.log[0]["train_loss"]
@@ -580,7 +680,7 @@ class TestPackedParameters:
         rng = make_rng(5)
         x = rng.standard_normal((rows, 2, 3))
         t = rng.standard_normal((rows, 2, 2))
-        return nn.TrainSplit(x, t, x[:2], t[:2], "regression")
+        return nn.TrainSplit(x, t, x[:2], t[:2])
 
     def test_parameters_stay_views_of_the_vector_through_training(self):
         model = self._model()
