@@ -5,6 +5,10 @@ report), ``train`` (toy training on synthetic data), ``lora-demo``
 (adapter parameter counts and delta recovery). Exit codes: 0 success,
 1 check failure, 2 usage error. All randomness hangs off --seed; only
 wall-clock fields vary between runs.
+
+Each option's value rule is its parser ``type``, so it is checked as the
+command line is parsed, before any file is read. Every usage error, argparse's
+own included, is a ``UsageError``: one ``error:`` line on stderr, and exit 2.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 from . import layer as layer_mod
 from . import lora, nn, oracle
-from .tensor import INDEX_MAX, FlopCounter, ShapeError, make_rng
+from .tensor import INDEX_MAX, FlopCounter, ShapeError, make_rng, positive_int
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -42,14 +46,33 @@ class UsageError(Exception):
     pass
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
-    try:
-        dims = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f"cannot parse dims {text!r}; expected e.g. 16,16,16")
-    if not dims or any(d < 1 for d in dims):
-        raise UsageError(f"dims must be positive, got {text!r}")
-    return dims
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's own refusals as a UsageError, not the usage text and exit."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _rule(parse, ok, what: str):
+    """An option's value rule, as its parser ``type``: ``parse(text)`` if that is
+    ``ok``, else an ArgumentTypeError, which argparse reports with the option's name."""
+    def check(text: str):
+        try:
+            if ok(value := parse(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"need {what}, got {text!r}")
+    return check
+
+
+_COUNT = _rule(int, lambda v: v >= 1, "an integer >= 1")
+_INDEX = _rule(int, lambda v: v >= 0, "an integer >= 0")
+_RATE = _rule(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_AMOUNT = _rule(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+_FRACTION = _rule(float, lambda v: 0 < v < 1, "a number in (0, 1)")
+_DIMS = _rule(lambda text: tuple(map(int, text.split(","))), lambda ds: min(ds) >= 1,
+              "integers >= 1 joined by commas (e.g. 16,16,16)")
 
 
 def _write(option: str, path: str | None, text: str) -> None:
@@ -107,11 +130,10 @@ def cmd_verify(args) -> int:
     # max_dim ** (2 max_rank) bounds a trial's dense-map entries; max_dim is floored at 2
     # to bound the rank at --max-dim 1 too, and an exponent of cap.bit_length() is past the cap
     cap = oracle.DEFAULT_SIZE_CAP
-    if (min(args.seeds, args.max_rank, args.max_dim) < 1
-            or max(args.max_dim, 2) ** min(2 * args.max_rank, cap.bit_length()) > cap):
-        raise UsageError(f"need --seeds, --max-rank and --max-dim >= 1, and max(max_dim, 2) "
-                         f"** (2 max_rank) <= {cap}, the oracle's cap on dense-map entries; "
-                         f"got {args.seeds}, {args.max_rank} and {args.max_dim}")
+    if max(args.max_dim, 2) ** min(2 * args.max_rank, cap.bit_length()) > cap:
+        raise UsageError(f"need max(--max-dim, 2) ** (2 --max-rank) <= {cap}, the oracle's "
+                         f"cap on dense-map entries; got --max-rank {args.max_rank} and "
+                         f"--max-dim {args.max_dim}")
     checks = {
         "equivalence": _check_block(
             oracle.equivalence_trials(args.seeds, args.max_rank, args.max_dim, args.seed),
@@ -188,6 +210,7 @@ def run_bench(in_dims, out_dims, batch: int, trials: int = 30, warmup: int = 5,
     the modes ``forward_only`` applies, in order, numbered from 1, and
     ``env`` the numpy version, its BLAS and the CPU count.
     """
+    trials = positive_int(trials, "trials")
     rng = make_rng(seed)
     lyr = layer_mod.init_xavier(in_dims, out_dims, with_bias, rng)
     x = rng.standard_normal((batch, *in_dims))
@@ -254,25 +277,20 @@ def _write_csv(path: str | None, report: BenchReport) -> None:
 
 
 def cmd_bench(args) -> int:
-    in_dims = _parse_dims(args.in_dims)
-    out_dims = _parse_dims(args.out_dims)
-    if len(in_dims) != len(out_dims):
-        raise UsageError(f"--in-dims has {len(in_dims)} modes but --out-dims has "
-                         f"{len(out_dims)}; give one output dim per input dim")
-    if (args.batch < 1 or args.trials < 1 or args.warmup < 0
-            or not (math.isfinite(args.mem_cap_gib) and args.mem_cap_gib >= 0)):
-        raise UsageError("need --batch >= 1, --trials >= 1, --warmup >= 0 "
-                         "and a finite --mem-cap-gib >= 0")
+    if len(args.in_dims) != len(args.out_dims):
+        raise UsageError(f"--in-dims has {len(args.in_dims)} modes but --out-dims has "
+                         f"{len(args.out_dims)}; give one output dim per input dim")
     # exact: the float product overflows past 1.7e299 GiB
     mem_cap_bytes = int(Fraction(args.mem_cap_gib) * (1 << 30))
     # the weights, input and output, and the dense weight if it is timed
-    dense_bytes = 8 * math.prod(in_dims) * math.prod(out_dims)
-    nbytes = (8 * sum(d * h for d, h in zip(in_dims, out_dims))
-              + 8 * args.batch * (math.prod(in_dims) + math.prod(out_dims))
+    dense_bytes = 8 * math.prod(args.in_dims) * math.prod(args.out_dims)
+    nbytes = (8 * sum(d * h for d, h in zip(args.in_dims, args.out_dims))
+              + 8 * args.batch * (math.prod(args.in_dims) + math.prod(args.out_dims))
               + (dense_bytes if dense_bytes <= mem_cap_bytes else 0))
-    with _allocating(f"--in-dims {args.in_dims} --out-dims {args.out_dims}", nbytes,
+    with _allocating("--in-dims {} --out-dims {}".format(
+            *(",".join(map(str, dims)) for dims in (args.in_dims, args.out_dims))), nbytes,
                      f"the layer and a batch of {args.batch}"):
-        report = run_bench(in_dims, out_dims, args.batch, args.trials, args.warmup,
+        report = run_bench(args.in_dims, args.out_dims, args.batch, args.trials, args.warmup,
                            args.seed, args.bias, mem_cap_bytes)
     _write_json(args.json, asdict(report))
     _write_csv(args.csv, report)
@@ -310,7 +328,10 @@ def _parse_data_spec(text: str, split: float, rng) -> nn.TrainSplit:
             if not eq or key not in opts:
                 raise UsageError(f"bad data option {item!r} for {kind}; "
                                  f"known keys: {sorted(opts)}")
-            opts[key] = _data_value(key, value, type(opts[key]))
+            try:  # sizes are counts, noise sigma and blob separation amounts
+                opts[key] = (_COUNT if type(opts[key]) is int else _AMOUNT)(value)
+            except argparse.ArgumentTypeError as exc:
+                raise UsageError(f"data option {key}: {exc}")
     features = opts["d1"] * opts["d2"] if kind == "separable" else opts["features"]
     try:
         with _allocating(f"--data {text}", 8 * opts["n"] * features,
@@ -325,20 +346,6 @@ def _parse_data_spec(text: str, split: float, rng) -> nn.TrainSplit:
         raise UsageError(f"--data {text}: {exc}")
 
 
-def _data_value(key: str, value: str, kind: type):
-    """Parse one --data option: ints (sizes) must be >= 1, floats
-    (noise sigma, blob separation) finite and >= 0."""
-    try:
-        parsed = kind(value)
-    except ValueError:
-        raise UsageError(f"data option {key}: expected {kind.__name__}, got {value!r}")
-    if kind is int and parsed < 1:
-        raise UsageError(f"data option {key}: must be >= 1, got {parsed}")
-    if kind is float and not (math.isfinite(parsed) and parsed >= 0):
-        raise UsageError(f"data option {key}: must be finite and >= 0, got {parsed}")
-    return parsed
-
-
 def cmd_train(args) -> int:
     try:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -346,13 +353,6 @@ def cmd_train(args) -> int:
         raise UsageError(f"--config {args.config}: cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"--config {args.config}:{exc.lineno}:{exc.colno}: {exc.msg}")
-
-    if not 0 < args.split < 1:
-        raise UsageError(f"need 0 < --split < 1, got {args.split}")
-    try:
-        train_config = nn.TrainConfig(epochs=args.epochs, batch_size=args.batch_size)
-    except ValueError as exc:
-        raise UsageError(str(exc))
 
     rng = make_rng(args.seed)
     try:
@@ -367,7 +367,8 @@ def cmd_train(args) -> int:
     try:
         # an overflow ends in a non-finite loss, which TrainingDiverged reports on one line
         with np.errstate(over="ignore", invalid="ignore"):
-            result = nn.train(model, data, train_config, optimizer, rng)
+            result = nn.train(model, data, nn.TrainConfig(args.epochs, args.batch_size),
+                              optimizer, rng)
     except ShapeError as exc:  # train's entry check, before the first step
         raise UsageError(f"--data {args.data} does not fit --config {args.config}: {exc}")
     except nn.TrainingDiverged as exc:
@@ -394,8 +395,6 @@ def cmd_train(args) -> int:
 # ------------------------------------------------------------- lora-demo
 
 def cmd_lora_demo(args) -> int:
-    if min(args.d, args.h, args.rank, args.steps) < 1:
-        raise UsageError("need --d, --h, --rank and --steps >= 1")
     import warnings as _warnings
     # the 2d x d inputs, the 2d x h targets and three d x h maps
     nbytes = 8 * args.d * (2 * args.d + 5 * args.h)
@@ -434,10 +433,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_parser(name, seed=42, **kwargs):
         p = sub.add_parser(name, parents=[common], **kwargs)
-        p.add_argument("--seed", type=int, default=seed, help=f"PRNG seed (default {seed})")
+        p.add_argument("--seed", type=_INDEX, default=seed, help=f"PRNG seed (default {seed})")
         return p
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ndlinear",
         description="Factorized N-D linear layers: verification, benchmarks, "
                     "toy training, and adapter demos.")
@@ -446,20 +445,20 @@ def _build_parser() -> argparse.ArgumentParser:
     # verify's trial seeds start at --seed; 0 runs the oracle runners' default trials
     p = add_parser("verify", seed=0,
                    help="run the dense-equivalence and gradient oracle suite")
-    p.add_argument("--seeds", type=int, default=12,
+    p.add_argument("--seeds", type=_COUNT, default=12,
                    help="trials per config family (default 12)")
-    p.add_argument("--max-rank", type=int, default=4)
-    p.add_argument("--max-dim", type=int, default=5)
+    p.add_argument("--max-rank", type=_COUNT, default=4)
+    p.add_argument("--max-dim", type=_COUNT, default=5)
     p.set_defaults(fn=cmd_verify)
 
     p = add_parser("bench", help="parameter/FLOP counts and wall times vs dense baseline")
-    p.add_argument("--in-dims", default="16,16,16")
-    p.add_argument("--out-dims", default="16,16,16")
-    p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--trials", type=int, default=30)
-    p.add_argument("--warmup", type=int, default=5)
+    p.add_argument("--in-dims", type=_DIMS, default="16,16,16")
+    p.add_argument("--out-dims", type=_DIMS, default="16,16,16")
+    p.add_argument("--batch", type=_COUNT, default=8)
+    p.add_argument("--trials", type=_COUNT, default=30)
+    p.add_argument("--warmup", type=_INDEX, default=5)
     p.add_argument("--bias", action="store_true", help="benchmark with per-mode biases")
-    p.add_argument("--mem-cap-gib", type=float, default=1.0,
+    p.add_argument("--mem-cap-gib", type=_AMOUNT, default=1.0,
                    help="skip dense timing above this weight size (default 1 GiB)")
     p.add_argument("--csv", metavar="PATH", help="also write a one-row CSV")
     p.set_defaults(fn=cmd_bench)
@@ -470,20 +469,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default="separable",
                    help="dataset spec, e.g. separable:d1=8,d2=8,n=320,sigma=0.05 "
                         "or blobs:features=11,n=1000")
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--split", type=float, default=0.8)
+    p.add_argument("--epochs", type=_COUNT, default=40)
+    p.add_argument("--batch-size", type=_COUNT, default=32)
+    p.add_argument("--lr", type=_RATE, default=1e-3)
+    p.add_argument("--split", type=_FRACTION, default=0.8)
     p.add_argument("--optimizer", choices=nn.OPTIMIZERS, default="adamw")
     p.add_argument("--log", metavar="PATH", help="write a JSON-lines training log")
     p.set_defaults(fn=cmd_train)
 
     p = add_parser("lora-demo", help="adapter parameter counts and delta recovery")
-    p.add_argument("--d", type=int, default=64)
-    p.add_argument("--h", type=int, default=64)
-    p.add_argument("--rank", type=int, default=8)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--d", type=_COUNT, default=64)
+    p.add_argument("--h", type=_COUNT, default=64)
+    p.add_argument("--rank", type=_COUNT, default=8)
+    p.add_argument("--steps", type=_COUNT, default=2000)
+    p.add_argument("--lr", type=_RATE, default=0.05)
     p.add_argument("--target", choices=("random-kron", "random-dense"),
                    default="random-kron")
     p.set_defaults(fn=cmd_lora_demo)
@@ -491,22 +490,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse handles --help and usage errors
-        return int(exc.code or 0)
-    try:
-        if args.seed < 0:
-            raise UsageError(f"need --seed >= 0, got {args.seed}")
-        lr = vars(args).get("lr")  # train and lora-demo
-        if lr is not None and not (math.isfinite(lr) and lr > 0):
-            raise UsageError(f"need a finite --lr > 0, got {lr}")
+        args = _build_parser().parse_args(argv)
         for option in ("json", "csv", "log"):
             _check_writable(f"--{option}", vars(args).get(option))
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
+    except UsageError as exc:  # a newline in a path or an argument stays on the line
+        print(f"error: {exc}".replace("\n", "\\n"), file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -156,7 +156,7 @@ def recovery_experiment(d: int, h: int, rank: int = 8, seed: int = 0,
     """
     if target not in ("random-kron", "random-dense"):
         raise ValueError(f"unknown target kind {target!r}")
-    steps = positive_int(steps, "steps")
+    d, h, rank, steps = map(positive_int, (d, h, rank, steps), ("d", "h", "rank", "steps"))
     rng = make_rng(seed)
     # the base comes before the O(sqrt(d)) factor search: a size too big to hold fails fast
     base = FrozenDense(rng.standard_normal((d, h)) / math.sqrt(d),

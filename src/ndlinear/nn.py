@@ -58,6 +58,9 @@ class _Layer:
     def infer(self, x):
         return self.forward(x)[0]
 
+    def rows(self, cache):  # the rows of forward's batch; ReLU's mask has as many
+        return len(cache)
+
 
 class NdLinear:
     """Model layer wrapping a factorized N-D linear layer."""
@@ -151,6 +154,9 @@ class Reshape(_Layer):
 
     def forward(self, x):
         return np.ascontiguousarray(x).reshape(x.shape[0], *self.dims), x.shape
+
+    def rows(self, cache):
+        return cache[0]
 
     def backward(self, cache, d_y, d_params, need_input):
         return np.ascontiguousarray(d_y).reshape(cache)
@@ -247,12 +253,16 @@ def model_backward(model: Model, caches: list, d_y: np.ndarray, need_input: bool
     valid until the next sweep; dL/dX, or None unless ``need_input``). A
     training step (``train``, ``lora.fit_adapter``) passes ``need_input=False``:
     the sweep then ends at the first layer with parameters, which skips its
-    input gradient, as nobody reads it."""
+    input gradient, as nobody reads it. A ``d_y`` that is not real or not shaped like
+    the forward batch's output is a TypeError or ShapeError before any write."""
     if len(caches) != len(model.layers):
         raise ShapeError(f"got {len(caches)} caches for {len(model.layers)} layers")
+    d_z = batch_of(d_y, model.out_shape, "d_y")
+    last = model.layers[-1] if caches else None  # NdLinear's backward checks d_y's rows
+    if isinstance(last, _Layer) and len(d_z) != last.rows(caches[-1]):
+        raise ShapeError(f"d_y has {len(d_z)} rows, forward's batch {last.rows(caches[-1])}")
     grads = model._grads
     stop = 0 if need_input else next((i for i, g in enumerate(grads) if g), len(grads))
-    d_z = d_y
     for i in range(len(model.layers) - 1, stop - 1, -1):
         d_z = model.layers[i].backward(caches[i], d_z, grads[i], need_input or i > stop)
     return [g for views in grads for g in views], d_z if need_input else None

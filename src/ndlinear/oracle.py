@@ -29,7 +29,7 @@ import numpy as np
 
 from . import layer as layer_mod
 from .layer import NdLinearGrads, NdLinearLayer
-from .tensor import ShapeError, make_rng, real_array
+from .tensor import ShapeError, make_rng, positive_int, real_array
 
 DEFAULT_SIZE_CAP = 1 << 24
 REL_ERR_FLOOR = 1e-8
@@ -163,24 +163,28 @@ def finite_diff_grads(layer: NdLinearLayer, x: np.ndarray, loss_fn,
     return NdLinearGrads(grads[:n], grads[n:] or None, d_input)
 
 
-def _worst(err: np.ndarray) -> float:
-    """Largest entry of ``err``, 0 if empty, and inf if any entry is NaN,
-    so that no comparison against a tolerance passes on a NaN."""
+def _worst(a, b, relative: bool) -> float:
+    """Largest |a-b|, over max(|a|, |b|, ``REL_ERR_FLOOR``) if ``relative``, of two real
+    arrays of one shape (else a ShapeError: broadcasting would hide a shape bug); 0 if
+    empty, and inf if any entry is NaN, so that no tolerance check passes on a NaN."""
+    a, b = real_array(a, "compared array"), real_array(b, "compared array")
+    if a.shape != b.shape:
+        raise ShapeError(f"compared shapes differ: {a.shape} and {b.shape}")
+    err = np.abs(a - b)
+    if relative:
+        err = err / np.maximum(np.maximum(np.abs(a), np.abs(b)), REL_ERR_FLOOR)
     worst = float(np.max(err, initial=0.0))
     return math.inf if math.isnan(worst) else worst
 
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     """Max elementwise |a-b|; inf if any entry is NaN."""
-    return _worst(np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)))
+    return _worst(a, b, relative=False)
 
 
 def max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
     """Max elementwise |a-b| / max(|a|, |b|, ``REL_ERR_FLOOR``); inf if any entry is NaN."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), REL_ERR_FLOOR)
-    return _worst(np.abs(a - b) / denom)
+    return _worst(a, b, relative=True)
 
 
 def grads_max_rel_err(analytic: NdLinearGrads, numeric: NdLinearGrads) -> float:
@@ -205,7 +209,7 @@ class TrialResult:
 
 
 def _random_dims(rng: np.random.Generator, n: int, max_dim: int) -> tuple[int, ...]:
-    return tuple(int(d) for d in rng.integers(1, max_dim + 1, size=n))
+    return tuple(int(d) for d in rng.integers(1, positive_int(max_dim, "max_dim") + 1, size=n))
 
 
 def _random_layer(rng: np.random.Generator, n: int, max_dim: int,
@@ -268,23 +272,18 @@ def gradient_trial(seed: int) -> TrialResult:
 def equivalence_trials(seeds: int, max_rank: int = 4, max_dim: int = 5,
                        base: int = 0) -> list[TrialResult]:
     """One trial per (seed, rank, bias) family, for seeds base..base+seeds-1."""
-    results = []
-    for seed in range(base, base + seeds):
-        for n in range(1, max_rank + 1):
-            for with_bias in (False, True):
-                trial_seed = seed * 1000 + n * 10 + int(with_bias)
-                results.append(equivalence_trial(trial_seed, n, with_bias, max_dim))
-    return results
+    return [equivalence_trial(seed * 1000 + n * 10 + int(with_bias), n, with_bias, max_dim)
+            for seed in range(base, base + positive_int(seeds, "seeds"))
+            for n in range(1, positive_int(max_rank, "max_rank") + 1)
+            for with_bias in (False, True)]
 
 
 def kronecker_trials(seeds: int, max_rank: int = 4, max_dim: int = 5,
                      base: int = 0) -> list[TrialResult]:
-    results = []
-    for seed in range(base, base + seeds):
-        for n in range(1, max_rank + 1):
-            results.append(kronecker_trial(seed * 1000 + n * 10, n, max_dim))
-    return results
+    return [kronecker_trial(seed * 1000 + n * 10, n, max_dim)
+            for seed in range(base, base + positive_int(seeds, "seeds"))
+            for n in range(1, positive_int(max_rank, "max_rank") + 1)]
 
 
 def gradient_trials(seeds: int, base: int = 0) -> list[TrialResult]:
-    return [gradient_trial(seed) for seed in range(base, base + seeds)]
+    return [gradient_trial(seed) for seed in range(base, base + positive_int(seeds, "seeds"))]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ndlinear import cli, nn, oracle
 from ndlinear import layer as layer_mod
 from ndlinear.cli import main
+from ndlinear.tensor import ShapeError
 
 
 MODEL_CONFIG = {
@@ -205,8 +206,10 @@ class TestVerify:
     def test_range_usage_error(self, tmp_path, capsys, args):
         out = tmp_path / "report.json"
         assert main(["verify", *args, "--json", str(out)]) == 2
-        assert_one_line_usage_error(capsys, "--max-rank", "--max-dim",
-                                    f"{oracle.DEFAULT_SIZE_CAP}")
+        # a size below 1 breaks its option's own rule; a size past the cap, verify's
+        assert_one_line_usage_error(capsys, *(
+            [f"argument {args[0]}: need an integer >= 1, got '{args[1]}'"] if int(args[1]) < 1
+            else ["--max-rank", "--max-dim", f"{oracle.DEFAULT_SIZE_CAP}"]))
         assert not out.exists()
 
     @pytest.mark.parametrize("max_dim, max_rank, code", [
@@ -251,6 +254,12 @@ class TestBench:
         with pytest.raises(AssertionError,
                            match="instrumented count 4 disagrees with formula 1"):
             cli.run_bench((2,), (1,), 1, trials=1, warmup=0)
+
+    @pytest.mark.parametrize("trials", [0, -1, 2.0])
+    def test_trials_must_be_a_positive_int(self, trials):
+        # trials=0 ended in statistics.StatisticsError from the median of no samples
+        with pytest.raises(ShapeError, match="trials must be a positive int"):
+            cli.run_bench((2,), (2,), 1, trials=trials)
 
     def test_degenerate_n1(self, tmp_path):
         out = tmp_path / "bench.json"
@@ -806,8 +815,12 @@ def mostly(valid, other):
 HUGE = st.integers(2**45, 2**64)
 
 
+# count values that break the count rule: not integers, or below 1
+BAD_COUNTS = st.one_of(st.integers(-1, 0), st.sampled_from(["", "x", "1.5", "1e3", "0x10"]))
+
+
 def sizes(hi):
-    return mostly(st.integers(1, hi), st.one_of(st.integers(-1, 0), HUGE))
+    return mostly(st.integers(1, hi), st.one_of(BAD_COUNTS, HUGE))
 
 
 def dim_list(n):
@@ -823,9 +836,10 @@ TRAIN_CONFIGS = {"config:separable": REGRESSION_CONFIG, "config:blobs": MODEL_CO
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(["verify", "bench", "lora-demo", "train"]))
-    argv = [command, "--quiet", f"--seed={draw(mostly(st.integers(0, 3), st.just(-1)))}"]
+    argv = [command, "--quiet",
+            f"--seed={draw(mostly(st.integers(0, 3), st.sampled_from([-1, 'x', '1.5'])))}"]
     if command == "verify":
-        argv += [f"--seeds={draw(mostly(st.just(1), st.integers(-1, 0)))}",
+        argv += [f"--seeds={draw(mostly(st.just(1), BAD_COUNTS))}",
                  f"--max-dim={draw(sizes(4))}", f"--max-rank={draw(sizes(2))}"]
     elif command == "bench":
         n = draw(st.integers(1, 3))
@@ -833,8 +847,8 @@ def argvs(draw):
         argv += [f"--in-dims={draw(mostly(dim_list(n), malformed))}",
                  f"--out-dims={draw(mostly(dim_list(n), malformed))}",
                  f"--batch={draw(sizes(3))}",
-                 f"--trials={draw(mostly(st.integers(1, 2), st.integers(-1, 0)))}",
-                 f"--warmup={draw(mostly(st.integers(0, 1), st.just(-1)))}",
+                 f"--trials={draw(mostly(st.integers(1, 2), BAD_COUNTS))}",
+                 f"--warmup={draw(mostly(st.integers(0, 1), st.sampled_from([-1, 'x'])))}",
                  f"--mem-cap-gib={draw(mostly(st.floats(0, 1), st.floats()))!r}"]
         if draw(st.booleans()):
             argv.append("--bias")
@@ -849,12 +863,24 @@ def argvs(draw):
                  f"--epochs={draw(mostly(st.integers(1, 2).map(str), malformed))}",
                  f"--batch-size={draw(mostly(sizes(64).map(str), malformed))}",
                  f"--split={draw(mostly(st.floats(0.1, 0.9), st.floats()))!r}",
-                 f"--lr={draw(mostly(st.floats(1e-3, 0.1), st.floats()))!r}"]
+                 f"--lr={draw(mostly(st.floats(1e-3, 0.1), st.floats()))!r}",
+                 "--optimizer=" + draw(mostly(st.sampled_from(sorted(nn.OPTIMIZERS)),
+                                              st.just("rmsprop")))]
     else:
         argv += [f"--d={draw(sizes(6))}", f"--h={draw(sizes(6))}", f"--rank={draw(sizes(3))}",
-                 f"--steps={draw(st.integers(-1, 2))}",
+                 f"--steps={draw(mostly(st.integers(1, 2), BAD_COUNTS))}",
                  f"--lr={draw(mostly(st.floats(1e-3, 0.1), st.floats()))!r}",
-                 f"--target={draw(st.sampled_from(['random-kron', 'random-dense']))}"]
+                 "--target=" + draw(mostly(st.sampled_from(["random-kron", "random-dense"]),
+                                           st.just("random")))]
+    # argparse's own refusals: an unknown option, no subcommand, train without --config
+    mistake = draw(mostly(st.none(), st.sampled_from(["unknown", "no command", "no config"])))
+    if mistake == "unknown":
+        argv.append("--frobnicate")
+    elif mistake == "no command":
+        argv = argv[1:]
+    elif mistake == "no config" and command == "train":
+        at = argv.index("--config")
+        argv = argv[:at] + argv[at + 2:]
     return argv
 
 
@@ -865,10 +891,23 @@ def train_configs(tmp_path_factory):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # e.g. --lr inf overflows
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=argvs())
-def test_every_command_exits_cleanly(train_configs, argv):
-    assert main([train_configs.get(arg, arg) for arg in argv]) in (0, 1, 2)
+def test_every_command_exits_cleanly(train_configs, capsys, argv):
+    capsys.readouterr()
+    code = main([train_configs.get(arg, arg) for arg in argv])
+    assert code in (0, 1, 2)
+    if code == 2:  # every usage error, argparse's own included, is one line
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+COMMANDS = ["verify", "bench", "train", "lora-demo"]
+
+
+def subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
 
 
 class TestUsage:
@@ -888,6 +927,49 @@ class TestUsage:
 
     def test_help(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_subcommand_help(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: ndlinear {command} ")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_defaults_satisfy_their_own_rules(self, command):
+        # argparse runs an option's type on a string default only; a default of
+        # another type would skip its rule
+        parser = subparsers(cli._build_parser()).choices[command]
+        args = parser.parse_args(["--config", "model.json"] if command == "train" else [])
+        typed = [action for action in parser._actions if action.type is not None]
+        assert typed
+        for action in typed:
+            value = getattr(args, action.dest)
+            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            assert action.type(text) == value, action.dest
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--epochs", "abc", "--config", "absent.json"],
+         "argument --epochs: need an integer >= 1, got 'abc'"),
+        (["verify", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+        (["train", "--config", "absent.json", "--optimizer", "rmsprop"],
+         "argument --optimizer: invalid choice: 'rmsprop'"),
+        ([], "the following arguments are required: command"),
+        (["train"], "the following arguments are required: --config"),
+        (["verify", "a\nb"], "unrecognized arguments: a\\nb"),
+    ], ids=["non_numeric", "unknown_option", "bad_choice", "no_command", "no_config",
+            "newline"])
+    def test_argparse_refusals_are_one_line(self, capsys, argv, message):
+        # argparse printed its usage text first, so these took several lines
+        assert main(argv) == 2
+        assert_one_line_usage_error(capsys, message)
+
+    @pytest.mark.parametrize("option", ["--epochs=0", "--batch-size=x", "--split=1",
+                                        "--lr=nan", "--seed=-1"])
+    def test_option_rules_come_before_the_config_and_data(self, tmp_path, capsys, monkeypatch,
+                                                           option):
+        # --epochs 0 and --split 1 were refused only after --config was read
+        monkeypatch.setattr(cli, "_parse_data_spec", refuse)
+        assert main(["train", "--config", str(tmp_path / "absent.json"), option]) == 2
+        assert_one_line_usage_error(capsys, f"argument {option.partition('=')[0]}: need ")
 
     @pytest.mark.parametrize("argv", [
         ["bench", "--in-dims", "2", "--out-dims", "2"],

@@ -302,3 +302,11 @@ class TestRecovery:
     def test_unknown_target(self):
         with pytest.raises(ValueError):
             lora.recovery_experiment(8, 8, target="exact")
+
+    @pytest.mark.parametrize("kwargs", [{"d": -1}, {"h": 0}, {"rank": 0}, {"d": 4.0}],
+                             ids=["negative_d", "zero_h", "zero_rank", "float_d"])
+    def test_sizes_must_be_positive_ints(self, kwargs):
+        # d=-1 ended in numpy's "negative dimensions" ValueError; rank=0 was refused
+        # only after the whole fit had run
+        with pytest.raises(ShapeError, match=next(iter(kwargs))):
+            lora.recovery_experiment(**{"d": 4, "h": 4, "steps": 1, **kwargs})

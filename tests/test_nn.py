@@ -233,6 +233,30 @@ class TestRefusals:
         with pytest.raises(ShapeError, match="got 2 caches for 3 layers"):
             nn.model_backward(model, caches[:2], y)
 
+    @pytest.mark.parametrize("layers, d_y, error", [
+        # numpy's ValueError escaped from ReLU's d_y * mask
+        ([nn.Dense(np.eye(3)), nn.ReLU()], np.ones((3, 3)), ShapeError),
+        ([nn.Dense(np.eye(3)), nn.ReLU()], np.ones((2, 4)), ShapeError),
+        ([nn.Dense(np.eye(3)), nn.ReLU()], [[1.0] * 3, [1.0]], ShapeError),
+        ([nn.Dense(np.eye(3)), nn.ReLU()], np.ones((1, 3)), ShapeError),  # broadcast
+        ([nn.Dense(np.eye(3)), nn.ReLU()], np.ones((2, 3), complex), TypeError),
+        ([nn.Dense(np.eye(3)), nn.ReLU()], np.ones(3), ShapeError),
+        # "cannot reshape" escaped from Reshape's backward
+        ([nn.Dense(np.ones((3, 6))), nn.Reshape((2, 3))], np.ones((2, 5)), ShapeError),
+        ([nn.Dense(np.ones((3, 6))), nn.Reshape((2, 3))], np.ones((3, 2, 3)), ShapeError),
+        ([nn.Dense(np.eye(3))], np.ones((3, 3)), ShapeError),  # NdLinear's own check
+    ], ids=["relu_rows", "relu_features", "relu_ragged", "relu_one_row", "relu_complex",
+            "relu_rank_1", "reshape_features", "reshape_rows", "dense_rows"])
+    def test_model_backward_refuses_a_bad_d_y_before_any_write(self, layers, d_y, error):
+        model = nn.Model(layers, "mse", (3,))
+        y, caches = nn.model_forward(model, np.ones((2, 3)))
+        model.grad[:] = 7.0
+        with pytest.raises(error):
+            nn.model_backward(model, caches, d_y)
+        assert np.all(model.grad == 7.0)
+        # no backward consumed its cache: the caches still serve a good d_y
+        assert nn.model_backward(model, caches, y)[1].shape == (2, 3)
+
     def test_mse_of_mismatched_shapes(self):
         with pytest.raises(ShapeError, match=r"prediction shape \(2, 3\) != target shape"):
             nn.mse_loss(np.zeros((2, 3)), np.zeros((3, 2)))

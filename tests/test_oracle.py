@@ -165,6 +165,29 @@ class TestErrorMeasures:
         assert measure(np.array([np.inf]), np.array([np.inf])) == math.inf
         assert measure(np.zeros(0), np.zeros(0)) == 0.0
 
+    @pytest.mark.parametrize("measure", [max_abs_diff, max_rel_err])
+    @pytest.mark.parametrize("a, b", [
+        (np.ones((4, 3)), np.ones(3)),       # both read 0.0: b broadcast over a's rows
+        (np.ones((4, 3)), np.ones((1, 3))),
+        (np.ones(3), np.ones((3, 1))),       # broadcast to (3, 3)
+        (np.ones(3), np.ones(2)),
+    ])
+    def test_unequal_shapes_are_a_shape_error(self, measure, a, b):
+        with pytest.raises(ShapeError, match="compared shapes differ"):
+            measure(a, b)
+        with pytest.raises(ShapeError, match="compared shapes differ"):
+            measure(b, a)
+
+    @pytest.mark.parametrize("measure", [max_abs_diff, max_rel_err])
+    def test_operands_are_real_arrays(self, measure):
+        # a complex operand only raised a ComplexWarning, and its imaginary part was lost
+        with pytest.raises(TypeError, match="real numbers"):
+            measure(np.ones(2), np.array([1.0, 1j]))
+        with pytest.raises(ShapeError, match="rectangular"):
+            measure([[1.0, 2.0], [1.0]], np.ones((2, 2)))
+        assert measure([[1, 2]], np.array([[1.0, 2.0]])) == 0.0
+        assert measure(np.array([True]), np.array([0.5])) == 0.5
+
     def test_nan_gradient_is_an_infinite_error(self):
         # Python's max drops a NaN that is not its first argument
         lyr = init_xavier((2, 3), (3, 2), True, make_rng(13))
@@ -194,6 +217,23 @@ class TestTrialRunners:
         assert len(trials) == 6
         assert all(not t.with_bias for t in trials)
         assert all(t.max_error < 1e-12 for t in trials)
+
+    @pytest.mark.parametrize("run, what", [
+        (lambda: equivalence_trials(0), "seeds"),
+        (lambda: equivalence_trials(2, max_rank=0), "max_rank"),
+        (lambda: equivalence_trials(1, max_dim=0), "max_dim"),
+        (lambda: kronecker_trials(-1), "seeds"),
+        (lambda: kronecker_trials(2, max_rank=0), "max_rank"),
+        (lambda: kronecker_trials(1, max_dim=-2), "max_dim"),
+        (lambda: oracle.gradient_trials(-3), "seeds"),
+        (lambda: oracle.gradient_trials(1.0), "seeds"),
+    ], ids=["equivalence_seeds", "equivalence_max_rank", "equivalence_max_dim",
+            "kronecker_seeds", "kronecker_max_rank", "kronecker_max_dim",
+            "gradient_seeds", "gradient_float_seeds"])
+    def test_counts_must_be_positive_ints(self, run, what):
+        # zero counts returned [], which verify's summary read as passed, 0 failures
+        with pytest.raises(ShapeError, match=f"{what} must be a positive int"):
+            run()
 
     def test_deterministic(self):
         a = equivalence_trials(seeds=2, max_rank=2, max_dim=3)
