@@ -12,9 +12,9 @@ flattened features this stores sum(D_k * H_k) weights instead of
 prod(D_k) * prod(H_k), at the price of only representing maps whose
 flattened matrix factors as W_1 (x) ... (x) W_N (Kronecker structure).
 
-Each public entry (``forward``, ``forward_only``, ``backward``) checks
-its input; the steps inside run an immutable plan cached per (dims, batch,
-bound), ``_step_plan``, and derive no shape.
+Each public entry (``forward``, ``forward_only``, ``backward``) checks its
+layer (``checked_layer``) and its input; the steps inside run an immutable
+plan cached per (dims, batch, bound), ``_step_plan``, and derive no shape.
 
 Training applies the modes in declaration order; N = 1 is the dense map
 X W_1 + b_1 and back. For N >= 2 the batch runs in chunks of c samples,
@@ -63,6 +63,7 @@ from .tensor import (
     checked_u64,
     is_positive_int,
     matmul,
+    output_grad,
     permutation,
     permute,
     positive_int,
@@ -75,6 +76,7 @@ __all__ = [
     "LayerCache",
     "NdLinearGrads",
     "FlopCounter",
+    "checked_layer",
     "init_xavier",
     "forward",
     "forward_only",
@@ -160,8 +162,15 @@ def init_xavier(in_dims, out_dims, with_bias: bool, rng: np.random.Generator) ->
     return NdLinearLayer(in_dims, out_dims, weights, biases)
 
 
-def _check_input(layer: NdLinearLayer, x: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(batch_of(x, layer.in_dims, "layer input"))
+def checked_layer(value, what: str) -> NdLinearLayer:
+    """``value`` if an ``NdLinearLayer``, else a TypeError naming ``what``."""
+    if not isinstance(value, NdLinearLayer):
+        raise TypeError(f"{what} needs an NdLinearLayer, got {type(value).__name__}")
+    return value
+
+
+def _check_input(layer: NdLinearLayer, x: np.ndarray, what: str) -> np.ndarray:
+    return np.ascontiguousarray(batch_of(x, checked_layer(layer, what).in_dims, "layer input"))
 
 
 class _StepPlan(NamedTuple):
@@ -259,7 +268,7 @@ def _run_steps(layer: NdLinearLayer, x: np.ndarray,
 
 def forward(layer: NdLinearLayer, x: np.ndarray) -> tuple[np.ndarray, LayerCache]:
     """Apply all mode transforms, keeping every intermediate for backward."""
-    return _run_steps(layer, _check_input(layer, x), True)
+    return _run_steps(layer, _check_input(layer, x, "forward"), True)
 
 
 def _run_planned(layer: NdLinearLayer, x: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
@@ -286,7 +295,7 @@ def forward_only(layer: NdLinearLayer, x: np.ndarray) -> np.ndarray:
     output a strided view unless the plan is declaration order. Equals
     ``forward``'s output up to rounding, and bitwise when the plan is
     declaration order (always for N = 1 and for equal in/out dims)."""
-    x = _check_input(layer, x)
+    x = _check_input(layer, x, "forward_only")
     order = plan_modes(layer.in_dims, layer.out_dims)
     if order == tuple(range(layer.n_modes)):
         return _run_steps(layer, x, False)[0]
@@ -304,8 +313,7 @@ def effective_bias(layer: NdLinearLayer) -> np.ndarray:
     Zero for a layer without biases. Costs O(N prod(H)) and is not
     cached: optimizers update weights and biases in place.
     """
-    if not isinstance(layer, NdLinearLayer):
-        raise TypeError(f"effective_bias needs an NdLinearLayer, got {type(layer).__name__}")
+    checked_layer(layer, "effective_bias")
     total, tail = np.zeros(layer.out_dims), np.ones(())  # tail: c_{k+1} (x) ... (x) c_N
     for w, b in zip(reversed(layer.weights), reversed(layer.biases or ())):
         total += np.multiply.outer(b, tail)
@@ -317,7 +325,7 @@ def backward(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray) -> NdLine
     """Propagate dL/dY back through every mode step, consuming ``cache``, the one
     ``forward`` returned for this layer. It writes neither ``d_y`` nor the input;
     forward's buffers are its scratch, for dL/dX or a later forward's cache."""
-    d_params = [np.empty(p.shape) for p in layer.params()]
+    d_params = [np.empty(p.shape) for p in checked_layer(layer, "backward").params()]
     d_x = _backward_into(layer, cache, d_y, d_params, need_input=True)
     return NdLinearGrads(d_params[:layer.n_modes], d_params[layer.n_modes:] or None, d_x)
 
@@ -335,9 +343,7 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
                          f"{layer.in_dims} -> {layer.out_dims}, this one")
     n, zs, plan = layer.n_modes, cache.intermediates, cache.plan
     batch, c, ones = plan.y_shape[0], plan.c, plan.ones
-    d_y = np.ascontiguousarray(real_array(d_y, "d_y"))
-    if d_y.shape != plan.y_shape:
-        raise ShapeError(f"d_y shape {d_y.shape} != output shape {plan.y_shape}")
+    d_y = np.ascontiguousarray(output_grad(d_y, plan.y_shape))
     slot.clear()  # consumed: the entries forward allocated are overwritten below
     if n == 1:  # the dense statements, on forward's X^T
         matmul(zs[0].reshape(layer.in_dims[0], -1), d_y, out=d_params[0])
@@ -480,14 +486,14 @@ def save_layer(layer: NdLinearLayer, path) -> None:
     so a failed save leaves an earlier layer there intact, and no file of
     an earlier layer (say a ``b_k.ndt``) outlives a save.
     """
+    meta = {"in_dims": list(checked_layer(layer, "save_layer").in_dims),
+            "out_dims": list(layer.out_dims), "with_bias": layer.with_bias, "N": layer.n_modes}
     root = Path(path)
     root.parent.mkdir(parents=True, exist_ok=True)
     # the scratch directory, and the earlier layer once moved into it, go on exit
     with tempfile.TemporaryDirectory(prefix=f".{root.name}.", dir=root.parent) as scratch:
         new = Path(scratch) / "new"
         new.mkdir()
-        meta = {"in_dims": list(layer.in_dims), "out_dims": list(layer.out_dims),
-                "with_bias": layer.with_bias, "N": layer.n_modes}
         (new / _META_NAME).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
         for name, params in (("W", layer.weights), ("b", layer.biases or ())):
             for k, p in enumerate(params, start=1):

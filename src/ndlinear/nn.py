@@ -14,8 +14,8 @@ A ``Model`` packs its parameters once, at construction, into one vector
 ``flat`` (``params()`` order) and rebinds each layer's arrays to views
 of it. Parameters that share memory, such as a layer listed twice, are
 refused: one vector cannot hold an array twice. ``model_forward`` and
-``infer`` check the model input, and each layer's public entry checks
-its input. A training step writes the gradients into views of ``grad``,
+``infer`` check the model input, and each layer's ``backward`` its d_y
+(``output_grad``). A training step writes the gradients into views of ``grad``,
 skipping the model input's; the optimizer then updates ``flat`` in
 place, and allocates nothing: each operation writes into scratch kept in
 its state (``_FlatState``), which made an AdamW step on 560 parameters
@@ -35,7 +35,8 @@ import numpy as np
 
 from . import layer as layer_mod
 from .layer import NdLinearLayer
-from .tensor import ShapeError, batch_of, make_rng, positive_int, real_array, validate_shape
+from .tensor import (ShapeError, batch_of, make_rng, output_grad, positive_int, real_array,
+                     validate_shape)
 
 LOSSES = ("mse", "cross_entropy")
 
@@ -57,9 +58,6 @@ class _Layer:
 
     def infer(self, x):
         return self.forward(x)[0]
-
-    def rows(self, cache):  # the rows of forward's batch; ReLU's mask has as many
-        return len(cache)
 
 
 class NdLinear:
@@ -138,7 +136,7 @@ class ReLU(_Layer):
         return np.maximum(x, 0.0)
 
     def backward(self, cache, d_y, d_params, need_input):
-        return d_y * cache
+        return output_grad(d_y, cache.shape) * cache
 
 
 class Reshape(_Layer):
@@ -153,13 +151,10 @@ class Reshape(_Layer):
         return self.dims
 
     def forward(self, x):
-        return np.ascontiguousarray(x).reshape(x.shape[0], *self.dims), x.shape
-
-    def rows(self, cache):
-        return cache[0]
+        return np.ascontiguousarray(x).reshape(x.shape[0], *self.out_shape(x.shape[1:])), x.shape
 
     def backward(self, cache, d_y, d_params, need_input):
-        return np.ascontiguousarray(d_y).reshape(cache)
+        return np.ascontiguousarray(output_grad(d_y, (cache[0], *self.dims))).reshape(cache)
 
 
 def init_dense(d: int, h: int, with_bias: bool, rng: np.random.Generator) -> Dense:
@@ -257,10 +252,7 @@ def model_backward(model: Model, caches: list, d_y: np.ndarray, need_input: bool
     the forward batch's output is a TypeError or ShapeError before any write."""
     if len(caches) != len(model.layers):
         raise ShapeError(f"got {len(caches)} caches for {len(model.layers)} layers")
-    d_z = batch_of(d_y, model.out_shape, "d_y")
-    last = model.layers[-1] if caches else None  # NdLinear's backward checks d_y's rows
-    if isinstance(last, _Layer) and len(d_z) != last.rows(caches[-1]):
-        raise ShapeError(f"d_y has {len(d_z)} rows, forward's batch {last.rows(caches[-1])}")
+    d_z = batch_of(d_y, model.out_shape, "d_y")  # each layer's backward checks its d_y
     grads = model._grads
     stop = 0 if need_input else next((i for i, g in enumerate(grads) if g), len(grads))
     for i in range(len(model.layers) - 1, stop - 1, -1):
@@ -475,17 +467,16 @@ def train(model: Model, data: TrainSplit, config: TrainConfig, optimizer,
           rng: np.random.Generator) -> TrainResult:
     """Minibatch training loop; each epoch's shuffle is drawn from ``rng``.
 
-    Data that does not fit the model, by the model input rule or the target
-    rule, is a ShapeError or TypeError before the first step. Raises
+    A set that fails the batch rule (named "training set" or "test set") or
+    the target rule is a ShapeError or TypeError before the first step. Raises
     TrainingDiverged on a non-finite batch loss or gradient, before that
     step's update, or on a non-finite train or test loss at the end of an
     epoch. The returned log holds one record per epoch with train/test loss
     (and accuracy for classification) from ``evaluate``, and ``epoch_wall_ns``,
     the ``perf_counter_ns`` duration of the epoch, evaluation included.
     """
-    n = positive_int(len(data.x_train), "training set size")
-    positive_int(len(data.x_test), "test set size")
-    x_train, x_test = _model_input(model, data.x_train), _model_input(model, data.x_test)
+    x_train = batch_of(data.x_train, model.in_dims, "training set")
+    x_test = batch_of(data.x_test, model.in_dims, "test set")
     y_train, y_test = (_checked_targets(model.loss, (len(x), *model.out_shape), t)
                        for x, t in ((x_train, data.y_train), (x_test, data.y_test)))
     if any(p.base is not model.flat for p in model.params()):  # e.g. packed by another Model
@@ -493,8 +484,8 @@ def train(model: Model, data: TrainSplit, config: TrainConfig, optimizer,
     log: list[dict] = []
     for epoch in range(1, config.epochs + 1):
         start_ns = time.perf_counter_ns()
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
+        order = rng.permutation(len(x_train))
+        for start in range(0, len(x_train), config.batch_size):
             idx = order[start:start + config.batch_size]
             y, caches = model_forward(model, x_train[idx])
             loss, d_y = _apply_loss(model, y, y_train[idx])
@@ -537,26 +528,20 @@ def _split(x: np.ndarray, t: np.ndarray, split: float) -> TrainSplit:
 
 def gen_separable_regression(rng: np.random.Generator, b_total: int,
                              in_dims=(8, 8), out_dims=(8, 8),
-                             noise_sigma: float = 0.0, split: float = 0.8,
-                             factors: tuple[np.ndarray, np.ndarray] | None = None
-                             ) -> TrainSplit:
+                             noise_sigma: float = 0.0, split: float = 0.8) -> TrainSplit:
     """Regression set whose target map factors per axis.
 
     Draws ground-truth matrices G_1 (d1, h1), G_2 (d2, h2) (scaled so
-    targets have roughly unit variance), sets T = X x_1 G_1 x_2 G_2
-    plus Gaussian noise, and splits train/test. Pass ``factors`` to pin
-    the ground truth instead of drawing it.
+    targets have roughly unit variance) and then X, sets T = X x_1 G_1 x_2 G_2
+    plus Gaussian noise, and splits train/test.
     """
     b_total = positive_int(b_total, "b_total")
     d1, d2 = validate_shape(in_dims)
     h1, h2 = validate_shape(out_dims)
-    if factors is None:
-        g1 = rng.standard_normal((d1, h1)) / math.sqrt(d1)
-        g2 = rng.standard_normal((d2, h2)) / math.sqrt(d2)
-    else:
-        g1, g2 = factors
+    g1 = rng.standard_normal((d1, h1)) / math.sqrt(d1)
+    g2 = rng.standard_normal((d2, h2)) / math.sqrt(d2)
     x = rng.standard_normal((b_total, d1, d2))
-    truth = NdLinearLayer((d1, d2), (h1, h2), [np.asarray(g1, float), np.asarray(g2, float)])
+    truth = NdLinearLayer((d1, d2), (h1, h2), [g1, g2])
     t = layer_mod.forward_only(truth, x)
     if noise_sigma > 0:
         t = t + noise_sigma * rng.standard_normal(t.shape)

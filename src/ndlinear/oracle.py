@@ -53,8 +53,8 @@ class FlatAffineMap:
     out_dims: tuple[int, ...]
 
 
-def _check_cap(layer: NdLinearLayer, size_cap: int) -> tuple[int, int]:
-    p = math.prod(layer.in_dims)
+def _check_cap(layer: NdLinearLayer, size_cap: int, what: str) -> tuple[int, int]:
+    p = math.prod(layer_mod.checked_layer(layer, what).in_dims)
     q = math.prod(layer.out_dims)
     if p * q > size_cap:
         raise SizeCapError(
@@ -65,7 +65,7 @@ def _check_cap(layer: NdLinearLayer, size_cap: int) -> tuple[int, int]:
 
 def materialize_full_weight(layer: NdLinearLayer, size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
     """Flattened weight matrix as the mode-order Kronecker product."""
-    _check_cap(layer, size_cap)
+    _check_cap(layer, size_cap, "materialize_full_weight")
     return reduce(np.kron, layer.weights)
 
 
@@ -77,7 +77,7 @@ def probe_full_map(layer: NdLinearLayer) -> FlatAffineMap:
     ``forward`` (caches dropped) in batches of at most ``PROBE_CHUNK``
     vectors, so memory stays bounded for wide layers.
     """
-    p, q = _check_cap(layer, DEFAULT_SIZE_CAP)
+    p, q = _check_cap(layer, DEFAULT_SIZE_CAP, "probe_full_map")
     b_full = layer_mod.forward(layer, np.zeros((1, *layer.in_dims)))[0].reshape(q)
     w_full = np.empty((p, q))
     for start in range(0, p, PROBE_CHUNK):
@@ -154,7 +154,7 @@ def finite_diff_grads(layer: NdLinearLayer, x: np.ndarray, loss_fn,
     small.
     """
     x = np.array(x, dtype=np.float64)
-    n = layer.n_modes
+    n = layer_mod.checked_layer(layer, "finite_diff_grads").n_modes
 
     def run() -> float:
         return float(loss_fn(layer_mod.forward_only(layer, x)))

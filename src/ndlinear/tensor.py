@@ -22,7 +22,7 @@ Conventions used throughout the package:
 - Tensors hold real numbers. ``real_array`` is the one rule for values,
   operands, parameters and files included: bool, int and float convert to
   float64; complex, string, bytes, object, datetime and void arrays raise
-  ``TypeError``. ``batch_of`` adds the one rule for a batch of inputs.
+  ``TypeError``. ``batch_of`` adds the batch-input rule, ``output_grad`` the d_y rule.
 - A size (a dim, a batch, a count) is a positive int: ``is_positive_int``
   is the one rule, and ``positive_int`` its raising twin. Shapes are
   tuples of sizes; ``validate_shape`` adds rank >= 1 and no overflow.
@@ -123,9 +123,16 @@ def batch_of(x, dims: tuple[int, ...], what: str) -> np.ndarray:
     """``real_array(x, what)`` if of shape (rows >= 1, *dims), else a ShapeError."""
     x = real_array(x, what)
     if x.shape[1:] != dims or len(x) < 1:  # dims is never (), so a 0-d x stops first
-        raise ShapeError(f"{what} shape {x.shape} is not (row count >= 1, *in_dims) "
-                         f"with in_dims {dims}")
+        raise ShapeError(f"{what} shape {x.shape} is not (row count >= 1, *dims) with dims {dims}")
     return x
+
+
+def output_grad(d_y, shape: tuple[int, ...]) -> np.ndarray:
+    """``real_array(d_y, "d_y")`` if of forward's output ``shape``, else a ShapeError."""
+    d_y = real_array(d_y, "d_y")
+    if d_y.shape != shape:
+        raise ShapeError(f"d_y shape {d_y.shape} != output shape {shape}")
+    return d_y
 
 
 def _f64(x) -> np.ndarray:

@@ -410,6 +410,29 @@ class TestModePlan:
         assert plan_modes((8, 8), (16, 16)) == (0, 1)
 
 
+# Each entry that takes a layer, called with ``v`` in its place; AttributeError
+# escaped from all but effective_bias.
+LAYER_ENTRIES = {
+    "forward": lambda v, path: forward(v, np.ones((1, 2))),
+    "forward_only": lambda v, path: forward_only(v, np.ones((1, 2))),
+    "backward": lambda v, path: backward(v, None, np.ones((1, 2))),
+    "save_layer": save_layer,
+    "probe_full_map": lambda v, path: oracle.probe_full_map(v),
+    "materialize_full_weight": lambda v, path: oracle.materialize_full_weight(v),
+    "effective_bias": lambda v, path: effective_bias(v),
+    "finite_diff_grads": lambda v, path: oracle.finite_diff_grads(v, np.ones((1, 2)), np.sum),
+}
+
+
+@pytest.mark.parametrize("entry", LAYER_ENTRIES)
+@pytest.mark.parametrize("value", [None, 0, 2.5, True, "ab"], ids=repr)
+def test_every_layer_entry_refuses_a_non_layer(entry, value, tmp_path):
+    with pytest.raises(TypeError, match=f"{entry} needs an NdLinearLayer, got "
+                                        f"{type(value).__name__}"):
+        LAYER_ENTRIES[entry](value, tmp_path / "saved")
+    assert not any(tmp_path.iterdir())  # save_layer refused before writing
+
+
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng, lyr = random_layer(3, with_bias=True)

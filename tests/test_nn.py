@@ -257,6 +257,25 @@ class TestRefusals:
         # no backward consumed its cache: the caches still serve a good d_y
         assert nn.model_backward(model, caches, y)[1].shape == (2, 3)
 
+    @pytest.mark.parametrize("lyr, x, d_y, error", [
+        (nn.ReLU(), np.ones((2, 3)), np.ones((1, 3)), ShapeError),  # was broadcast to (2, 3)
+        (nn.ReLU(), np.ones((2, 3)), np.ones((3, 3)), ShapeError),
+        (nn.ReLU(), np.ones((2, 3)), np.ones((2, 3), complex), TypeError),
+        (nn.Reshape((2, 3)), np.ones((4, 6)), np.ones((4, 3, 2)), ShapeError),  # was (4, 6)
+        (nn.Reshape((2, 3)), np.ones((4, 6)), np.ones((3, 2, 3)), ShapeError),
+    ], ids=["relu_broadcast", "relu_rows", "relu_complex", "reshape_features",
+            "reshape_rows"])
+    def test_layer_backward_refuses_a_d_y_unlike_its_output(self, lyr, x, d_y, error):
+        y, cache = lyr.forward(x)
+        with pytest.raises(error, match="d_y"):
+            lyr.backward(cache, d_y, [], True)
+        assert lyr.backward(cache, np.ones_like(y), [], True).shape == x.shape
+
+    def test_reshape_forward_of_another_size(self):
+        # numpy's "cannot reshape" ValueError escaped
+        with pytest.raises(ShapeError, match=r"cannot reshape features \(5,\) to \(2, 3\)"):
+            nn.Reshape((2, 3)).forward(np.ones((2, 5)))
+
     def test_mse_of_mismatched_shapes(self):
         with pytest.raises(ShapeError, match=r"prediction shape \(2, 3\) != target shape"):
             nn.mse_loss(np.zeros((2, 3)), np.zeros((3, 2)))
@@ -495,8 +514,8 @@ class TestTraining:
         with pytest.raises(ShapeError, match="labels"):
             nn.train(model, data, nn.TrainConfig(epochs=1), nn.SGD(0.1), make_rng(0))
 
-    @pytest.mark.parametrize("split, field", [("train", "training set size"),
-                                              ("test", "test set size")])
+    @pytest.mark.parametrize("split, field", [("train", "training set"),
+                                              ("test", "test set")])
     def test_empty_set_refused_before_training(self, split, field):
         data = self._data()
         setattr(data, f"x_{split}", data.x_train[:0])
@@ -894,12 +913,16 @@ class TestChecksAtTheBoundary:
 
 
 class TestData:
-    def test_identity_factors_copy_input(self):
-        data = nn.gen_separable_regression(
-            make_rng(0), 10, (3, 3), (3, 3), noise_sigma=0.0,
-            factors=(np.eye(3), np.eye(3)))
-        assert np.array_equal(data.y_train, data.x_train)
-        assert np.array_equal(data.y_test, data.x_test)
+    def test_targets_are_the_separable_map_of_the_drawn_factors(self):
+        data = nn.gen_separable_regression(make_rng(0), 10, (3, 2), (2, 4), noise_sigma=0.0)
+        replay = make_rng(0)  # the generator's draws in order: G_1, G_2, then X
+        g1 = replay.standard_normal((3, 2)) / math.sqrt(3)
+        g2 = replay.standard_normal((2, 4)) / math.sqrt(2)
+        x = replay.standard_normal((10, 3, 2))
+        want = np.einsum("bij,ik,jl->bkl", x, g1, g2)
+        assert np.array_equal(np.concatenate([data.x_train, data.x_test]), x)
+        assert np.allclose(np.concatenate([data.y_train, data.y_test]), want,
+                           rtol=1e-13, atol=1e-13)
 
     def test_deterministic(self):
         a = nn.gen_separable_regression(make_rng(7), 20, (2, 2), (2, 2), 0.1)
@@ -1172,7 +1195,7 @@ class TestEvaluate:
     def test_shape_errors(self):
         model = skewed_mse_model()
         x, t = self._data(model, 4)
-        with pytest.raises(ShapeError, match="in_dims"):
+        with pytest.raises(ShapeError, match=r"with dims \(2, 16\)"):
             nn.evaluate(model, x[:, :1], t)
         with pytest.raises(ShapeError, match="target"):
             nn.evaluate(model, x, t[:3])
@@ -1180,7 +1203,7 @@ class TestEvaluate:
     def test_zero_d_input_is_a_shape_error(self):
         # x.shape[0] of a 0-d array raised IndexError
         model = skewed_mse_model()
-        with pytest.raises(ShapeError, match=r"input shape \(\) .* in_dims"):
+        with pytest.raises(ShapeError, match=r"input shape \(\) .* with dims"):
             nn.evaluate(model, np.float64(1.0), np.zeros((1, 3, 5)))
 
     def test_zero_rows_is_a_shape_error(self):

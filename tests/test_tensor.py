@@ -341,7 +341,7 @@ class TestBatchOf:
         assert batch_of(x, (3, 5), "input") is x
 
     @pytest.mark.parametrize("shape, fragment", [
-        ((), r"input shape \(\) is not \(row count >= 1, \*in_dims\) with in_dims \(3, 5\)"),
+        ((), r"input shape \(\) is not \(row count >= 1, \*dims\) with dims \(3, 5\)"),
         ((0, 3, 5), r"shape \(0, 3, 5\) is not \(row count >= 1"),
         ((2, 5, 3), r"shape \(2, 5, 3\)"),
         ((3, 5), r"shape \(3, 5\)"),
