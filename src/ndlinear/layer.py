@@ -63,11 +63,11 @@ from .tensor import (
     checked_u64,
     is_positive_int,
     matmul,
-    output_grad,
     permutation,
     permute,
     positive_int,
     real_array,
+    shaped,
     validate_shape,
 )
 
@@ -156,6 +156,8 @@ def init_xavier(in_dims, out_dims, with_bias: bool, rng: np.random.Generator) ->
     computed per mode, not from the flattened sizes.
     """
     in_dims, out_dims = _mode_dims(in_dims, out_dims)
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"init_xavier needs rng to be a numpy Generator, got {type(rng).__name__}")
     bounds = [math.sqrt(6.0 / (d + h)) for d, h in zip(in_dims, out_dims)]
     weights = [rng.uniform(-b, b, size=(d, h)) for b, d, h in zip(bounds, in_dims, out_dims)]
     biases = [np.zeros(h, dtype=np.float64) for h in out_dims] if with_bias else None
@@ -343,7 +345,7 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
                          f"{layer.in_dims} -> {layer.out_dims}, this one")
     n, zs, plan = layer.n_modes, cache.intermediates, cache.plan
     batch, c, ones = plan.y_shape[0], plan.c, plan.ones
-    d_y = np.ascontiguousarray(output_grad(d_y, plan.y_shape))
+    d_y = np.ascontiguousarray(shaped(d_y, plan.y_shape, "d_y"))
     slot.clear()  # consumed: the entries forward allocated are overwritten below
     if n == 1:  # the dense statements, on forward's X^T
         matmul(zs[0].reshape(layer.in_dims[0], -1), d_y, out=d_params[0])

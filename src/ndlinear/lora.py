@@ -32,7 +32,7 @@ import numpy as np
 from . import layer as layer_mod
 from . import nn
 from .nn import Adam, Dense, NdLinear, Reshape, mse_loss
-from .tensor import ShapeError, make_rng, positive_int
+from .tensor import ShapeError, make_rng, positive_int, validate_shape
 
 
 @dataclass
@@ -69,8 +69,9 @@ def init_ndlora(d: int, h: int, rng: np.random.Generator,
                 out_factors: tuple[int, int] | None = None) -> nn.Model:
     """(d,) -> in_factors -> out_factors -> (h,): a factorized adapter whose
     second factor starts at zero. Each factor pair is two dims of its width."""
-    in_factors = in_factors or choose_factors(d)
-    out_factors = out_factors or choose_factors(h)
+    d, h = positive_int(d, "d"), positive_int(h, "h")
+    in_factors = validate_shape(choose_factors(d) if in_factors is None else in_factors)
+    out_factors = validate_shape(choose_factors(h) if out_factors is None else out_factors)
     for name, factors, size in (("in_factors", in_factors, d), ("out_factors", out_factors, h)):
         if len(factors) != 2 or math.prod(factors) != size:
             raise ShapeError(f"{name} {factors} are not two factors of {size}")
@@ -121,8 +122,8 @@ def adapter_param_counts(d: int, h: int, rank: int,
                          ) -> AdapterParamReport:
     """Trainable-parameter comparison: r(d + h) vs d1 h1 + d2 h2."""
     rank = positive_int(rank, "rank")
-    in_factors = in_factors or choose_factors(d)
-    out_factors = out_factors or choose_factors(h)
+    in_factors = choose_factors(d) if in_factors is None else in_factors
+    out_factors = choose_factors(h) if out_factors is None else out_factors
     lora_params = rank * (d + h)
     ndlora_params = layer_mod.param_count(in_factors, out_factors, with_bias=False)
     return AdapterParamReport(d, h, rank, in_factors, out_factors,

@@ -15,7 +15,7 @@ A ``Model`` packs its parameters once, at construction, into one vector
 of it. Parameters that share memory, such as a layer listed twice, are
 refused: one vector cannot hold an array twice. ``model_forward`` and
 ``infer`` check the model input, and each layer's ``backward`` its d_y
-(``output_grad``). A training step writes the gradients into views of ``grad``,
+(``shaped``). A training step writes the gradients into views of ``grad``,
 skipping the model input's; the optimizer then updates ``flat`` in
 place, and allocates nothing: each operation writes into scratch kept in
 its state (``_FlatState``), which made an AdamW step on 560 parameters
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import layer as layer_mod
 from .layer import NdLinearLayer
-from .tensor import (ShapeError, batch_of, make_rng, output_grad, positive_int, real_array,
+from .tensor import (ShapeError, batch_of, make_rng, positive_int, real_array, shaped,
                      validate_shape)
 
 LOSSES = ("mse", "cross_entropy")
@@ -119,9 +119,8 @@ class Dense(NdLinear):
 
 def _rows(x) -> np.ndarray:
     """``x`` as (rows, features): its leading axis, and the rest flattened."""
-    if np.ndim(x) == 0:
-        raise ShapeError("dense input must have a batch axis, got a 0-d value")
-    return np.reshape(x, (len(x), math.prod(np.shape(x)[1:])))  # zero rows reach the batch rule
+    x = batch_of(x, None, "dense input")
+    return x.reshape(len(x), math.prod(x.shape[1:]))
 
 
 class ReLU(_Layer):
@@ -129,6 +128,7 @@ class ReLU(_Layer):
         return tuple(in_shape)
 
     def forward(self, x):
+        x = batch_of(x, None, "relu input")
         mask = x > 0  # ties at 0 get gradient 0
         return x * mask, mask
 
@@ -136,7 +136,10 @@ class ReLU(_Layer):
         return np.maximum(x, 0.0)
 
     def backward(self, cache, d_y, d_params, need_input):
-        return output_grad(d_y, cache.shape) * cache
+        """Refuses a cache that is not a bool ndarray; a forged bool mask of its shape passes."""
+        if type(cache) is not np.ndarray or cache.dtype != bool:
+            raise ShapeError("relu cache is not the bool mask its forward made")
+        return shaped(d_y, cache.shape, "d_y") * cache
 
 
 class Reshape(_Layer):
@@ -151,10 +154,11 @@ class Reshape(_Layer):
         return self.dims
 
     def forward(self, x):
-        return np.ascontiguousarray(x).reshape(x.shape[0], *self.out_shape(x.shape[1:])), x.shape
+        x = batch_of(x, None, "reshape input")
+        return np.ascontiguousarray(x).reshape(len(x), *self.out_shape(x.shape[1:])), x.shape
 
     def backward(self, cache, d_y, d_params, need_input):
-        return np.ascontiguousarray(output_grad(d_y, (cache[0], *self.dims))).reshape(cache)
+        return np.ascontiguousarray(shaped(d_y, (cache[0], *self.dims), "d_y")).reshape(cache)
 
 
 def init_dense(d: int, h: int, with_bias: bool, rng: np.random.Generator) -> Dense:
@@ -218,14 +222,10 @@ class Model:
         return [[next(parts).reshape(p.shape) for p in lyr.params()] for lyr in self.layers]
 
 
-def _model_input(model: Model, x) -> np.ndarray:
-    return batch_of(x, model.in_dims, "model input")
-
-
 def model_forward(model: Model, x: np.ndarray):
     """Output and layer caches, each layer run through its ``forward``."""
     caches = []
-    z = _model_input(model, x)
+    z = batch_of(x, model.in_dims, "model input")
     for lyr in model.layers:
         z, cache = lyr.forward(z)
         caches.append(cache)
@@ -235,7 +235,7 @@ def model_forward(model: Model, x: np.ndarray):
 def infer(model: Model, x) -> np.ndarray:
     """The model's output on ``x``; each layer's ``infer`` keeps no backward
     cache (``NdLinear`` runs ``forward_only`` in its planned order)."""
-    z = _model_input(model, x)
+    z = batch_of(x, model.in_dims, "model input")
     for lyr in model.layers:
         z = lyr.infer(z)
     return z
@@ -270,16 +270,11 @@ def _checked_targets(loss: str, y_shape: tuple[int, ...], targets) -> np.ndarray
     if not math.prod(y_shape):
         raise ShapeError(f"prediction shape {y_shape} holds no values")
     if loss == "mse":
-        t = real_array(targets, "target")
-        if t.shape != y_shape:
-            raise ShapeError(f"prediction shape {y_shape} != target shape {t.shape}")
-        return t
+        return shaped(targets, y_shape, "target")
     if len(y_shape) != 2:
         raise ShapeError(f"logits must be (batch, classes), got {y_shape}")
-    real_array(targets, "labels")  # the value rule: ragged or non-real labels raise
-    labels = np.asarray(targets)
-    if labels.shape != y_shape[:1]:
-        raise ShapeError(f"labels shape {labels.shape} != {y_shape[:1]}")
+    shaped(targets, y_shape[:1], "labels")  # ragged, non-real or misshapen labels raise
+    labels = np.asarray(targets)  # in their own dtype, for the integer test below
     classes = y_shape[1]
     bad = labels if labels.dtype.kind not in "iu" else labels[(labels < 0) | (labels >= classes)]
     if bad.size:
@@ -444,7 +439,7 @@ def evaluate(model: Model, x: np.ndarray, targets: np.ndarray):
     one row: the separable model's train-set pass took 8.8 ms, 27.6 ms as
     one batch.
     """
-    x = _model_input(model, x)
+    x = batch_of(x, model.in_dims, "model input")
     n = len(x)
     targets = _checked_targets(model.loss, (n, *model.out_shape), targets)
     rows = max(1, _EVAL_BLOCK_BYTES // (8 * model.widest))

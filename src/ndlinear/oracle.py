@@ -29,7 +29,7 @@ import numpy as np
 
 from . import layer as layer_mod
 from .layer import NdLinearGrads, NdLinearLayer
-from .tensor import ShapeError, make_rng, positive_int, real_array
+from .tensor import ShapeError, batch_of, make_rng, positive_int, real_array, shaped
 
 DEFAULT_SIZE_CAP = 1 << 24
 REL_ERR_FLOOR = 1e-8
@@ -92,10 +92,8 @@ def probe_full_map(layer: NdLinearLayer) -> FlatAffineMap:
 
 def flat_forward(m: FlatAffineMap, x: np.ndarray) -> np.ndarray:
     """Apply the dense map to a batched input and reshape the output."""
-    x = real_array(x, "flat_forward input")
-    if x.ndim == 0 or not len(x):
-        raise ShapeError(f"input shape {x.shape} has no batch of rows >= 1")
-    batch = x.shape[0]
+    x = batch_of(x, None, "flat_forward input")
+    batch = len(x)
     width = x.size // batch
     if width != m.w_full.shape[0]:
         raise ShapeError(
@@ -115,7 +113,7 @@ def mode_k_product(t: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
     t, w = real_array(t, "mode_k_product tensor"), real_array(w, "mode_k_product weight")
     if w.ndim != 2:
         raise ShapeError(f"weight must be a matrix, got shape {w.shape}")
-    if not 1 <= k <= t.ndim - 1:
+    if positive_int(k, "mode") > t.ndim - 1:
         raise ShapeError(f"mode {k} out of range for tensor of rank {t.ndim} (batch at 0)")
     if t.shape[k] != w.shape[0]:
         raise ShapeError(f"mode {k} has size {t.shape[k]}, weight expects {w.shape[0]}")
@@ -132,15 +130,16 @@ def central_diff(f, arrays: list[np.ndarray], step: float = FD_STEP) -> list[np.
     grads = []
     for arr in arrays:
         g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        g_flat = g.reshape(-1)
-        for i in range(flat.size):
+        flat, g_flat = arr.flat, g.flat  # C order, and written through in any layout
+        for i in range(arr.size):
             orig = flat[i]
-            flat[i] = orig + step
-            loss_plus = f()
-            flat[i] = orig - step
-            loss_minus = f()
-            flat[i] = orig
+            try:
+                flat[i] = orig + step
+                loss_plus = f()
+                flat[i] = orig - step
+                loss_minus = f()
+            finally:  # restored even if ``f`` raises
+                flat[i] = orig
             g_flat[i] = (loss_plus - loss_minus) / (2.0 * step)
         grads.append(g)
     return grads
@@ -153,7 +152,7 @@ def finite_diff_grads(layer: NdLinearLayer, x: np.ndarray, loss_fn,
     Slow path: two forward passes per scalar. Callers keep the configs
     small.
     """
-    x = np.array(x, dtype=np.float64)
+    x = real_array(x, "finite_diff_grads input").copy()  # writable: central_diff perturbs it
     n = layer_mod.checked_layer(layer, "finite_diff_grads").n_modes
 
     def run() -> float:
@@ -167,9 +166,8 @@ def _worst(a, b, relative: bool) -> float:
     """Largest |a-b|, over max(|a|, |b|, ``REL_ERR_FLOOR``) if ``relative``, of two real
     arrays of one shape (else a ShapeError: broadcasting would hide a shape bug); 0 if
     empty, and inf if any entry is NaN, so that no tolerance check passes on a NaN."""
-    a, b = real_array(a, "compared array"), real_array(b, "compared array")
-    if a.shape != b.shape:
-        raise ShapeError(f"compared shapes differ: {a.shape} and {b.shape}")
+    a = real_array(a, "compared array")
+    b = shaped(b, a.shape, "compared array")
     err = np.abs(a - b)
     if relative:
         err = err / np.maximum(np.maximum(np.abs(a), np.abs(b)), REL_ERR_FLOOR)

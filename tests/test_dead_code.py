@@ -1,5 +1,6 @@
 """Dead-code scan of ``src/ndlinear``: every imported name is used, and every
-private top-level function, class or constant is referenced somewhere in ``src/``."""
+private top-level function, class or constant is referenced somewhere in ``src/``.
+Outside ``tensor.py`` no module casts an array with ``np.array(..., dtype)`` and kin."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,27 @@ def test_every_private_top_level_name_is_referenced():
     unused = [f"{name}: {private}" for name, tree in MODULES.items()
               for private in sorted(private_definitions(tree) - used)]
     assert unused == []
+
+
+ARRAY_MAKERS = {"array", "asarray", "asanyarray", "ascontiguousarray"}
+
+
+def casts(tree: ast.Module) -> list[int]:
+    """Lines that call ``np.array`` and its kin with a dtype: a cast that goes around
+    ``tensor.real_array``, which refuses complex and string values instead of casting."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ARRAY_MAKERS
+            and isinstance(node.func.value, ast.Name) and node.func.value.id in ("np", "numpy")
+            and (len(node.args) > 1 or any(kw.arg == "dtype" for kw in node.keywords))]
+
+
+@pytest.mark.parametrize("name", sorted(set(MODULES) - {"tensor.py"}))
+def test_no_cast_around_the_value_rule(name):
+    assert casts(MODULES[name]) == []
+
+
+def test_the_cast_scan_sees_each_form():
+    tree = ast.parse("np.array(x, dtype=float)\nnp.asarray(x, np.float64)\n"
+                     "numpy.ascontiguousarray(x, dtype=None)\nnp.asarray(x)\nnp.zeros(3, float)")
+    assert casts(tree) == [1, 2, 3]

@@ -276,8 +276,34 @@ class TestRefusals:
         with pytest.raises(ShapeError, match=r"cannot reshape features \(5,\) to \(2, 3\)"):
             nn.Reshape((2, 3)).forward(np.ones((2, 5)))
 
+    @pytest.mark.parametrize("x, error", [
+        (np.float64(1.0), ShapeError),          # x.shape[0] raised IndexError
+        (np.ones((2, 6), complex), TypeError),  # passed through
+    ], ids=["zero_d", "complex"])
+    def test_reshape_forward_runs_the_batch_rule(self, x, error):
+        with pytest.raises(error, match="reshape input"):
+            nn.Reshape((2, 3)).forward(x)
+
+    def test_reshape_forward_converts_a_nested_list(self):
+        # x.shape of a list raised AttributeError
+        y, cache = nn.Reshape((2, 3)).forward([[1, 2, 3, 4, 5, 6]])
+        assert y.dtype == np.float64 and y.tolist() == [[[1, 2, 3], [4, 5, 6]]]
+        assert cache == (1, 6)
+
+    def test_relu_forward_refuses_complex_values(self):
+        # the real parts were compared, and the imaginary parts passed through
+        with pytest.raises(TypeError, match="relu input must hold real numbers"):
+            nn.ReLU().forward(np.array([[1 + 2j, -1 + 0j]]))
+
+    @pytest.mark.parametrize("cache", [None, np.ones((2, 3)), [[True] * 3] * 2],
+                             ids=["none", "float", "list"])
+    def test_relu_backward_refuses_a_cache_that_is_not_a_mask(self, cache):
+        # None raised AttributeError; a float array scaled d_y by its values
+        with pytest.raises(ShapeError, match="relu cache is not the bool mask"):
+            nn.ReLU().backward(cache, np.ones((2, 3)), [], True)
+
     def test_mse_of_mismatched_shapes(self):
-        with pytest.raises(ShapeError, match=r"prediction shape \(2, 3\) != target shape"):
+        with pytest.raises(ShapeError, match=r"target shape \(3, 2\) != \(2, 3\)"):
             nn.mse_loss(np.zeros((2, 3)), np.zeros((3, 2)))
 
     @pytest.mark.parametrize("targets, error", [
@@ -1040,7 +1066,7 @@ class TestDenseIsOneModeNdLinear:
     @pytest.mark.parametrize("call", ["forward", "infer"])
     def test_zero_d_input_is_a_shape_error(self, call):
         # x.shape[0] of a 0-d array raised IndexError
-        with pytest.raises(ShapeError, match="batch axis"):
+        with pytest.raises(ShapeError, match=r"dense input shape \(\) is not \(row count >= 1"):
             getattr(nn.Dense(np.ones((6, 4))), call)(np.float64(1.0))
 
     @pytest.mark.parametrize("w, b", [

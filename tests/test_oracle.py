@@ -127,7 +127,7 @@ class TestFlatForward:
     def test_no_batch_of_rows_is_a_shape_error(self, x):
         # a 0-d input raised IndexError, a zero-row batch ZeroDivisionError
         m = probe_full_map(init_xavier((2, 2), (2, 2), False, make_rng(9)))
-        with pytest.raises(ShapeError, match="no batch of rows"):
+        with pytest.raises(ShapeError, match=r"flat_forward input shape .* is not \(row count >= 1"):
             flat_forward(m, x)
 
 
@@ -146,6 +146,35 @@ class TestFiniteDifferences:
         x = make_rng(12).standard_normal((1, 2, 3))
         oracle.finite_diff_grads(lyr, x, lambda y: float(y.sum()))
         assert all(np.array_equal(a, b) for a, b in zip(snapshot, lyr.weights))
+
+    @pytest.mark.parametrize("x, error", [
+        (np.ones((1, 2, 2), complex), TypeError),            # the imaginary part was dropped
+        ([[[1.0, 2.0], [3.0]]], ShapeError),                 # numpy's ValueError
+    ], ids=["complex", "ragged"])
+    def test_input_goes_through_the_value_rule(self, x, error):
+        lyr = init_xavier((2, 2), (2, 2), False, make_rng(9))
+        with pytest.raises(error, match="finite_diff_grads input"):
+            oracle.finite_diff_grads(lyr, x, lambda y: float(y.sum()))
+
+    def test_input_of_any_layout_gives_the_same_gradient(self):
+        # a Fortran-order input was copied in its own layout, so central_diff
+        # perturbed a reshaped copy and dL/dx read all zeros
+        lyr = init_xavier((2, 3), (3, 2), False, make_rng(11))
+        x = make_rng(12).standard_normal((2, 2, 3))
+        loss = lambda y: float((y ** 2).sum())  # noqa: E731
+        want = oracle.finite_diff_grads(lyr, x, loss)
+        got = oracle.finite_diff_grads(lyr, np.asfortranarray(x), loss)
+        assert np.abs(want.d_input).max() > 0
+        assert all(np.array_equal(g, w) for g, w in zip(
+            [got.d_input, *got.params()], [want.d_input, *want.params()], strict=True))
+
+    def test_central_diff_of_a_strided_view(self):
+        # reshape(-1) of a transposed view was a copy: the view was never perturbed,
+        # and every entry of the gradient read 0
+        a = np.arange(6.0).reshape(2, 3)
+        view = a.T
+        (g,) = central_diff(lambda: float((view ** 2).sum()), [view], 1.0)
+        assert np.array_equal(g, 2 * view) and np.array_equal(a, np.arange(6.0).reshape(2, 3))
 
     def test_central_diff_quadratic_exact(self):
         # d/dx of x^2 at 3 via central differences is exact up to roundoff
@@ -173,9 +202,9 @@ class TestErrorMeasures:
         (np.ones(3), np.ones(2)),
     ])
     def test_unequal_shapes_are_a_shape_error(self, measure, a, b):
-        with pytest.raises(ShapeError, match="compared shapes differ"):
+        with pytest.raises(ShapeError, match="compared array shape"):
             measure(a, b)
-        with pytest.raises(ShapeError, match="compared shapes differ"):
+        with pytest.raises(ShapeError, match="compared array shape"):
             measure(b, a)
 
     @pytest.mark.parametrize("measure", [max_abs_diff, max_rel_err])
