@@ -31,8 +31,9 @@ k = N..1, summed over chunks and bands in order:
 
 W_k G^T goes into Z's buffer once dW_k has read it: forward's buffers are backward's
 scratch, for dL/dX (Z_0's at one chunk; Z_{N-1}'s at c = 1, N > 2, if at most twice
-its size) and the layer's next forward. One unbanded chunk keeps the one-product bits;
-more chunks or bands move the summed gradients in the last bits.
+its size) and, with Y's, the next forward, which takes Y's and dL/dX's only once
+nothing else refers to them. One unbanded chunk keeps the one-product bits; more
+chunks or bands move the summed gradients in the last bits.
 
 Inference (``forward_only``) applies the modes in the order with the
 fewest FLOPs (``plan_modes``), the biases in closed form
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -95,7 +97,8 @@ __all__ = [
 @dataclass
 class NdLinearLayer:
     """Per-mode weights W_k (D_k, H_k) and optional biases b_k (H_k,). ``_spare`` is
-    one set at most, {batch: {k: Z_k's buffer}}, that its last consumed cache left."""
+    one set at most, {batch: {k: Z_k's buffer}}, that its last consumed chunked cache
+    left; Y's (Z_N's) and a lent Z_{N-1}'s, handed to the caller, are keyed k - N - 1."""
 
     in_dims: tuple[int, ...]
     out_dims: tuple[int, ...]
@@ -192,14 +195,14 @@ class _StepPlan(NamedTuple):
 class LayerCache(NamedTuple):
     """What ``forward`` keeps for one ``backward``: the N gemm operands
     Z_0 = X, Z_1, ..., Z_{N-1} as a tuple, the step plan that laid them out, and
-    ``owned``, forward's [layer, that tuple, that plan], which backward empties.
+    ``owned``, forward's [layer, that tuple, that plan, Y's buffer], which backward empties.
 
     Entry k is the buffer forward computed Z_k in: B · ``plan.sizes[k]`` values,
     chunk after chunk in the step layout (D_{k+1}..D_N, c, H_1..H_k), X^T at N = 1
     and X itself at c = 1. Backward takes only an unconsumed cache that forward made
     for its layer (any other, a ``_replace``d one too, is a ``ShapeError`` before any
     write), reads it through the plan, empties ``owned`` and overwrites each Z_k but
-    X with W_{k+1} G^T: those buffers then back dL/dX or the layer's next forward.
+    X with W_{k+1} G^T: they and Y's back dL/dX or the next forward (``_reclaim``).
     The fields are read-only.
     """
 
@@ -234,6 +237,16 @@ def _samples(buf: np.ndarray, size: int, start: int, count: int) -> np.ndarray:
     return buf.reshape(-1)[start * size:(start + count) * size]
 
 
+def _reclaim(spare: dict, k: int, n: int) -> np.ndarray | None:
+    """Z_k's (Y's at k = N) buffer in a spare set: a private one, or one handed out (keyed
+    k - N - 1) if it has no more references, views included, than a probe held alike."""
+    if (z := spare.get(k)) is not None or (z := spare.get(k - n - 1)) is None:
+        return z
+    probe = {0: np.empty(0)}  # interpreters count a local's references differently
+    p = probe[0]
+    return z if sys.getrefcount(z) == sys.getrefcount(p) else None
+
+
 def _run_steps(layer: NdLinearLayer, x: np.ndarray,
                keep: bool) -> tuple[np.ndarray, LayerCache | None]:
     """Every mode step of a checked input: Y, and if ``keep`` the cache of Z_k."""
@@ -248,9 +261,9 @@ def _run_steps(layer: NdLinearLayer, x: np.ndarray,
                 bufs[-1] += layer.biases[k]
     else:  # chunks write their rows of batch-long buffers (one chunk's if no cache)
         held, spare = (batch, layer._spare.pop(batch, {})) if keep else (c, {})  # no other call's
-        owned = [z if (z := spare.get(k)) is not None else np.empty(held * sizes[k])
-                 for k in range(c == 1, n)]
-        bufs = [*([flat] if c == 1 else ()), *owned, np.empty(batch * sizes[n])]
+        owned = [z if (z := _reclaim(spare, k, n)) is not None else
+                 np.empty((held if k < n else batch) * sizes[k]) for k in range(c == 1, n + 1)]
+        bufs = [*([flat] if c == 1 else ()), *owned]  # Z_0.., then Y: batch-long either way
         for b0 in range(0, batch, c):
             nb = min(c, batch - b0)
             part = [_samples(buf, s, b0, nb) for buf, s in zip(bufs, sizes)]
@@ -264,7 +277,7 @@ def _run_steps(layer: NdLinearLayer, x: np.ndarray,
                 if layer.biases is not None:
                     z += layer.biases[k]
     zs = tuple(bufs[:n])
-    cache = LayerCache(zs, plan, [layer, zs, plan]) if keep else None
+    cache = LayerCache(zs, plan, [layer, zs, plan, bufs[n]]) if keep else None
     return bufs[n].reshape(plan.y_shape), cache
 
 
@@ -340,12 +353,14 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
     slot = cache.owned if isinstance(cache, LayerCache) and type(cache.owned) is list else None
     if slot == []:
         raise ShapeError("cache was consumed by an earlier backward")
-    if slot is None or [*map(id, slot)] != [id(layer), id(cache.intermediates), id(cache.plan)]:
+    if slot is None or len(slot) != 4 or [*map(id, slot[:3])] != [
+            id(layer), id(cache.intermediates), id(cache.plan)]:
         raise ShapeError(f"cache is not one that forward made for a layer of dims "
                          f"{layer.in_dims} -> {layer.out_dims}, this one")
     n, zs, plan = layer.n_modes, cache.intermediates, cache.plan
     batch, c, ones = plan.y_shape[0], plan.c, plan.ones
     d_y = np.ascontiguousarray(shaped(d_y, plan.y_shape, "d_y"))
+    y_buf = slot.pop()
     slot.clear()  # consumed: the entries forward allocated are overwritten below
     if n == 1:  # the dense statements, on forward's X^T
         matmul(zs[0].reshape(layer.in_dims[0], -1), d_y, out=d_params[0])
@@ -394,8 +409,9 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
             matmul(w, g.T, out=d_x[b0].reshape(w.shape[0], -1))
         else:
             d_x[b0:b0 + nb] = matmul(w, g.T, out=z).reshape(-1, nb).T
-    # the buffers forward allocated and dL/dX left, for the layer's next forward
-    layer._spare = {batch: {k: zs[k] for k in range(c == 1, n - lend)}}
+    # for the next forward: what forward allocated, keyed k, or k - N - 1 if handed out (Y, dL/dX)
+    layer._spare = {batch: {k if k < n - lend else k - n - 1: z
+                            for k, z in enumerate([*zs[:n], y_buf]) if k >= (c == 1)}}
     return None if d_x is None else d_x.reshape(batch, *layer.in_dims)
 
 

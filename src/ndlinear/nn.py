@@ -35,8 +35,8 @@ import numpy as np
 
 from . import layer as layer_mod
 from .layer import NdLinearLayer
-from .tensor import (ShapeError, batch_of, make_rng, positive_int, real_array, shaped,
-                     validate_shape)
+from .tensor import (ShapeError, batch_of, is_positive_int, make_rng, positive_int, real_array,
+                     shaped, validate_shape)
 
 LOSSES = ("mse", "cross_entropy")
 
@@ -133,7 +133,7 @@ class ReLU(_Layer):
         return x * mask, mask
 
     def infer(self, x):
-        return np.maximum(x, 0.0)
+        return np.maximum(batch_of(x, None, "relu input"), 0.0)
 
     def backward(self, cache, d_y, d_params, need_input):
         """Refuses a cache that is not a bool ndarray; a forged bool mask of its shape passes."""
@@ -158,6 +158,10 @@ class Reshape(_Layer):
         return np.ascontiguousarray(x).reshape(len(x), *self.out_shape(x.shape[1:])), x.shape
 
     def backward(self, cache, d_y, d_params, need_input):
+        """Refuses any cache but a (rows, *feature dims) tuple; a well-formed forged one passes."""
+        if not (type(cache) is tuple and cache and all(map(is_positive_int, cache))
+                and math.prod(cache[1:]) == math.prod(self.dims)):
+            raise ShapeError("reshape cache is not the (rows, *feature dims) its forward made")
         return np.ascontiguousarray(shaped(d_y, (cache[0], *self.dims), "d_y")).reshape(cache)
 
 

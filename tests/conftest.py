@@ -1,5 +1,7 @@
 """Shared test oracles, independent of the library's compute paths."""
 
+import math
+
 import numpy as np
 
 from ndlinear import nn, oracle
@@ -41,3 +43,15 @@ def model_analytic_grads(model, x, targets):
         _, d_y = nn.softmax_cross_entropy(y, targets)
     grads, _ = nn.model_backward(model, caches, d_y)
     return grads
+
+
+def largest_step(lyr):
+    """Multiply-adds a sample of the layer's largest training step."""
+    return max(math.prod(lyr.out_dims[:k]) * d * h * math.prod(lyr.in_dims[k + 1:])
+               for k, (d, h) in enumerate(zip(lyr.in_dims, lyr.out_dims)))
+
+
+def step_bounds(most):
+    """Values of tensor.SMALL_GEMM_MNK around ``most`` multiply-adds a sample: c = 1
+    with or without bands, and 1 < c < B or the whole batch as B grows."""
+    return sorted({max(1, most // 2), most, 2 * most, 3 * most})

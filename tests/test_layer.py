@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import largest_step, step_bounds
 from ndlinear import cli, layer, ndt, oracle, tensor
 from ndlinear.layer import (
     LayerCache,
@@ -543,7 +544,7 @@ class TestBackward:
         y, cache = forward(lyr, make_rng(23).standard_normal((4, 2, 3)))
         with pytest.raises(ShapeError, match="not one that forward made"):
             backward(lyr, LayerCache(entries(cache.intermediates), None, cache.owned), y[:rows])
-        assert len(cache.owned) == 3  # forward's own cache is not consumed
+        assert len(cache.owned) == 4  # forward's own cache is not consumed
 
     @pytest.mark.parametrize("entries", [
         lambda zs: [np.zeros(5), zs[1]],
@@ -629,7 +630,7 @@ class TestCacheIsConsumed:
             backward(lyr, cache, y)
 
     @pytest.mark.parametrize("kind", ["not_a_cache", "other_layer", "consumed", "replaced",
-                                      "copied", "deep_copied"])
+                                      "copied", "deep_copied", "owned_appended"])
     def test_only_forwards_unconsumed_cache_for_this_layer_is_taken(self, kind):
         # any other is a ShapeError before any write: the caller's arrays and the
         # layer's spare set keep their bits, and forward's own cache still serves
@@ -648,7 +649,9 @@ class TestCacheIsConsumed:
                    "other_layer": lambda: forward(other, x)[1],
                    "replaced": lambda: cache._replace(intermediates=copies),
                    "copied": lambda: LayerCache(copies, cache.plan, cache.owned),
-                   "deep_copied": lambda: copy.deepcopy(cache)}[kind]()
+                   "deep_copied": lambda: copy.deepcopy(cache),
+                   "owned_appended": lambda: cache._replace(owned=[*cache.owned, np.zeros(3)]),
+                   }[kind]()
         assert lyr._spare
         entries = bad if kind == "not_a_cache" else bad.intermediates
         held = [x, d_y, *cache.intermediates, *copies, *entries,
@@ -760,12 +763,6 @@ def chunk_size(lyr, batch):
 def product_size(a, b, out=None):
     """Multiply-adds of one ``matmul(a, b)``."""
     return a.shape[0] * a.shape[1] * b.shape[1]
-
-
-def largest_step(lyr):
-    """Multiply-adds a sample of the layer's largest training step."""
-    return max(math.prod(lyr.out_dims[:k]) * d * h * math.prod(lyr.in_dims[k + 1:])
-               for k, (d, h) in enumerate(zip(lyr.in_dims, lyr.out_dims)))
 
 
 @st.composite
@@ -962,15 +959,25 @@ class TestBandedTrainingSteps:
 
 class TestCacheMemoryIsReused:
     """On the cube at batch 2 (c = 1, banded) a consumed cache's buffers are
-    backward's scratch: Z_2's takes dL/dX, Z_1's backs the layer's next forward."""
+    reused by backward: Z_2's takes dL/dX, Z_1's backs the layer's next forward,
+    and so do Y's and Z_2's once the caller has dropped Y and dL/dX."""
 
     DIMS = (32, 32, 32)
 
-    def step_data(self, seed):
+    def step_data(self, seed, steps=2):
         rng, lyr = biased_layer(seed, self.DIMS, self.DIMS)
         assert chunk_size(lyr, 2) == 1
         return lyr, [(rng.standard_normal((2, *self.DIMS)), rng.standard_normal((2, *self.DIMS)))
-                     for _ in range(2)]
+                     for _ in range(steps)]
+
+    @staticmethod
+    def step_outputs(lyr, x, d_y, fresh=True):
+        """Y and every gradient of a step on a layer of the same weights with no spare
+        set, or on ``lyr`` itself if not ``fresh``."""
+        if fresh:
+            lyr = NdLinearLayer(lyr.in_dims, lyr.out_dims, lyr.weights, lyr.biases)
+        y, grads = training_step(lyr, x, d_y)
+        return [y, *grad_arrays(grads)]
 
     def test_a_second_step_reuses_the_first_ones_cache(self):
         lyr, data = self.step_data(70)
@@ -1030,6 +1037,54 @@ class TestCacheMemoryIsReused:
         assert peak - y2.nbytes - step <= 2**17 < step
         assert np.array_equal(y2, y)
 
+    HELD = {  # what a caller keeps of a step's (Y, grads): arrays, views, the grads
+        "y": lambda y, grads: y,
+        "y_row": lambda y, grads: y[0],
+        "y_reshaped": lambda y, grads: y.reshape(len(y), -1),
+        "d_input": lambda y, grads: grads.d_input,
+        "d_input_row": lambda y, grads: grads.d_input[0],
+        "grads": lambda y, grads: grads,
+    }
+
+    @pytest.mark.parametrize("kind", HELD)
+    def test_what_the_caller_holds_is_never_reused(self, kind):
+        # Y's buffer and Z_2's (dL/dX's) go back to the spare set, but the next
+        # forward takes one only once nothing outside the layer refers to it
+        lyr, data = self.step_data(78, steps=3)
+        held = self.HELD[kind](*training_step(lyr, *data[0]))
+
+        def arrays():  # a list the test drops before each step
+            return grad_arrays(held) if kind == "grads" else [held]
+
+        kept = [a.copy() for a in arrays()]
+        for x, d_y in data[1:]:  # two more steps, each output dropped
+            got = self.step_outputs(lyr, x, d_y, fresh=False)
+            assert not any(np.shares_memory(a, b) for a in got for b in arrays())
+            for a, b in zip(got, self.step_outputs(lyr, x, d_y), strict=True):
+                assert np.array_equal(a, b)
+            del got
+        for now, then in zip(arrays(), kept, strict=True):
+            assert np.array_equal(now, then)
+
+    def test_once_all_are_dropped_the_next_forward_reuses_both_buffers(self):
+        lyr, [(x, d_y), (x2, d_y2)] = self.step_data(79)
+        step = training_step(lyr, x, d_y)[0].nbytes  # every output dropped at once
+        spent = {k: weakref.ref(z) for k, z in lyr._spare[2].items()}
+        assert sorted(spent) == [-2, -1, 1]
+        tracemalloc.start()
+        try:
+            y, cache = forward(lyr, x2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**17 < step  # no batch-long array
+        assert y.base is spent[-1]() and cache.intermediates[2] is spent[-2]()
+        assert cache.intermediates[1] is spent[1]()
+        got = [y, *grad_arrays(backward(lyr, cache, d_y2))]
+        assert np.shares_memory(got[1], cache.intermediates[2])  # dL/dX in Z_2's again
+        for a, b in zip(got, self.step_outputs(lyr, x2, d_y2), strict=True):
+            assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("in_dims, out_dims", [
         ((64, 64, 64), (4, 4, 64)),  # Z_2 holds 1,024 values a sample, X 262,144
         ((128, 128), (128, 128)),    # N = 2: Z_1 holds the last G
@@ -1043,7 +1098,10 @@ class TestCacheMemoryIsReused:
         entries = list(cache.intermediates)
         got = grad_arrays(backward(lyr, cache, d_y))
         assert not any(np.shares_memory(got[0], z) for z in entries)
-        assert sorted(lyr._spare[2]) == list(range(1, lyr.n_modes))  # all but X go back
+        # all but X go back as they are, and Y's buffer, handed out, as -1
+        assert sorted(lyr._spare[2]) == [-1, *range(1, lyr.n_modes)]
+        assert all(lyr._spare[2][k] is entries[k] for k in range(1, lyr.n_modes))
+        assert lyr._spare[2][-1] is y.base
         for a, b in zip(got, grad_arrays(backward(lyr, forward(lyr, x)[1], d_y)), strict=True):
             assert np.array_equal(a, b)
 
@@ -1064,22 +1122,25 @@ class TestCacheMemoryIsReused:
     def test_the_layer_keeps_one_set_and_frees_it_with_itself(self):
         lyr, [(x, d_y), _] = self.step_data(73)
         caches = [forward(lyr, x)[1] for _ in range(2)]  # held at once
-        spent = [weakref.ref(cache.intermediates[1]) for cache in caches]
+        # Z_1's, and Z_2's and Y's, handed out as dL/dX and Y, at -2 and -1
+        spent = [{1: weakref.ref(cache.intermediates[1]), -2: weakref.ref(cache.intermediates[2]),
+                  -1: weakref.ref(cache.owned[-1])} for cache in caches]
         for cache in caches:
             backward(lyr, cache, d_y)
-        assert list(lyr._spare) == [2] and list(lyr._spare[2]) == [1]
-        assert lyr._spare[2][1] is spent[1]()
+        assert list(lyr._spare) == [2] and sorted(lyr._spare[2]) == [-2, -1, 1]
+        assert all(lyr._spare[2][k] is ref() for k, ref in spent[1].items())
         del cache, caches
         gc.collect()
-        assert spent[0]() is None  # nothing but the consumed cache held the first set
+        # nothing but the consumed cache held the first set
+        assert all(ref() is None for ref in spent[0].values())
         for batch in (3, 1, 2):  # whatever batch sizes it runs, the layer keeps one set
             xb = np.ones((batch, *self.DIMS))
             backward(lyr, forward(lyr, xb)[1], xb)
-            assert list(lyr._spare) == [batch] and list(lyr._spare[batch]) == [1]
-        last = weakref.ref(lyr._spare[2][1])
+            assert list(lyr._spare) == [batch] and sorted(lyr._spare[batch]) == [-2, -1, 1]
+        last = [weakref.ref(z) for z in lyr._spare[2].values()]
         del lyr
         gc.collect()
-        assert last() is None
+        assert all(ref() is None for ref in last)
 
     def test_layers_of_equal_dims_keep_their_own_sets(self):
         # a plan is shared by every layer of its dims and batch; spare buffers are not
@@ -1093,6 +1154,54 @@ class TestCacheMemoryIsReused:
                 backward(lyr, cache, d_y)
         assert all(seen[1] is seen[0] for seen in entries)  # each its own Z_1, taken back
         assert entries[0][0] is not entries[1][0]
+
+
+HOLD = ("nothing", "y", "grads", "both")
+
+
+@st.composite
+def layer_histories(draw):
+    """A layer with N 2..3 and dims 1..4 and 2..6 steps, each a batch of 1..5, a
+    bound (``step_bounds``), what the caller holds of its outputs and whether a
+    ``forward_only`` runs first."""
+    n = draw(st.integers(2, 3))
+    dims = st.lists(st.integers(1, 4), min_size=n, max_size=n).map(tuple)
+    rng, lyr = biased_layer(draw(st.integers(0, 2**32 - 1)), draw(dims), draw(dims))
+    steps = st.tuples(st.integers(1, 5), st.sampled_from(step_bounds(largest_step(lyr))),
+                      st.sampled_from(HOLD), st.booleans())
+    return rng, lyr, draw(st.lists(steps, min_size=2, max_size=6))
+
+
+class TestHistory:
+    """The history law: whatever steps a layer ran before, at whatever batch sizes
+    and plans, and whatever the caller still holds of them, a step gives the bits a
+    fresh layer gives, and writes nothing the caller holds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(layer_histories())
+    def test_every_step_matches_a_fresh_copy(self, case):
+        rng, lyr, steps = case
+        pristine = copy.deepcopy(lyr)  # no spare set
+        held = []  # (outputs the caller holds, a fresh layer's)
+        for batch, bound, hold, infer in steps:
+            x = rng.standard_normal((batch, *lyr.in_dims))
+            d_y = rng.standard_normal((batch, *lyr.out_dims))
+            with mock.patch.object(tensor, "SMALL_GEMM_MNK", bound):
+                if infer:
+                    assert np.array_equal(forward_only(lyr, x), forward_only(pristine, x))
+                y, grads = training_step(lyr, x, d_y)
+                want_y, want = training_step(copy.deepcopy(pristine), x, d_y)
+            for a, b in zip([y, *grad_arrays(grads)], [want_y, *grad_arrays(want)],
+                            strict=True):
+                assert np.array_equal(a, b)
+            if hold in ("y", "both"):
+                held.append(([y], [want_y]))
+            if hold in ("grads", "both"):
+                held.append((grad_arrays(grads), grad_arrays(want)))
+            del y, grads  # all else is dropped before the next step
+        for outs, want in held:
+            for a, b in zip(outs, want, strict=True):
+                assert np.array_equal(a, b)
 
 
 def per_sample_outer(vs):

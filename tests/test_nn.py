@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import model_analytic_grads, model_numeric_grads
+from conftest import largest_step, model_analytic_grads, model_numeric_grads, step_bounds
 from ndlinear import layer, nn, tensor
 from ndlinear.oracle import max_rel_err
 from ndlinear.tensor import FlopCounter, ShapeError, make_rng, positive_int, validate_shape
@@ -203,6 +203,41 @@ class TestModelBackward:
         assert all(np.array_equal(a, b)
                    for a, b in zip(sweeps[True][0], sweeps[False][0], strict=True))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_a_models_history_cannot_change_its_results(self, data):
+        # the history law through model_forward and model_backward: ndlinear -> relu
+        # -> ndlinear -> ndlinear, the last reading the one before's Y as its input
+        n = data.draw(st.integers(2, 3))
+        dims = [data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n).map(tuple))
+                for _ in range(4)]
+        rng = make_rng(data.draw(st.integers(0, 2**32 - 1)))
+        nds = [biased_ndlinear(a, b, rng) for a, b in zip(dims, dims[1:])]
+        model = nn.Model([nds[0], nn.ReLU(), *nds[1:]], "mse", dims[0])
+        pristine = copy.deepcopy(model)  # no layer has a spare set
+        bounds = step_bounds(max(largest_step(nd.inner) for nd in nds))
+        held = []
+        for _ in range(data.draw(st.integers(2, 6))):
+            batch, bound = data.draw(st.integers(1, 5)), data.draw(st.sampled_from(bounds))
+            need_input, hold = data.draw(st.booleans()), data.draw(st.booleans())
+            x = rng.standard_normal((batch, *dims[0]))
+            d_y = rng.standard_normal((batch, *dims[-1]))
+            fresh = copy.deepcopy(pristine)
+            with mock.patch.object(tensor, "SMALL_GEMM_MNK", bound):
+                y, caches = nn.model_forward(model, x)
+                grads, d_x = nn.model_backward(model, caches, d_y, need_input)
+                want_y, want_caches = nn.model_forward(fresh, x)
+                want_grads, want_d_x = nn.model_backward(fresh, want_caches, d_y, need_input)
+            for a, b in zip([y, *grads], [want_y, *want_grads], strict=True):
+                assert np.array_equal(a, b)
+            assert d_x is None if not need_input else np.array_equal(d_x, want_d_x)
+            if hold:  # Y, dL/dX and the consumed caches; model.grad is the next sweep's
+                held.append((y, d_x, caches, want_y, want_d_x))
+            del y, grads, d_x, caches  # all else is dropped before the next step
+        for y, d_x, _, want_y, want_d_x in held:
+            assert np.array_equal(y, want_y)
+            assert d_x is None or np.array_equal(d_x, want_d_x)
+
     def test_one_sweep_a_batch_of_train(self):
         data = nn.gen_separable_regression(make_rng(0), 100, (8, 8), (8, 8))
         model = nn.build_model(SEPARABLE_MODEL, make_rng(0))
@@ -301,6 +336,24 @@ class TestRefusals:
         # None raised AttributeError; a float array scaled d_y by its values
         with pytest.raises(ShapeError, match="relu cache is not the bool mask"):
             nn.ReLU().backward(cache, np.ones((2, 3)), [], True)
+
+    def test_relu_infer_runs_forwards_batch_rule(self):
+        # np.maximum took the input as given, and returned [[1+2j, 0j]]
+        with pytest.raises(TypeError, match="relu input must hold real numbers"):
+            nn.ReLU().infer(np.array([[1 + 2j, -1 + 0j]]))
+
+    @pytest.mark.parametrize("cache", [(), None, (2,), (2, 5), (2, 6.0), [2, 6], (0, 6)],
+                             ids=["empty", "none", "rows_only", "other_features", "float_dim",
+                                  "list", "zero_rows"])
+    def test_reshape_backward_refuses_a_cache_that_is_not_an_input_shape(self, cache):
+        # () raised IndexError and None an untyped TypeError; (2, 5) reached numpy's reshape
+        with pytest.raises(ShapeError, match="reshape cache is not the"):
+            nn.Reshape((2, 3)).backward(cache, np.ones((2, 2, 3)), [], True)
+
+    def test_reshape_backward_takes_forwards_cache(self):
+        x = make_rng(9).standard_normal((2, 3, 2))
+        y, cache = nn.Reshape((2, 3)).forward(x)
+        assert np.array_equal(nn.Reshape((2, 3)).backward(cache, y, [], True), x)
 
     def test_mse_of_mismatched_shapes(self):
         with pytest.raises(ShapeError, match=r"target shape \(3, 2\) != \(2, 3\)"):
