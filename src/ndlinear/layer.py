@@ -16,16 +16,16 @@ Each public entry (``forward``, ``forward_only``, ``backward``) checks its
 layer (``checked_layer``) and its input; the steps inside run an immutable
 plan cached per (dims, batch, bound), ``_step_plan``, and derive no shape.
 
-Training applies the modes in declaration order; N = 1 is the dense map
-X W_1 + b_1 and back. For N >= 2 the batch runs in chunks of c samples,
-the most that keep a step within ``tensor.SMALL_GEMM_MNK`` multiply-adds
-(at least one). Step k reads its buffer as the (D_k, rest) matrix Z and
-computes Z^T W_k + b_k in the layout (D_{k+1}..D_N, c, H_1..H_k); the
-input is transposed to (D_1..D_N, c), with no copy at c = 1, where a
-step over the bound, and its dW_k, runs in equal row bands at least as
-tall as W_k is wide. ``forward`` keeps each Z in the buffer it computed
-it in (``LayerCache``); with G the (rest, H_k) gradient of step k, for
-k = N..1, summed over chunks and bands in order:
+Training applies the modes in declaration order. N <= 2 runs batch-leading, in the
+caller's layout: Z_1 = W_1^T @ X stacked over the batch plus b_1 (N = 2), then
+Y = Z_{N-1} @ W_N + b_N; backward transposes X once, for dW_1. For N >= 3 the batch
+runs in chunks of c samples, the most that keep a step within ``SMALL_GEMM_MNK``
+multiply-adds (at least one). Step k reads its buffer as the (D_k, rest) matrix Z and
+computes Z^T W_k + b_k in the layout (D_{k+1}..D_N, c, H_1..H_k); the input is
+transposed to (D_1..D_N, c), with no copy at c = 1, where a step over the bound, and
+its dW_k, runs in equal row bands at least as tall as W_k is wide. ``forward`` keeps
+each Z in the buffer it computed it in (``LayerCache``); with G the (rest, H_k)
+gradient of step k, for k = N..1, summed over chunks and bands in order:
 
     dW_k = Z G,    db_k = 1^T G,    G <- W_k G^T
 
@@ -197,13 +197,13 @@ class LayerCache(NamedTuple):
     Z_0 = X, Z_1, ..., Z_{N-1} as a tuple, the step plan that laid them out, and
     ``owned``, forward's [layer, that tuple, that plan, Y's buffer], which backward empties.
 
-    Entry k is the buffer forward computed Z_k in: B · ``plan.sizes[k]`` values,
-    chunk after chunk in the step layout (D_{k+1}..D_N, c, H_1..H_k), X^T at N = 1
-    and X itself at c = 1. Backward takes only an unconsumed cache that forward made
-    for its layer (any other, a ``_replace``d one too, is a ``ShapeError`` before any
-    write), reads it through the plan, empties ``owned`` and overwrites each Z_k but
-    X with W_{k+1} G^T: they and Y's back dL/dX or the next forward (``_reclaim``).
-    The fields are read-only.
+    Entry k is the buffer forward computed Z_k in: B · ``plan.sizes[k]`` values, chunk
+    after chunk in the step layout (D_{k+1}..D_N, c, H_1..H_k), X itself at N <= 2 and
+    c = 1, and Z_1 as (B, H_1, D_2) at N = 2. Backward takes only an unconsumed cache
+    that forward made for its layer, with a writeable C-contiguous float64 Y buffer of
+    B prod(H) values (any other is a ``ShapeError`` before any write), reads it through
+    the plan, empties ``owned`` and overwrites each Z_k but X with W_{k+1} G^T: they and
+    Y's back dL/dX or the next forward (``_reclaim``). The fields are read-only.
     """
 
     intermediates: tuple[np.ndarray, ...]
@@ -214,16 +214,16 @@ class LayerCache(NamedTuple):
 @lru_cache(maxsize=1024)
 def _step_plan(in_dims: tuple[int, ...], out_dims: tuple[int, ...], batch: int,
                bound: int) -> _StepPlan:
-    """Chunk size c (all at N = 1), bands and shapes of a training step. At c = 1
+    """Chunk size c (all at N <= 2), bands and shapes of a training step. At c = 1, N >= 3,
     a step over ``bound`` runs in ceil(rest D_k H_k / bound) equal bands of rows
     (the last ragged), if a band has at least H_k rows."""
     n = len(in_dims)
     sizes = tuple(math.prod(out_dims[:k] + in_dims[k:]) for k in range(n + 1))
     most = max(s * h for s, h in zip(sizes, out_dims))  # a sample's largest step
-    c = batch if n == 1 else min(batch, max(1, bound // most))
+    c = batch if n <= 2 else min(batch, max(1, bound // most))
     rest = [s // d for s, d in zip(sizes, in_dims)]
     cut = [-(-r // -(-s * h // bound)) for r, s, h in zip(rest, sizes, out_dims)]
-    bands = tuple(b if c == 1 and b >= h else c * r for b, r, h in zip(cut, rest, out_dims))
+    bands = tuple(b if c == 1 < n - 1 and b >= h else c * r for b, r, h in zip(cut, rest, out_dims))
     ones = np.ones(c * max(s // h for s, h in zip(sizes[1:], out_dims)) if n > 1 else 0)
     ones.flags.writeable = False
     return _StepPlan(c, sizes, bands, c == batch and bands == tuple(c * r for r in rest),
@@ -253,8 +253,15 @@ def _run_steps(layer: NdLinearLayer, x: np.ndarray,
     n, batch = layer.n_modes, len(x)
     plan = _step_plan(layer.in_dims, layer.out_dims, batch, tensor.SMALL_GEMM_MNK)
     c, sizes, flat = plan.c, plan.sizes, x.reshape(batch, -1)
-    if plan.whole:  # each product is the next step's buffer; x.T keeps N = 1 x @ W_1 + b_1
-        bufs = [flat.T if n == 1 else permute(flat, (1, 0))]
+    if n <= 2:  # batch-leading: W_1^T @ X stacked over the batch (N = 2), then Z_{N-1} @ W_N
+        bufs = [x] if n == 1 else [x, z := matmul(layer.weights[0].T, x)]
+        if n == 2 and layer.biases is not None:  # b_1 tiled over D_2: long contiguous adds
+            z += layer.biases[0].repeat(x.shape[2]).reshape(z.shape[1:])
+        bufs.append(y := matmul(bufs[-1].reshape(-1, layer.in_dims[-1]), layer.weights[-1]))
+        if layer.biases is not None:
+            y += layer.biases[-1]
+    elif plan.whole:  # each product is the next step's buffer
+        bufs = [permute(flat, (1, 0))]
         for k, w in enumerate(layer.weights):
             bufs.append(matmul(bufs[k].reshape(w.shape[0], -1).T, w))
             if layer.biases is not None:
@@ -354,7 +361,9 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
     if slot == []:
         raise ShapeError("cache was consumed by an earlier backward")
     if slot is None or len(slot) != 4 or [*map(id, slot[:3])] != [
-            id(layer), id(cache.intermediates), id(cache.plan)]:
+            id(layer), id(cache.intermediates), id(cache.plan)] or not (  # and Y's buffer:
+            type(y := slot[3]) is np.ndarray and y.dtype == np.float64 and (f := y.flags).writeable
+            and f.c_contiguous and y.size == math.prod(cache.plan.y_shape)):
         raise ShapeError(f"cache is not one that forward made for a layer of dims "
                          f"{layer.in_dims} -> {layer.out_dims}, this one")
     n, zs, plan = layer.n_modes, cache.intermediates, cache.plan
@@ -362,28 +371,28 @@ def _backward_into(layer: NdLinearLayer, cache: LayerCache, d_y: np.ndarray,
     d_y = np.ascontiguousarray(shaped(d_y, plan.y_shape, "d_y"))
     y_buf = slot.pop()
     slot.clear()  # consumed: the entries forward allocated are overwritten below
-    if n == 1:  # the dense statements, on forward's X^T
-        matmul(zs[0].reshape(layer.in_dims[0], -1), d_y, out=d_params[0])
+    if n == 1:  # the dense statements, on forward's X
+        matmul(zs[0].T, d_y, out=d_params[0])
         if layer.biases is not None:
             d_y.sum(axis=0, out=d_params[1])
         return matmul(d_y, layer.weights[0].T) if need_input else None
     zs = [*zs, d_y]
-    if plan.whole:
+    if n == 2:  # the batch-leading X moves once, to X^T's (D_1 D_2, B): dW_1's operand
+        zs[0] = permute(zs[0].reshape(batch, -1), (1, 0))
+    if plan.whole:  # at N = 2 Z_1 is (B H_1, D_2), and G = W_2 dY^T reads as (D_2 B, H_1)
         g = d_y
         for k in range(n, 0, -1):
             w = layer.weights[k - 1]
             g = g.reshape(-1, w.shape[1])
             z = zs[k - 1].reshape(w.shape[0], -1)
-            matmul(z, g, out=d_params[k - 1])
+            matmul(zs[1].reshape(len(g), -1).T if k == n == 2 else z, g, out=d_params[k - 1])
             if layer.biases is not None:
                 np.matmul(ones[:len(g)], g, out=d_params[n + k - 1])
             if k > 1 or need_input:  # dL/dZ_{k-1} takes Z_{k-1}'s place, which dW_k has read
                 g = matmul(w, g.T, out=z)
         return g.reshape(-1, batch).T.reshape(batch, *layer.in_dims) if need_input else None
-    # dL/dX takes Z_{N-1}'s buffer at most twice its size; sample b's rows lie on
-    # swept samples <= b (Z_1 holds the last G at N = 2)
-    lend = (need_input and c == 1 and n > 2
-            and plan.sizes[0] <= plan.sizes[n - 1] <= 2 * plan.sizes[0])
+    # dL/dX takes Z_{N-1}'s buffer at most twice its size: sample b's rows lie on swept ones <= b
+    lend = need_input and c == 1 and plan.sizes[0] <= plan.sizes[n - 1] <= 2 * plan.sizes[0]
     d_x = (zs[n - 1][:batch * plan.sizes[0]].reshape(batch, -1) if lend else
            np.empty((batch, plan.sizes[0])) if need_input else None)
     for d in d_params:  # every chunk adds its terms, in batch order, to -0.0 (-0.0 + x is x)

@@ -7,7 +7,8 @@ Conventions used throughout the package:
 - Operations are pure: inputs are never mutated. ``permute`` copies into
   a contiguous result; ``matmul`` takes its operands as they come (a
   transposed view reaches BLAS as a flag) and writes into ``out`` if
-  given. Every product the layer computes is a ``matmul``, so
+  given; a stacked product puts the matrix (a weight) first, (m, k) @
+  (s, k, n). Every product the layer computes is a ``matmul``, so
   ``FlopCounter`` counts its FLOPs exactly, and every whole-batch copy it
   makes is a ``permute``. A tracer of the two misses what runs in plain
   numpy: a chunk's batch moves into and out of the step layout, the bias
@@ -148,8 +149,8 @@ def make_rng(seed: int) -> np.random.Generator:
 class FlopCounter:
     """Tally of multiply-adds performed by ``matmul`` while active, as in
     ``with FlopCounter() as fc: forward(layer, x)``: one (m, k) @ (k, n)
-    product counts m*k*n, checked against u64 range. Only one counter may
-    be active at a time; instrumentation is not thread-safe.
+    product counts m*k*n, s stacked ones s*m*k*n, checked against u64 range.
+    Only one counter may be active at a time; instrumentation is not thread-safe.
     """
 
     def __init__(self) -> None:
@@ -185,32 +186,32 @@ SMALL_GEMM_MNK = 10**6
 
 
 def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Rank-2 matrix product with f64 accumulation.
+    """(m, k) @ (k, n), or (m, k) @ each of a stack, (s, k, n) -> (s, m, n), in f64.
 
-    Operands may be strided views. ``out``, if given, must be a writeable
-    C-contiguous (m, n) float64 array (else ``ShapeError``, before anything
-    is counted); it gets the same bits as a fresh product. Feeds the active
-    FlopCounter, if any, m*k*n multiply-adds once. A product of transposed
-    C-contiguous operands (``forward_only``'s planned steps) that contracts
-    by at least 16 (1 < m, 16m <= k) and exceeds ``SMALL_GEMM_MNK`` runs as
-    bands of ``SMALL_GEMM_MNK // (m*k)`` >= 16 rows of b^T a^T, transposed
-    into the result: ``a @ b`` up to rounding, (4, 256) @ (256, 4096) in
-    0.54-0.59 ms, not 1.17-1.38 ms. Every other product is one ``a @ b``.
+    Operands may be strided views. ``out``, if given, must be a writeable C-contiguous
+    float64 array of the result's shape (else ``ShapeError``, before anything is
+    counted); it gets the same bits as a fresh product. Feeds the active FlopCounter,
+    if any, s*m*k*n multiply-adds (s = 1 unstacked) once. An unstacked product of
+    transposed C-contiguous operands (``forward_only``'s planned steps) that contracts
+    by at least 16 (1 < m, 16m <= k) and exceeds ``SMALL_GEMM_MNK`` runs as bands of
+    ``SMALL_GEMM_MNK // (m*k)`` >= 16 rows of b^T a^T, transposed into the result:
+    ``a @ b`` up to rounding, (4, 256) @ (256, 4096) in 0.54-0.59 ms, not 1.17-1.38 ms.
+    Every other product is one ``a @ b``.
     """
     a, b = real_array(a, "operand"), real_array(b, "operand")
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    (m, k), (kb, n) = a.shape, b.shape
+    if a.ndim != 2 or b.ndim not in (2, 3):
+        raise ShapeError(f"matmul needs a matrix, then a matrix or a stack: {a.shape}, {b.shape}")
+    (m, k), (*s, kb, n) = a.shape, b.shape
     if k != kb:
         raise ShapeError(f"inner dims differ: {a.shape} @ {b.shape}")
     if out is not None and not (isinstance(out, np.ndarray) and out.dtype == _F64
-                                and out.shape == (m, n) and (f := out.flags).writeable
+                                and out.shape == (*s, m, n) and (f := out.flags).writeable
                                 and f.c_contiguous):
-        raise ShapeError(f"out must be a writeable C-contiguous float64 array of shape {(m, n)}")
+        raise ShapeError(f"out must be a writeable C-contiguous float64 array, {(*s, m, n)}")
     if _active_counter is not None:
-        _active_counter.add(m * k * n)
+        _active_counter.add(math.prod(s) * m * k * n)
     band = (SMALL_GEMM_MNK // (m * k)
-            if 16 * m <= k and 1 < m and m * k * n > SMALL_GEMM_MNK else 0)
+            if not s and 16 * m <= k and 1 < m and m * k * n > SMALL_GEMM_MNK else 0)
     if band >= 16 and a.T.flags.c_contiguous and b.T.flags.c_contiguous:
         bt, at = b.T, a.T
         # a fresh buffer, so every read of a and b precedes the first write to out

@@ -197,7 +197,7 @@ class TestForward:
         rng, lyr = random_layer(seed)
         batch = int(rng.integers(1, 4))
         x = rng.standard_normal((batch, *lyr.in_dims))
-        steps = []  # the buffers forward's steps return: X in step layout, then each product
+        steps = []  # the buffers forward's steps return: X in step layout (N >= 3), each product
 
         def kept(run):
             def spy(*args, **kwargs):
@@ -211,13 +211,14 @@ class TestForward:
         assert y.shape == (batch, *lyr.out_dims)
         # one gemm operand per mode step, in step layout; Y is not kept
         assert len(cache.intermediates) == lyr.n_modes
+        lead = lyr.n_modes <= 2  # the batch-leading kernel: Z_0 is X as it lies
         for k, z in enumerate(cache.intermediates):
             # B prod(H_1..H_k D_{k+1}..D_N) values in the buffer step k's operand came
-            # from (X itself at N = 1), not a copy of it
+            # from (X itself at N <= 2, Z_1 the stacked product W_1^T @ X), not a copy of it
             assert z.size == batch * math.prod(lyr.out_dims[:k] + lyr.in_dims[k:])
-            assert np.shares_memory(z, x if lyr.n_modes == 1 else steps[k])
+            assert np.shares_memory(z, x if lead and k == 0 else steps[k - lead])
             # backward's ascontiguousarray copies nothing of forward's buffers
-            assert z.flags.c_contiguous or lyr.n_modes == 1
+            assert z.flags.c_contiguous
 
     def test_forward_only_matches_forward(self):
         rng, lyr = random_layer(7)
@@ -586,11 +587,22 @@ def fresh_buffer_backward(lyr, zs, d_y):
     """The sweep with a fresh buffer for every product, a ones vector per
     bias and one numpy transpose: what backward computed before it wrote
     into its cache, as (d_input, *d_weights, *d_biases). At N = 1 it is the
-    dense layer's x^T @ d_y, d_y.sum(axis=0) and d_y @ W^T on forward's x^T."""
+    dense layer's x^T @ d_y, d_y.sum(axis=0) and d_y @ W^T on forward's x; at
+    N = 2 the batch-leading sweep on (X, Z_1 as (B, H_1, D_2)): G = W_2 dY^T as a
+    (D_2 B, H_1) matrix and X transposed to (D_1, D_2 B)."""
     n, batch = lyr.n_modes, d_y.shape[0]
+    w, g = lyr.weights[-1], d_y.reshape(-1, lyr.out_dims[-1])
+    d_w = [zs[-1].reshape(len(g), -1).T @ g]
     if n == 1:
-        x_t, w = np.ascontiguousarray(zs[0].T).T, lyr.weights[0]
-        return [d_y @ w.T, x_t @ d_y, *([d_y.sum(axis=0)] if lyr.with_bias else [])]
+        return [d_y @ w.T, *d_w, *([d_y.sum(axis=0)] if lyr.with_bias else [])]
+    if n == 2:
+        d_b = [np.ones(len(g)) @ g]
+        g = (w @ g.T).reshape(-1, lyr.out_dims[0])
+        x_t = np.transpose(zs[0], (1, 2, 0)).copy()
+        d_w.insert(0, x_t.reshape(len(x_t), -1) @ g)
+        d_b.insert(0, np.ones(len(g)) @ g)
+        d_x = (lyr.weights[0] @ g.T).reshape(x_t.shape).transpose(2, 0, 1)
+        return [d_x, *d_w, *(d_b if lyr.with_bias else [])]
     d_w, d_b = [None] * n, [None] * n
     g = d_y
     for k in range(n, 0, -1):
@@ -601,6 +613,11 @@ def fresh_buffer_backward(lyr, zs, d_y):
         g = w @ g.T
     d_x = np.transpose(g.reshape(-1, batch)).copy().reshape(batch, *lyr.in_dims)
     return [d_x, *d_w, *(d_b if lyr.with_bias else [])]
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def spare_ids(lyr):
@@ -667,6 +684,40 @@ class TestCacheIsConsumed:
         fresh = NdLinearLayer(dims, dims, lyr.weights, lyr.biases)
         want = grad_arrays(backward(fresh, forward(fresh, x)[1], d_y))
         for a, b in zip(grad_arrays(backward(lyr, cache, d_y)), want, strict=True):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dims", [((32, 32, 32), (32, 32, 32)), ((8, 8), (16, 16))],
+                             ids=["cube", "two_modes"])
+    @pytest.mark.parametrize("entry", [
+        lambda y: np.zeros(5),
+        lambda y: y.astype(np.float32),
+        lambda y: np.zeros(2 * y.size)[::2],
+        lambda y: _read_only(y.copy()),
+        lambda y: y.tolist(),
+        lambda y: None,
+    ], ids=["too_few_values", "float32", "strided", "read_only", "list", "none"])
+    def test_a_forged_y_buffer_is_refused(self, dims, entry):
+        # backward hands Y's buffer, entry 3 of ``owned``, to the next forward: one
+        # that is not a writeable C-contiguous float64 array of B prod(H) values is a
+        # ShapeError before any write (it was a ZeroDivisionError in the next forward
+        # on the cube), and the cache, put right, still serves
+        rng, lyr = biased_layer(81, *dims)
+        x, d_y = rng.standard_normal((2, *dims[0])), rng.standard_normal((2, *dims[1]))
+        y, cache = forward(lyr, x)
+        kept = [a.copy() for a in (x, d_y, y, *cache.intermediates)]
+        y_buf = cache.owned[3]
+        cache.owned[3] = entry(y_buf)
+        with pytest.raises(ShapeError, match="not one that forward made for a layer of dims"):
+            backward(lyr, cache, d_y)
+        assert len(cache.owned) == 4 and lyr._spare == {}
+        assert all(np.array_equal(a, b) for a, b in zip((x, d_y, y, *cache.intermediates), kept))
+        cache.owned[3] = y_buf
+        got = [*grad_arrays(backward(lyr, cache, d_y)), forward(lyr, x)[0]]
+        fresh = NdLinearLayer(*dims, lyr.weights, lyr.biases)
+        y_want, cache = forward(fresh, x)
+        want = [*grad_arrays(backward(fresh, cache, d_y)), forward(fresh, x)[0]]
+        assert np.array_equal(y, y_want)
+        for a, b in zip(got, want, strict=True):
             assert np.array_equal(a, b)
 
     @settings(max_examples=100, deadline=None)
@@ -767,10 +818,10 @@ def product_size(a, b, out=None):
 
 @st.composite
 def chunked_cases(draw):
-    """A layer with N 2..4 and dims 1..4, a batch of 3..9 and a chunk size
+    """A layer with N 3..4 and dims 1..4, a batch of 3..9 and a chunk size
     1 < c < B, which tensor.SMALL_GEMM_MNK is set to give: B is a multiple
     of c or not (a last chunk of B mod c samples)."""
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(3, 4))
     dims = st.lists(st.integers(1, 4), min_size=n, max_size=n).map(tuple)
     in_dims, out_dims = draw(dims), draw(dims)
     batch = draw(st.integers(3, 9))
@@ -783,12 +834,12 @@ def chunked_cases(draw):
 
 
 class TestBandedTrainingSteps:
-    """A training step of an N >= 2 layer runs its batch in bands of c samples,
-    the chunks of ``layer._chunking``: c = 1 on the 32^3 cube (a step is 2^20
-    multiply-adds a sample) and 3 on (16,256)->(64,4), 256 = 85 * 3 + 1."""
+    """A training step of an N >= 3 layer runs its batch in bands of c samples,
+    the chunks of ``layer._step_plan``: c = 1 on the 32^3 cube (a step is 2^20
+    multiply-adds a sample) and 3 on (4,32,32)->(8,32,2), 16 = 5 * 3 + 1."""
 
     CASES = [((32, 32, 32), (32, 32, 32), 32, 1),
-             ((16, 256), (64, 4), 256, 3)]
+             ((4, 32, 32), (8, 32, 2), 16, 3)]
 
     @pytest.mark.parametrize("in_dims, out_dims, batch, chunk", CASES)
     def test_outputs_and_gradients_match_one_product(self, in_dims, out_dims, batch, chunk):
@@ -853,9 +904,9 @@ class TestBandedTrainingSteps:
     def test_bands_shorter_than_the_weight_is_wide_stay_one_product(self):
         # (128, 128) @ (128, 128), 2^21 multiply-adds a sample, would take 3 bands
         # of 43 rows, fewer than H_k = 128: one product a step
-        lyr, calls = self.step_against_one_chunk(58, (128, 128), (128, 128), 2)
+        lyr, calls = self.step_against_one_chunk(58, (128, 128, 1), (128, 128, 1), 2)
         assert chunk_size(lyr, 2) == 1 and largest_step(lyr) > tensor.SMALL_GEMM_MNK
-        assert len(calls) == 2 * 2 * 3
+        assert len(calls) == 2 * 3 * 3
 
     def test_a_batch_of_one_is_banded(self):
         # one chunk, whose bands write a fresh step buffer
@@ -865,8 +916,8 @@ class TestBandedTrainingSteps:
     def test_backward_reads_the_cache_as_forward_laid_it_out(self):
         # the bound changes between forward and backward: the cache's plan, not
         # one made at backward's bound, says how its chunks lie (c = 7, not 3)
-        rng, lyr = biased_layer(60, (16, 256), (64, 4))
-        x, d_y = rng.standard_normal((7, 16, 256)), rng.standard_normal((7, 64, 4))
+        rng, lyr = biased_layer(60, (8, 64, 8), (8, 64, 8))
+        x, d_y = rng.standard_normal((7, 8, 64, 8)), rng.standard_normal((7, 8, 64, 8))
         with ONE_CHUNK:
             cache = forward(lyr, x)[1]
             want = backward(lyr, forward(lyr, x)[1], d_y)
@@ -1093,11 +1144,14 @@ class TestCacheMemoryIsReused:
                                                                        out_dims):
         rng, lyr = biased_layer(74, in_dims, out_dims)
         x, d_y = rng.standard_normal((2, *in_dims)), rng.standard_normal((2, *out_dims))
-        assert chunk_size(lyr, 2) == 1
+        assert chunk_size(lyr, 2) == (1 if lyr.n_modes > 2 else 2)
         y, cache = forward(lyr, x)
         entries = list(cache.intermediates)
         got = grad_arrays(backward(lyr, cache, d_y))
         assert not any(np.shares_memory(got[0], z) for z in entries)
+        if lyr.n_modes == 2:  # the batch-leading kernel keeps no step buffer
+            assert lyr._spare == {} and entries[0] is x
+            return
         # all but X go back as they are, and Y's buffer, handed out, as -1
         assert sorted(lyr._spare[2]) == [-1, *range(1, lyr.n_modes)]
         assert all(lyr._spare[2][k] is entries[k] for k in range(1, lyr.n_modes))
@@ -1204,6 +1258,68 @@ class TestHistory:
                 assert np.array_equal(a, b)
 
 
+@st.composite
+def integer_cases(draw):
+    """A layer with N 1..3 and dims 1..4 whose weights and biases, like its input and
+    d_y, are integers in [-4, 4], a batch of 1..7 and a ``tensor.SMALL_GEMM_MNK``
+    bound from ``step_bounds``: c = 1 with and without bands, ragged 1 < c < B and
+    whole batches. Every partial sum stays far below 2^53, so every product and sum
+    is exact in any order."""
+    n = draw(st.integers(1, 3))
+    dims = st.lists(st.integers(1, 4), min_size=n, max_size=n).map(tuple)
+    in_dims, out_dims = draw(dims), draw(dims)
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def ints(*shape):
+        return rng.integers(-4, 5, size=shape).astype(np.float64)
+
+    lyr = NdLinearLayer(in_dims, out_dims, [ints(d, h) for d, h in zip(in_dims, out_dims)],
+                        [ints(h) for h in out_dims] if draw(st.booleans()) else None)
+    batch = draw(st.integers(1, 7))
+    bound = draw(st.sampled_from(step_bounds(largest_step(lyr))))
+    return lyr, ints(batch, *in_dims), ints(batch, *out_dims), bound, ints
+
+
+class TestExactLaws:
+    """On integer data every kernel path is exact, so the layer's laws hold bitwise:
+    forward equals forward_only and the dense map, and a central difference of the
+    affine map along an integer direction V equals the gradient's inner product with
+    V (Claerbout's dot-product test)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(integer_cases())
+    def test_forward_backward_and_the_dense_map_agree_bitwise(self, case):
+        lyr, x, d_y, bound, ints = case
+        batch = len(x)
+        with mock.patch.object(tensor, "SMALL_GEMM_MNK", bound):
+            y, cache = forward(lyr, x)
+            assert np.array_equal(forward_only(lyr, x), y)
+            grads = backward(lyr, cache, d_y)
+            m = oracle.materialize_full_weight(lyr)
+            assert np.array_equal(y.reshape(batch, -1),
+                                  x.reshape(batch, -1) @ m + effective_bias(lyr).reshape(-1))
+            assert np.array_equal(grads.d_input.reshape(batch, -1), d_y.reshape(batch, -1) @ m.T)
+
+            def moved(k, v, bias):  # <dY, f(p_k + V) - f(p_k - V)> / 2 for parameter k
+                out = []
+                for sign in (1, -1):
+                    params = lyr.params()
+                    j = lyr.n_modes + k if bias else k
+                    params[j] = params[j] + sign * v
+                    n = lyr.n_modes
+                    other = NdLinearLayer(lyr.in_dims, lyr.out_dims, params[:n],
+                                          params[n:] or None)
+                    out.append(forward(other, x)[0])
+                return np.sum(d_y * (out[0] - out[1])) / 2
+
+            for k, d_w in enumerate(grads.d_weights):
+                v = ints(*d_w.shape)
+                assert moved(k, v, False) == np.sum(d_w * v)
+            for k, d_b in enumerate(grads.d_biases or ()):
+                v = ints(*d_b.shape)
+                assert moved(k, v, True) == np.sum(d_b * v)
+
+
 def per_sample_outer(vs):
     """Sample b of the result is vs[0][b] (x) vs[1][b] (x) ... (x) vs[-1][b]."""
     out = vs[0]
@@ -1219,7 +1335,7 @@ class TestRankOneSamples:
 
     @pytest.mark.parametrize("in_dims, out_dims, batch, chunk, run", [
         ((32, 32, 32), (32, 32, 32), 2, 1, "forward"),     # c = 1: Z_0 views x
-        ((16, 256), (64, 4), 7, 3, "forward"),             # ragged: chunks of 3, 3, 1
+        ((8, 64, 8), (8, 64, 8), 7, 3, "forward"),         # ragged: chunks of 3, 3, 1
         ((16, 256), (64, 4), 4096, 1, "forward_only"),     # planned, row-banded first step
         ((40, 33, 31), (40, 33, 31), 2, 1, "forward"),     # c = 1, bands of 512 and 511
     ])

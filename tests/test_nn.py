@@ -180,7 +180,7 @@ class TestModelBackward:
 
     @pytest.mark.parametrize("with_bias", [False, True])
     @pytest.mark.parametrize("in_dims, out_dims, batch, chunk", [
-        ((16, 256), (64, 4), 7, 3),          # ragged: chunks of 3, 3 and 1
+        ((8, 64, 8), (8, 64, 8), 7, 3),      # ragged: chunks of 3, 3 and 1
         ((32, 32, 32), (32, 32, 32), 2, 1),  # one sample a chunk, in row bands
     ], ids=["ragged", "banded"])
     def test_a_chunked_layer_without_the_input_gradient(self, in_dims, out_dims, batch,
@@ -845,8 +845,8 @@ class TestPackedParameters:
 
     def test_a_step_skips_the_input_gradient(self, monkeypatch):
         # the first layer's last W_1 G^T goes: one gemm fewer than
-        # model_forward + model_backward; each layer's input is transposed
-        # in, and no dL/dX is transposed out (it leaves as a view)
+        # model_forward + model_backward; each layer's input is transposed once,
+        # for its dW_1, and no dL/dX is transposed out (it leaves as a view)
         model = self._model()
         data = self._data(4)
         calls = {"matmul": 0, "permute": 0}
@@ -899,9 +899,9 @@ class TestCountedPrimitives:
         return calls, fc.multiply_adds
 
     def test_a_training_step(self, monkeypatch):
-        # forward: 2 products a layer, the input transposed in; backward: dW_k and
-        # W_k G^T of both modes of the second layer, whose dL/dX leaves as a
-        # view; dW_1, dW_2 and W_2 G^T of the first
+        # forward: 2 products a layer; backward: dW_k and W_k G^T of both modes of
+        # the second layer, whose dL/dX leaves as a view, and dW_1, dW_2 and W_2 G^T
+        # of the first, each layer's input transposed once for its dW_1
         calls, macs = self.counted_epoch(monkeypatch, 32, evaluate=False)
         assert calls == {"matmul": 11, "permute": 2}
         step = 32 * 8 * 16 * (8 + 16)  # multiply-adds of one layer's forward
@@ -910,11 +910,11 @@ class TestCountedPrimitives:
     def test_an_epoch(self, monkeypatch):
         # 3,277 training rows: 102 steps of 32 and one of 13, 17,408 multiply-adds
         # a row, 2 transposes a step; evaluate runs 17 blocks of at most 256 rows
-        # through 2 layers, 2 products and one transpose each, 6,144 multiply-adds
-        # a row of 4,096
+        # through 2 layers, 2 products and no transpose each (the batch-leading
+        # kernel), 6,144 multiply-adds a row of 4,096
         calls, macs = self.counted_epoch(monkeypatch, 3277)
-        assert calls == {"matmul": 103 * 11 + 17 * 2 * 2, "permute": 103 * 2 + 17 * 2}
-        assert calls == {"matmul": 1201, "permute": 240}
+        assert calls == {"matmul": 103 * 11 + 17 * 2 * 2, "permute": 103 * 2}
+        assert calls == {"matmul": 1201, "permute": 206}
         assert macs == 3277 * 17_408 + 4096 * 6_144 == 82_211_840
 
 

@@ -101,6 +101,8 @@ ENTRIES = {
     "mode_k_product_k": lambda bad: oracle.mode_k_product(_T, _W, bad),
     "matmul_a": lambda bad: tensor.matmul(bad, _W),
     "matmul_b": lambda bad: tensor.matmul(_X, bad),
+    "matmul_a_of_a_stack": lambda bad: tensor.matmul(bad, _T),
+    "matmul_out_of_a_stack": lambda bad: tensor.matmul(_W, _T, out=bad),
     "permute_t": lambda bad: tensor.permute(bad, (1, 0)),
     "permute_axes": lambda bad: tensor.permute(_X, bad),
     "make_rng": make_rng,

@@ -185,6 +185,53 @@ class TestMatmul:
         assert fc.multiply_adds == 0
 
 
+class TestStackedMatmul:
+    """A rank-2 first operand times each matrix of a stack: (m, k) @ (s, k, n)."""
+
+    def test_each_matrix_of_the_stack(self):
+        rng = make_rng(31)
+        a, b = rng.standard_normal((4, 3)), rng.standard_normal((5, 3, 2))
+        got = matmul(a, b)
+        assert got.shape == (5, 4, 2)
+        for got_i, b_i in zip(got, b, strict=True):
+            assert_close(got_i, a @ b_i)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_counts_s_m_k_n_once_and_out_gets_the_same_bits(self, transposed):
+        rng = make_rng(32)
+        a = rng.standard_normal((3, 4)).T if transposed else rng.standard_normal((4, 3))
+        b = rng.standard_normal((6, 3, 5))
+        out = np.full((6, 4, 5), np.nan)
+        with FlopCounter() as fc:
+            fresh = matmul(a, b)
+            assert fc.multiply_adds == 6 * 4 * 3 * 5
+            assert matmul(a, b, out=out) is out
+        assert fc.multiply_adds == 2 * 6 * 4 * 3 * 5
+        assert np.array_equal(out, fresh)
+
+    @pytest.mark.parametrize("a, b", [
+        (np.zeros((2, 3, 4)), np.zeros((2, 4, 5))),  # a stack as the first operand
+        (np.zeros((2, 3)), np.zeros((4, 2, 5))),     # unequal inner dims
+        (np.zeros((2, 3)), np.zeros((1, 4, 3, 5))),  # a rank-4 second operand
+        (np.zeros(3), np.zeros((2, 3, 5))),
+    ], ids=["rank_three_first", "inner_dims", "rank_four_second", "vector_first"])
+    def test_other_operands_are_shape_errors(self, a, b):
+        with FlopCounter() as fc, pytest.raises(ShapeError):
+            matmul(a, b)
+        assert fc.multiply_adds == 0
+
+    @pytest.mark.parametrize("out", [np.zeros((2, 4)), np.zeros((3, 4, 2)),
+                                     np.zeros((3, 4, 2)).transpose(0, 2, 1),
+                                     np.zeros((3, 2, 4), dtype=np.float32),
+                                     np.zeros((3, 2, 8))[:, :, ::2], np.zeros((6, 2, 4))[::2]],
+                             ids=["unstacked", "transposed_shape", "transposed_view", "float32",
+                                  "strided_rows", "strided_stack"])
+    def test_a_wrong_out_is_refused_before_counting(self, out):
+        with FlopCounter() as fc, pytest.raises(ShapeError, match="out must be"):
+            matmul(np.ones((2, 3)), np.ones((3, 3, 4)), out=out)
+        assert fc.multiply_adds == 0
+
+
 def planned_operands(m, k, n, seed=30):
     """a and b the transposes of C-contiguous (k, m) and (n, k) matrices,
     as in ``forward_only``'s planned steps."""
