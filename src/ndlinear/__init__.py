@@ -9,7 +9,6 @@ training engine, low-rank adapters, and a CLI (``ndlinear``).
 
 from . import cli, layer, lora, ndt, nn, oracle, tensor
 from .layer import (
-    FlopCounter,
     NdLinearLayer,
     backward,
     dense_flop_count,
@@ -25,7 +24,7 @@ from .layer import (
     save_layer,
 )
 from .oracle import flat_forward, materialize_full_weight, mode_k_product, probe_full_map
-from .tensor import ShapeError, make_rng
+from .tensor import FlopCounter, ShapeError, make_rng
 
 __version__ = "0.1.0"
 

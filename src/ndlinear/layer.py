@@ -59,11 +59,9 @@ import numpy as np
 
 from . import ndt, tensor
 from .tensor import (
-    FlopCounter,
     ShapeError,
     batch_of,
     checked_u64,
-    is_positive_int,
     matmul,
     permutation,
     permute,
@@ -72,26 +70,6 @@ from .tensor import (
     shaped,
     validate_shape,
 )
-
-__all__ = [
-    "NdLinearLayer",
-    "LayerCache",
-    "NdLinearGrads",
-    "FlopCounter",
-    "checked_layer",
-    "init_xavier",
-    "forward",
-    "forward_only",
-    "backward",
-    "plan_modes",
-    "effective_bias",
-    "param_count",
-    "dense_param_count",
-    "flop_count",
-    "dense_flop_count",
-    "save_layer",
-    "load_layer",
-]
 
 
 @dataclass
@@ -531,7 +509,8 @@ def save_layer(layer: NdLinearLayer, path) -> None:
 
 
 def _read_meta(path: Path) -> tuple[int, tuple[int, ...], tuple[int, ...], bool]:
-    """(N, in_dims, out_dims, with_bias) from meta.json; FormatError if malformed."""
+    """(N, in_dims, out_dims, with_bias) from meta.json; FormatError if malformed.
+    Each dims list must pass ``validate_shape``, its element count's bound included."""
     try:
         meta = json.loads(path.read_text())
     except ValueError as exc:  # invalid JSON or UTF-8
@@ -547,9 +526,10 @@ def _read_meta(path: Path) -> tuple[int, tuple[int, ...], tuple[int, ...], bool]
     if type(n) is not int:
         raise ndt.FormatError(f"{path}: N must be an integer, got {n!r}")
     for key, dims in (("in_dims", in_dims), ("out_dims", out_dims)):
-        if not (isinstance(dims, list) and dims and all(is_positive_int(d) for d in dims)):
-            raise ndt.FormatError(f"{path}: {key} must be a non-empty list of positive "
-                                  f"integers, got {dims!r}")
+        try:
+            validate_shape(dims)
+        except (ShapeError, OverflowError) as exc:
+            raise ndt.FormatError(f"{path}: {key} must be a valid shape: {exc}") from exc
         if len(dims) != n:
             raise ndt.FormatError(f"{path}: N = {n} but {key} has {len(dims)} modes")
     if not isinstance(with_bias, bool):

@@ -206,14 +206,10 @@ class TrialResult:
     max_error: float
 
 
-def _random_dims(rng: np.random.Generator, n: int, max_dim: int) -> tuple[int, ...]:
-    return tuple(int(d) for d in rng.integers(1, positive_int(max_dim, "max_dim") + 1, size=n))
-
-
 def _random_layer(rng: np.random.Generator, n: int, max_dim: int,
                   with_bias: bool) -> NdLinearLayer:
-    in_dims = _random_dims(rng, n, max_dim)
-    out_dims = _random_dims(rng, n, max_dim)
+    high = positive_int(max_dim, "max_dim") + 1
+    in_dims, out_dims = (tuple(int(d) for d in rng.integers(1, high, size=n)) for _ in range(2))
     lyr = layer_mod.init_xavier(in_dims, out_dims, with_bias, rng)
     if with_bias:
         # zero biases would make the bias path vacuous; draw real ones
@@ -224,53 +220,44 @@ def _random_layer(rng: np.random.Generator, n: int, max_dim: int,
     return lyr
 
 
-def equivalence_trial(seed: int, n: int, with_bias: bool, max_dim: int = 5) -> TrialResult:
-    """Max |forward_only - dense probe of forward| on one random config."""
-    rng = make_rng(seed)
-    lyr = _random_layer(rng, n, max_dim, with_bias)
-    batch = int(rng.integers(1, 4))
-    x = rng.standard_normal((batch, *lyr.in_dims))
-    y_layer = layer_mod.forward_only(lyr, x)
-    y_flat = flat_forward(probe_full_map(lyr), x)
-    return TrialResult("equivalence", seed, n, lyr.in_dims, lyr.out_dims,
-                       with_bias, batch, max_abs_diff(y_layer, y_flat))
+def _equivalence(lyr: NdLinearLayer, x: np.ndarray) -> float:
+    return max_abs_diff(layer_mod.forward_only(lyr, x), flat_forward(probe_full_map(lyr), x))
 
 
-def kronecker_trial(seed: int, n: int, max_dim: int = 5) -> TrialResult:
-    """Max |kron construction - probe| on one random no-bias config."""
-    rng = make_rng(seed)
-    lyr = _random_layer(rng, n, max_dim, with_bias=False)
-    w_kron = materialize_full_weight(lyr)
-    w_probe = probe_full_map(lyr).w_full
-    return TrialResult("kronecker", seed, n, lyr.in_dims, lyr.out_dims,
-                       False, 0, max_abs_diff(w_kron, w_probe))
+def _kronecker(lyr: NdLinearLayer, x: None) -> float:
+    return max_abs_diff(materialize_full_weight(lyr), probe_full_map(lyr).w_full)
 
 
-def gradient_trial(seed: int) -> TrialResult:
-    """Max relative error, analytic backward vs central differences, on
-    a random layer of rank 1-3 with dims 1-4.
-
-    Uses L = 0.5 * sum(y^2), whose dL/dy is y, and which is quadratic in
-    every single scalar, so central differences at step 1 are exact.
-    """
-    rng = make_rng(seed)
-    n = int(rng.integers(1, 4))
-    with_bias = bool(rng.integers(0, 2))
-    lyr = _random_layer(rng, n, 4, with_bias)
-    batch = int(rng.integers(1, 4))
-    x = rng.standard_normal((batch, *lyr.in_dims))
-
+def _gradient(lyr: NdLinearLayer, x: np.ndarray) -> float:
+    """L = 0.5 * sum(y^2) has dL/dy = y and is quadratic in every single scalar,
+    so central differences at step 1 are exact."""
     y, cache = layer_mod.forward(lyr, x)
     analytic = layer_mod.backward(lyr, cache, y)
     numeric = finite_diff_grads(lyr, x, lambda out: 0.5 * float((out ** 2).sum()), step=1.0)
-    return TrialResult("gradient", seed, n, lyr.in_dims, lyr.out_dims,
-                       with_bias, batch, grads_max_rel_err(analytic, numeric))
+    return grads_max_rel_err(analytic, numeric)
+
+
+def _trial(kind: str, measure, seed: int, n: int | None, with_bias: bool | None,
+           max_dim: int) -> TrialResult:
+    """``measure(layer, x)`` on one layer drawn from ``seed``: a gradient trial first
+    draws its rank (1-3) and bias; a kronecker trial draws no input."""
+    rng = make_rng(seed)
+    if kind == "gradient":
+        n = int(rng.integers(1, 4))
+        with_bias = bool(rng.integers(0, 2))
+    lyr = _random_layer(rng, n, max_dim, with_bias)
+    batch = 0 if kind == "kronecker" else int(rng.integers(1, 4))
+    x = rng.standard_normal((batch, *lyr.in_dims)) if batch else None
+    return TrialResult(kind, seed, n, lyr.in_dims, lyr.out_dims, with_bias, batch,
+                       measure(lyr, x))
 
 
 def equivalence_trials(seeds: int, max_rank: int = 4, max_dim: int = 5,
                        base: int = 0) -> list[TrialResult]:
-    """One trial per (seed, rank, bias) family, for seeds base..base+seeds-1."""
-    return [equivalence_trial(seed * 1000 + n * 10 + int(with_bias), n, with_bias, max_dim)
+    """Max |forward_only - dense probe of forward|, one trial per (seed, rank, bias)
+    family, for seeds base..base+seeds-1."""
+    return [_trial("equivalence", _equivalence, seed * 1000 + n * 10 + int(with_bias), n,
+                   with_bias, max_dim)
             for seed in range(base, base + positive_int(seeds, "seeds"))
             for n in range(1, positive_int(max_rank, "max_rank") + 1)
             for with_bias in (False, True)]
@@ -278,10 +265,14 @@ def equivalence_trials(seeds: int, max_rank: int = 4, max_dim: int = 5,
 
 def kronecker_trials(seeds: int, max_rank: int = 4, max_dim: int = 5,
                      base: int = 0) -> list[TrialResult]:
-    return [kronecker_trial(seed * 1000 + n * 10, n, max_dim)
+    """Max |kron construction - probe| on no-bias layers, one trial per (seed, rank)."""
+    return [_trial("kronecker", _kronecker, seed * 1000 + n * 10, n, False, max_dim)
             for seed in range(base, base + positive_int(seeds, "seeds"))
             for n in range(1, positive_int(max_rank, "max_rank") + 1)]
 
 
 def gradient_trials(seeds: int, base: int = 0) -> list[TrialResult]:
-    return [gradient_trial(seed) for seed in range(base, base + positive_int(seeds, "seeds"))]
+    """Max relative error, analytic backward vs central differences, on layers of
+    rank 1-3 with dims 1-4, one trial per seed."""
+    return [_trial("gradient", _gradient, seed, None, None, 4)
+            for seed in range(base, base + positive_int(seeds, "seeds"))]

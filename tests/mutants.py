@@ -1,4 +1,4 @@
-"""Kill list: seeded kernel faults that tier-1 must catch.
+"""Kill list: seeded faults that tier-1 must catch.
 
     python tests/mutants.py [NAME ...]
 
@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-LAYER, TENSOR = "src/ndlinear/layer.py", "src/ndlinear/tensor.py"
+LAYER, TENSOR, ORACLE = "src/ndlinear/layer.py", "src/ndlinear/tensor.py", "src/ndlinear/oracle.py"
 
 # name -> (file, text, replacement): the text must occur exactly once in the file
 MUTANTS = {
@@ -68,6 +68,16 @@ MUTANTS = {
     "stacked_count_misses_n": (
         TENSOR, "_active_counter.add(math.prod(s) * m * k * n)",
         "_active_counter.add(math.prod(s) * m * k * (n if not s else 1))"),
+    # the oracle's trial runner
+    "equivalence_measure_self_compare": (
+        ORACLE, "flat_forward(probe_full_map(lyr), x))", "layer_mod.forward_only(lyr, x))"),
+    "kronecker_measure_self_compare": (
+        ORACLE, "max_abs_diff(materialize_full_weight(lyr),",
+        "max_abs_diff(probe_full_map(lyr).w_full,"),
+    "gradient_trial_skips_rank_draw": (ORACLE, "n = int(rng.integers(1, 4))", "n = 3"),
+    # reading a saved layer
+    "read_meta_lets_overflow_through": (
+        LAYER, "except (ShapeError, OverflowError) as exc:", "except ShapeError as exc:"),
 }
 
 COPIED = ("src", "tests", "perfbench", "pyproject.toml", "BENCHMARK.json", "README.md")

@@ -1,5 +1,6 @@
 """Dead-code scan of ``src/ndlinear``: every imported name is used, and every
-private top-level function, class or constant is referenced somewhere in ``src/``.
+private top-level function, class or constant is referenced somewhere in ``src/``,
+and only ``__init__.py`` assigns ``__all__``.
 Outside ``tensor.py`` no module casts an array with ``np.array(..., dtype)`` and kin."""
 
 import ast
@@ -54,6 +55,15 @@ def test_every_private_top_level_name_is_referenced():
     unused = [f"{name}: {private}" for name, tree in MODULES.items()
               for private in sorted(private_definitions(tree) - used)]
     assert unused == []
+
+
+def test_the_package_has_the_only_export_list():
+    # a submodule's ``__all__`` would be a second list of public names to keep in step
+    lists = [name for name, tree in MODULES.items() if name != "__init__.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "__all__"
+             and isinstance(node.ctx, ast.Store)]
+    assert lists == []
 
 
 ARRAY_MAKERS = {"array", "asarray", "asanyarray", "ascontiguousarray"}

@@ -908,6 +908,14 @@ class TestBandedTrainingSteps:
         assert chunk_size(lyr, 2) == 1 and largest_step(lyr) > tensor.SMALL_GEMM_MNK
         assert len(calls) == 2 * 3 * 3
 
+    def test_a_two_mode_step_over_the_bound_is_one_product(self):
+        # N = 2 runs batch-leading, outside the chunk loop that bands run in: at
+        # batch 1, Z_1 @ W_2, (64, 256) @ (256, 256), is one product of 2^22
+        # multiply-adds; a step is 2 products forward and 4 back
+        lyr, calls = self.step_against_one_chunk(61, (64, 256), (64, 256), 1)
+        assert largest_step(lyr) > tensor.SMALL_GEMM_MNK
+        assert len(calls) == 6
+
     def test_a_batch_of_one_is_banded(self):
         # one chunk, whose bands write a fresh step buffer
         _, calls = self.step_against_one_chunk(59, (32, 32, 32), (32, 32, 32), 1)
@@ -1520,6 +1528,10 @@ class TestSerialization:
          "with_bias must be a bool"),
         (b'{"N": 3, "in_dims": [2, 3], "out_dims": [4, 5], "with_bias": true}',
          "N = 3 but in_dims has 2 modes"),
+        # 2^62 * 4 elements: each dim passes, the element count overflows
+        (b'{"N": 2, "in_dims": [4611686018427387904, 4], "out_dims": [4, 5], '
+         b'"with_bias": true}',
+         "in_dims must be a valid shape: element count"),
     ])
     def test_malformed_meta_is_a_format_error(self, tmp_path, meta, problem):
         save_layer(init_xavier((2, 3), (4, 5), True, make_rng(0)), tmp_path / "lyr")

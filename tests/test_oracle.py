@@ -285,9 +285,22 @@ class TestTrialRunners:
             return grads
 
         monkeypatch.setattr(layer, "backward", skewed)
-        for seed in range(10):
+        for trial in oracle.gradient_trials(10):
             # passed at the old tolerance of 1e-6
-            assert cli.GRADIENT_TOL < oracle.gradient_trial(seed).max_error < 1e-6
+            assert cli.GRADIENT_TOL < trial.max_error < 1e-6
+
+    def test_equivalence_and_kronecker_trials_fail_a_forward_off_by_1e_6(self, monkeypatch):
+        # the probe reads ``forward``; ``forward_only`` and the Kronecker product do not
+        real = layer.forward
+
+        def skewed(lyr, x):
+            y, cache = real(lyr, x)
+            return y * (1 + 1e-6), cache
+
+        monkeypatch.setattr(layer, "forward", skewed)
+        for trials, tol in ((equivalence_trials(1, max_rank=3, max_dim=3), cli.EQUIVALENCE_TOL),
+                            (kronecker_trials(1, max_rank=3, max_dim=3), cli.KRONECKER_TOL)):
+            assert min(t.max_error for t in trials) > tol
 
 
 def test_compression_witness_counts_only():
